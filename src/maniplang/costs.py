@@ -4,8 +4,7 @@ Each cost word measures one geometric violation and is zero exactly when the
 relation holds: distances in meters, alignment terms in [0, 1] via |cosine|
 (so the principal-axis sign never matters), uprightness signed in [0, 2].
 A sum evaluates to the exact sum of its terms; mixed units are added
-unweighted, matching how programs are written, with optional per-word
-weights for experimentation.
+unweighted, matching how programs are written.
 
 Evaluation is pure given an immutable context and may run concurrently.
 """
@@ -13,17 +12,18 @@ Evaluation is pure given an immutable context and may run concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import ManiplangError
 from .geometry import (
     DegenerateAxisError,
-    DegenerateDirectionError,
+    Point3,
     PointCloud,
     angle_between,
+    direction_of,
     extent,
     principal_axis,
 )
@@ -54,13 +54,11 @@ class EvalContext:
     """Scene plus an optional part-name resolver hook.
 
     The default resolver is exact map lookup; the retrieval module can
-    substitute a phrase-matching one. `term_weights` scales individual
-    cost words by name (default weight 1).
+    substitute a phrase-matching one.
     """
 
     scene: Scene
     part_resolver: Callable[[str], PointCloud | None] | None = None
-    term_weights: Mapping[str, float] = field(default_factory=dict)
 
     def resolve_cloud(self, name: str) -> PointCloud:
         if name == GRIPPER_NAME:
@@ -125,8 +123,7 @@ def _eval_call(node: TypedExpr, ctx: EvalContext):
     if word in _GETTERS:
         return _GETTERS[word](node, ctx)
     if word in _COST_WORDS:
-        value = _COST_WORDS[word](node, ctx)
-        return value * float(ctx.term_weights.get(word, 1.0))
+        return _COST_WORDS[word](node, ctx)
     raise EvalError(f"word {word!r} is not evaluable (void actions run in the pipeline)")
 
 
@@ -138,9 +135,11 @@ def _get_centroid(node, ctx):
 
 
 def _centroid_last(node, ctx):
+    """Position of the "part" argument (a part's centroid, or the gripper)
+    in the latest history snapshot; shared by every word that reads history."""
     name = _string_arg(node, "part")
     if not ctx.scene.history:
-        raise EmptyHistoryError(f"centroid_last({name!r}) needs at least one recorded snapshot")
+        raise EmptyHistoryError(f"{node.word}({name!r}) needs at least one recorded snapshot")
     snap = ctx.scene.history[-1]
     if name == GRIPPER_NAME:
         return snap.gripper_position.as_array()
@@ -167,11 +166,7 @@ def _make_extent(dimension):
 def _direction_of(node, ctx):
     start = ctx.resolve_point(_string_arg(node, "start"))
     end = ctx.resolve_point(_string_arg(node, "end"))
-    delta = end - start
-    norm = float(np.linalg.norm(delta))
-    if norm <= 1e-9:
-        raise DegenerateDirectionError("direction_of: start and end coincide")
-    return delta / norm
+    return direction_of(Point3.from_array(start), Point3.from_array(end)).as_array()
 
 
 _GETTERS = {
@@ -206,20 +201,9 @@ def _move_cost(node, ctx):
 
 
 def _move_cost_with_offset(node, ctx):
-    name = _string_arg(node, "part")
     offset = _arg(node, "offset", ctx)
-    if not ctx.scene.history:
-        raise EmptyHistoryError(
-            f"move_cost_with_offset({name!r}) needs a snapshot of the part's prior position"
-        )
-    snap = ctx.scene.history[-1]
-    if name == GRIPPER_NAME:
-        anchor = snap.gripper_position.as_array()
-    elif name in snap.part_centroids:
-        anchor = snap.part_centroids[name].as_array()
-    else:
-        raise MissingPartError(name)
-    return float(np.linalg.norm(ctx.resolve_point(name) - (anchor + offset)))
+    anchor = _centroid_last(node, ctx)
+    return float(np.linalg.norm(ctx.resolve_point(_string_arg(node, "part")) - (anchor + offset)))
 
 
 def _alignment(node, ctx) -> float:
@@ -258,12 +242,9 @@ def _orbit_cost(node, ctx):
 def _upright_cost(node, ctx):
     up = ctx.resolve_point(_string_arg(node, "up_part"))
     down = ctx.resolve_point(_string_arg(node, "down_part"))
-    delta = up - down
-    norm = float(np.linalg.norm(delta))
-    if norm <= 1e-9:
-        raise DegenerateDirectionError("upright_cost: part centroids coincide")
+    direction = direction_of(Point3.from_array(down), Point3.from_array(up)).as_array()
     # Signed on purpose: "up above down" is not symmetric under axis flips.
-    return float(min(max(1.0 - float(delta / norm @ _UP), 0.0), 2.0))
+    return float(min(max(1.0 - float(direction @ _UP), 0.0), 2.0))
 
 
 def _gripper_open_cost(node, ctx):

@@ -26,7 +26,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ManiplangError
-from .geometry import Point3, PointCloud, PoseSE3, rotation_about_axis, rotation_xyz
+from .geometry import (
+    Point3,
+    PointCloud,
+    PoseSE3,
+    principal_axis,
+    rotation_about_axis,
+    rotation_xyz,
+)
 from .language.vocabulary import (
     Param,
     Vocabulary,
@@ -35,7 +42,6 @@ from .language.vocabulary import (
     default_vocabulary,
     vocabulary_to_json,
 )
-from .pipeline import AtomicAction, PromptTemplate
 from .retrieval import PartDatabase, PartEntry, SupportPair, database_to_json
 from .scene import Scene, scene_to_json
 
@@ -62,6 +68,20 @@ class Task:
     task_id: int
     title: str
     instruction: str
+
+
+@dataclass(frozen=True)
+class AtomicAction:
+    """One reference expression shown to the translation model."""
+
+    description: str
+    template: str
+    notes: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class PromptTemplate:
+    atomic_actions: tuple[AtomicAction, ...]
 
 
 # -- point cloud builders -----------------------------------------------------
@@ -100,15 +120,6 @@ def _annulus(rng, center, inner, outer, thickness, n=POINTS_PER_PART) -> np.ndar
     return center + np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
 
 
-def _pca_axis(coords: np.ndarray) -> np.ndarray:
-    centered = coords - coords.mean(axis=0)
-    cov = centered.T @ centered / coords.shape[0]
-    _, vecs = np.linalg.eigh(cov)
-    axis = vecs[:, -1]
-    dominant = int(np.argmax(np.abs(axis)))
-    return axis if axis[dominant] >= 0 else -axis
-
-
 def _rotate_about(coords: np.ndarray, center, rotation: np.ndarray) -> np.ndarray:
     center = np.asarray(center, dtype=float)
     return (coords - center) @ rotation.T + center
@@ -117,7 +128,7 @@ def _rotate_about(coords: np.ndarray, center, rotation: np.ndarray) -> np.ndarra
 def _align_axis_to(coords: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Rotate the cloud about its centroid so its measured principal axis
     lands exactly on `target` (sign chosen to minimize the rotation)."""
-    axis = _pca_axis(coords)
+    axis = principal_axis(PointCloud(coords)).as_array()
     target = np.asarray(target, dtype=float)
     target = target / np.linalg.norm(target)
     if float(axis @ target) < 0:
@@ -183,8 +194,8 @@ def _pen_holder(seed: int) -> Scene:
     pen = _cylinder(rng, (0.3, -0.05, 0.2), tilt, 0.15, 0.004)
     # Pin the measured axes exactly 30 degrees apart: target = holder axis
     # rotated by pi/6 about the mutual normal.
-    holder_axis = _pca_axis(holder)
-    pen_axis = _pca_axis(pen)
+    holder_axis = principal_axis(PointCloud(holder)).as_array()
+    pen_axis = principal_axis(PointCloud(pen)).as_array()
     normal = np.cross(holder_axis, pen_axis)
     normal /= np.linalg.norm(normal)
     pen = _align_axis_to(pen, rotation_about_axis(normal, math.pi / 6) @ holder_axis)
@@ -210,10 +221,10 @@ def _carrot_knife(seed: int) -> tuple[Scene, PoseSE3, Scene]:
     """
     rng = np.random.default_rng(seed)
     carrot = _cylinder(rng, (0.4, 0.0, 0.015), (1.0, 0.0, 0.0), 0.15, 0.012)
-    carrot_axis = _pca_axis(carrot)
+    carrot_axis = principal_axis(PointCloud(carrot)).as_array()
 
     blade = _box(rng, (0.4, 0.0, 0.13), (0.02, 0.12, 0.004))
-    blade_axis = _pca_axis(blade)
+    blade_axis = principal_axis(PointCloud(blade)).as_array()
     perp = blade_axis - float(blade_axis @ carrot_axis) * carrot_axis
     blade = _align_axis_to(blade, perp / np.linalg.norm(perp))
     blade_c = blade.mean(axis=0)

@@ -210,12 +210,6 @@ def transform_cloud(cloud: PointCloud, pose_from: PoseSE3, pose_to: PoseSE3) -> 
     return PointCloud((cloud.coords - t0) @ rel.T + t)
 
 
-def transform_point(point: Point3, pose_from: PoseSE3, pose_to: PoseSE3) -> Point3:
-    rel = pose_to.rotation @ pose_from.rotation.T
-    moved = rel @ (point.as_array() - pose_from.translation.as_array()) + pose_to.translation.as_array()
-    return Point3.from_array(moved)
-
-
 def rotation_from_euler(e: EulerXYZ) -> np.ndarray:
     """Rotation matrix for intrinsic XYZ angles: R = Rx(rx) @ Ry(ry) @ Rz(rz)."""
     return rotation_xyz(e.rx, e.ry, e.rz)

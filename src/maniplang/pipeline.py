@@ -18,6 +18,7 @@ import urllib.request
 from dataclasses import dataclass, replace
 from typing import Mapping, Protocol
 
+from . import fixtures
 from .errors import ManiplangError
 from .language.ast import TypedExpr
 from .language.typecheck import Accepted, validate_program
@@ -26,6 +27,7 @@ from .solver import SolveConfig, SolveResult, partition_moving_static, solve, tr
 
 REMOTE_URL_ENV = "MANIPLANG_REMOTE_URL"
 STAGE_SEPARATOR = "---"
+MAX_ATTEMPTS = 3  # the first translation plus two reprompts
 
 
 class PipelineError(ManiplangError):
@@ -38,20 +40,6 @@ class TranslationFailedError(PipelineError):
     def __init__(self, message: str, trace: "TaskTrace"):
         super().__init__(message)
         self.trace = trace
-
-
-@dataclass(frozen=True)
-class AtomicAction:
-    """One reference expression shown to the translation model."""
-
-    description: str
-    template: str
-    notes: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class PromptTemplate:
-    atomic_actions: tuple[AtomicAction, ...]
 
 
 def instantiate_template(text: str, values: Mapping[str, str]) -> str:
@@ -71,7 +59,7 @@ def scene_summary(scene: Scene) -> str:
     )
 
 
-def build_prompt(instruction: str, scene: Scene, template: PromptTemplate) -> str:
+def build_prompt(instruction: str, scene: Scene, template: fixtures.PromptTemplate) -> str:
     """Deterministic prompt: instruction, sorted part inventory, then the six
     atomic-action reference expressions with their guidance lines."""
     lines = [f"Instruction: {instruction}", "", "Scene parts:"]
@@ -128,9 +116,12 @@ class RemoteClient:
         request = urllib.request.Request(
             self.endpoint, data=payload, headers={"Content-Type": "application/json"}
         )
-        with urllib.request.urlopen(request, timeout=self.timeout) as response:
-            doc = json.loads(response.read().decode("utf-8"))
-        if "program" not in doc:
+        try:
+            with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                doc = json.loads(response.read().decode("utf-8"))
+        except (OSError, ValueError) as exc:  # URLError is an OSError; bad JSON a ValueError
+            raise PipelineError(f"remote endpoint {self.endpoint} failed: {exc}") from exc
+        if not isinstance(doc, dict) or "program" not in doc:
             raise PipelineError("remote response is missing the 'program' field")
         return str(doc["program"])
 
@@ -139,8 +130,6 @@ class RemoteClient:
 class PipelineConfig:
     solve: SolveConfig = SolveConfig()
     success_threshold: float = 1e-2
-    max_attempts: int = 3
-    template: PromptTemplate | None = None
 
 
 @dataclass(frozen=True)
@@ -233,16 +222,13 @@ def run_task(
 ) -> TaskTrace:
     """Translate, validate (with bounded reprompting), then solve stage by
     stage; a rejected candidate never reaches the solver."""
-    from .fixtures import default_prompt_template  # data-backed default
-
     cfg = cfg or PipelineConfig()
-    template = cfg.template or default_prompt_template()
-    prompt = build_prompt(instruction, scene, template)
+    prompt = build_prompt(instruction, scene, fixtures.default_prompt_template())
     summary = scene_summary(scene)
 
     attempts: list[AttemptRecord] = []
     accepted_stages: list[tuple[str, TypedExpr]] | None = None
-    for _ in range(cfg.max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         raw = client.translate(instruction, summary, prompt)
         stage_texts = split_stages(raw)
         if not stage_texts:
@@ -272,7 +258,7 @@ def run_task(
             success=False,
         )
         raise TranslationFailedError(
-            f"no valid candidate after {cfg.max_attempts} attempts", trace
+            f"no valid candidate after {MAX_ATTEMPTS} attempts", trace
         )
 
     stages: list[StageRecord] = []

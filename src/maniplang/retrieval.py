@@ -7,22 +7,23 @@ then by the lexicographically smaller phrase, so results are reproducible.
 
 Phrases are case-folded and whitespace-normalized before comparison; the
 distance itself stays unnormalized, which favors short phrases; kept
-deliberately, and documented so distances stay reproducible. The neural few-shot mask mapper is out of scope; the segmenter
-port is served by an oracle that reads labeled scene parts.
+deliberately, and documented so distances stay reproducible. The neural
+few-shot mask mapper is out of scope; parts are segmented by an oracle that
+reads labeled scene parts.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable
 
 from .costs import MissingPartError
 from .errors import ManiplangError
 from .geometry import PointCloud
 from .scene import Scene
 
-DEFAULT_MATCH_RATIO = 0.6  # of the matched phrase's length
+MATCH_RATIO = 0.6  # of the matched phrase's length
 
 
 class RetrievalError(ManiplangError):
@@ -114,59 +115,33 @@ def retrieve(db: PartDatabase, desc: str) -> RetrievalMatch:
     return RetrievalMatch(best_entry, index, phrase, distance)
 
 
-def oracle_segment(
-    scene: Scene,
-    part_desc: str,
-    db: PartDatabase,
-    match_ratio: float = DEFAULT_MATCH_RATIO,
-) -> PointCloud:
+def oracle_segment(scene: Scene, part_desc: str, db: PartDatabase) -> PointCloud:
     """Desk-scale segmenter: retrieval picks an entry, the entry's canonical
-    phrase picks the closest-named labeled scene part.
+    phrase picks the closest-named labeled scene part. Deterministic given
+    identical inputs.
 
     Raises MissingPartError when either hop lands farther than
-    `match_ratio` of the respective phrase's length.
+    MATCH_RATIO of the respective phrase's length.
     """
     match = retrieve(db, part_desc)
-    if match.distance > match_ratio * len(normalize_phrase(match.matched_phrase)):
+    if match.distance > MATCH_RATIO * len(normalize_phrase(match.matched_phrase)):
         raise MissingPartError(part_desc)
     canonical = match.entry.canonical_phrase
     if not scene.parts:
         raise MissingPartError(part_desc)
-    best_name = min(
-        scene.parts, key=lambda name: (levenshtein(canonical, name), name)
-    )
-    best_distance = levenshtein(canonical, best_name)
-    if best_distance > match_ratio * len(normalize_phrase(canonical)):
+    best_distance, best_name = min((levenshtein(canonical, name), name) for name in scene.parts)
+    if best_distance > MATCH_RATIO * len(normalize_phrase(canonical)):
         raise MissingPartError(part_desc)
     return scene.parts[best_name]
 
 
-class SegmenterPort(Protocol):
-    """Contract for part segmentation; implementations must be deterministic
-    given identical inputs."""
-
-    def segment(self, scene: Scene, part_desc: str) -> PointCloud: ...
-
-
-class OracleSegmenter:
-    """SegmenterPort backed by labeled scene parts through the database."""
-
-    def __init__(self, db: PartDatabase, match_ratio: float = DEFAULT_MATCH_RATIO):
-        self.db = db
-        self.match_ratio = match_ratio
-
-    def segment(self, scene: Scene, part_desc: str) -> PointCloud:
-        return oracle_segment(scene, part_desc, self.db, self.match_ratio)
-
-
 def make_part_resolver(scene: Scene, db: PartDatabase) -> Callable[[str], PointCloud]:
     """EvalContext hook: resolve part descriptions through the database."""
-    segmenter = OracleSegmenter(db)
 
     def resolver(name: str) -> PointCloud:
         if name in scene.parts:
             return scene.parts[name]
-        return segmenter.segment(scene, name)
+        return oracle_segment(scene, name, db)
 
     return resolver
 

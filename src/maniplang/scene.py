@@ -123,7 +123,7 @@ def scene_from_json(doc: dict) -> Scene:
             history=history,
             objects=objects,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SceneError(f"malformed scene document: {exc}") from exc
 
 
@@ -134,5 +134,9 @@ def save_scene(path, scene: Scene) -> None:
 
 
 def load_scene(path) -> Scene:
-    with open(path, encoding="utf-8") as fh:
-        return scene_from_json(json.load(fh))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        raise SceneError(f"cannot read scene {path}: {exc}") from exc
+    return scene_from_json(doc)

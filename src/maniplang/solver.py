@@ -1,12 +1,13 @@
 """Gripper pose solver.
 
 Minimizes  cost(scene with moved parts) + alpha * |t - t0|_2
-           + beta * |euler(R @ R0^-1)|_1
-over the gripper end pose (R, t). Parts attached to the grasped object move
-rigidly with the gripper; everything else stays put.
+           + beta * |euler(R)|_1
+over the gripper end pose (R, t), starting from the identity rotation at the
+gripper's position t0. Parts attached to the grasped object move rigidly
+with the gripper; everything else stays put.
 
 The optimizer is a derivative-free pattern search over the 6-vector
-(EulerXYZ deltas from R0, translation deltas from t0): coordinate polls
+(EulerXYZ angles of R, translation deltas from t0): coordinate polls
 first, seeded random poll directions when a coordinate cycle stalls (the
 descent cone of a kinked objective can exclude every coordinate axis), and
 an acceleration step along each cycle's net movement. Deterministic
@@ -105,7 +106,8 @@ class SolveResult:
 
 
 def initial_pose(scene: Scene) -> PoseSE3:
-    """The gripper's starting pose; the scene stores position only, so R0 = I."""
+    """The gripper's starting pose; the scene stores position only, so the
+    rotation is the identity."""
     return PoseSE3.identity(scene.gripper_position)
 
 
@@ -143,21 +145,26 @@ def transform_scene(scene: Scene, pose: PoseSE3, moving: frozenset[str] | None =
     to `pose`; the pre-move state is appended to history."""
     if moving is None:
         moving, _ = partition_moving_static(scene)
-    start = initial_pose(scene)
-    rel = pose.rotation @ start.rotation.T
-    t0 = start.translation.as_array()
-    t = pose.translation.as_array()
+    history = scene.history + (scene.snapshot(),)
+    return _move_scene(scene, moving, pose.rotation, pose.translation.as_array(), history)
+
+
+def _move_scene(
+    scene: Scene, moving: frozenset[str], rel: np.ndarray, t: np.ndarray, history: tuple
+) -> Scene:
+    """Rotate the moving parts by `rel` about the gripper and carry the
+    gripper to `t`; static parts are shared, not copied."""
+    t0 = scene.gripper_position.as_array()
     parts = {
         name: PointCloud((cloud.coords - t0) @ rel.T + t) if name in moving else cloud
         for name, cloud in scene.parts.items()
     }
-    gripper = Point3.from_array(rel @ (scene.gripper_position.as_array() - t0) + t)
     return Scene(
         parts=parts,
         grasped=scene.grasped,
-        gripper_position=gripper,
+        gripper_position=Point3.from_array(t),
         gripper_open_fraction=scene.gripper_open_fraction,
-        history=scene.history + (scene.snapshot(),),
+        history=history,
         objects=dict(scene.objects),
     )
 
@@ -172,10 +179,17 @@ def objective_terms(
 ) -> tuple[float, float, float, float]:
     """(objective, cost term, translation regularizer, rotation regularizer)."""
     moved = transform_scene(scene, pose)
+    dt = pose.translation.as_array() - scene.gripper_position.as_array()
+    return _terms(expr, moved, pose.rotation, dt, cfg)
+
+
+def _terms(
+    expr: TypedExpr, moved: Scene, rel: np.ndarray, dt: np.ndarray, cfg: SolveConfig
+) -> tuple[float, float, float, float]:
+    """The one objective: the search minimizes exactly what objective_terms reports."""
     cost = evaluate(expr, EvalContext(moved))
-    start = initial_pose(scene)
-    reg_t = float(np.linalg.norm(pose.translation.as_array() - start.translation.as_array()))
-    euler = euler_from_rotation(pose.rotation @ start.rotation.T)
+    reg_t = float(np.linalg.norm(dt))
+    euler = euler_from_rotation(rel)
     reg_r = abs(euler.rx) + abs(euler.ry) + abs(euler.rz)
     return cost + cfg.alpha * reg_t + cfg.beta * reg_r, cost, reg_t, reg_r
 
@@ -193,35 +207,13 @@ def solve(expr: TypedExpr, scene: Scene, cfg: SolveConfig | None = None) -> Solv
             f"expression constrains {sorted(subjects)} but nothing grasped moves"
         )
 
-    start = initial_pose(scene)
-    t0 = start.translation.as_array()
-    r0 = start.rotation
-    snap = scene.snapshot()
-    pre_history = scene.history + (snap,)
-    moving_coords = {name: scene.parts[name].coords for name in moving}
-    static_parts = {name: cloud for name, cloud in scene.parts.items() if name not in moving}
-
-    def scene_at(x: np.ndarray) -> Scene:
-        rel = rotation_xyz(x[0], x[1], x[2])
-        t = t0 + x[3:6]
-        parts = dict(static_parts)
-        for name, coords in moving_coords.items():
-            parts[name] = PointCloud((coords - t0) @ rel.T + t)
-        return Scene(
-            parts=parts,
-            grasped=scene.grasped,
-            gripper_position=Point3.from_array(rel @ (scene.gripper_position.as_array() - t0) + t),
-            gripper_open_fraction=scene.gripper_open_fraction,
-            history=pre_history,
-            objects=dict(scene.objects),
-        )
+    t0 = scene.gripper_position.as_array()
+    history = scene.history + (scene.snapshot(),)
 
     def f(x: np.ndarray) -> float:
-        cost = evaluate(expr, EvalContext(scene_at(x)))
         rel = rotation_xyz(x[0], x[1], x[2])
-        euler = euler_from_rotation(rel)
-        reg_r = abs(euler.rx) + abs(euler.ry) + abs(euler.rz)
-        return cost + cfg.alpha * float(np.linalg.norm(x[3:6])) + cfg.beta * reg_r
+        moved = _move_scene(scene, moving, rel, t0 + x[3:6], history)
+        return _terms(expr, moved, rel, x[3:6], cfg)[0]
 
     seed = cfg.seed & 0xFFFFFFFFFFFFFFFF  # SeedSequence wants unsigned 64-bit
     rng = np.random.default_rng(seed)
@@ -243,9 +235,7 @@ def solve(expr: TypedExpr, scene: Scene, cfg: SolveConfig | None = None) -> Solv
 
     assert best is not None
     _, restart_index, x, evals, converged = best
-    pose = PoseSE3(
-        rotation_xyz(x[0], x[1], x[2]) @ r0, Point3.from_array(t0 + x[3:6])
-    )
+    pose = PoseSE3(rotation_xyz(x[0], x[1], x[2]), Point3.from_array(t0 + x[3:6]))
     obj, cost, reg_t, reg_r = objective_terms(expr, scene, pose, cfg)
     return SolveResult(
         pose=pose,

@@ -1,4 +1,5 @@
 import json
+import socket
 import subprocess
 import sys
 
@@ -57,6 +58,19 @@ class TestEvalCommand:
 
     def test_void_action_not_evaluable(self, scene_path):
         assert main(["eval", "--scene", scene_path, "--expr", "gripper_open()"]) == 2
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, "not json {", json.dumps({"parts": 5})],
+        ids=["missing_file", "not_json", "parts_not_a_map"],
+    )
+    def test_unreadable_scene_is_validation_failure(self, tmp_path, capsys, content):
+        path = tmp_path / "scene.json"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        code = main(["eval", "--scene", str(path), "--expr", "gripper_open_cost()"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestSolveCommand:
@@ -118,6 +132,15 @@ class TestRunCommand:
         code = main(["run", "--scene", scene_path, "--instruction", "x",
                      "--client", "remote"])
         assert code == 2
+
+    def test_remote_endpoint_down_fails_cleanly(self, scene_path, capsys):
+        with socket.socket() as sock:  # bind then close: nothing listens on the port
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        code = main(["run", "--scene", scene_path, "--instruction", "x",
+                     "--client", "remote", "--endpoint", f"http://127.0.0.1:{port}/"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_custom_fixture_map(self, scene_path, tmp_path, capsys):
         fixture_map = tmp_path / "map.json"

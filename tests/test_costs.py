@@ -10,7 +10,7 @@ from maniplang.costs import (
     evaluate,
     motion_subjects,
 )
-from maniplang.geometry import DegenerateAxisError, Point3, PointCloud
+from maniplang.geometry import DegenerateAxisError, DegenerateDirectionError, Point3, PointCloud
 from maniplang.language import parse, type_check, validate_program
 from maniplang.scene import Scene, SceneSnapshot
 from maniplang import fixtures
@@ -64,6 +64,11 @@ class TestMoveCost:
     def test_part_already_at_target_is_zero(self):
         scene = two_part_scene("a", [(0.2, 0.3, 0.4)], "b", [(0.2, 0.3, 0.4)])
         assert ev("move_cost(get_centroid('a'), get_centroid('b'))", scene) == 0.0
+
+    def test_offset_move_on_fresh_scene_errors(self):
+        scene = single_part_scene("cube", [(0, 0, 0)])
+        with pytest.raises(EmptyHistoryError):
+            ev("move_cost_with_offset('cube', offset=[0, 0, 0.1])", scene)
 
 
 class TestAlignmentCosts:
@@ -136,6 +141,10 @@ class TestUprightCost:
         value = ev("upright_cost(up_part='top', down_part='base')", self.scene((1, 0, 0), (0, 0, 0)))
         assert abs(value - 1.0) < 1e-12
 
+    def test_coincident_centroids_degenerate(self):
+        with pytest.raises(DegenerateDirectionError):
+            ev("upright_cost(up_part='top', down_part='base')", self.scene((0, 0, 0), (0, 0, 0)))
+
 
 class TestRotateOrbit:
     def test_rotate_cost_zero_at_target(self):
@@ -197,6 +206,11 @@ class TestGetters:
         with pytest.raises(EmptyHistoryError):
             ev("move_cost(centroid_last('gripper'), [0, 0, 0])", scene)
 
+    def test_direction_of_coincident_parts_degenerate(self):
+        scene = two_part_scene("a", [(0.1, 0.2, 0.3)], "b", [(0.1, 0.2, 0.3)])
+        with pytest.raises(DegenerateDirectionError):
+            ev("parallel_cost(direction_of(start='a', end='b'), [0, 0, 1])", scene)
+
     def test_get_height_box_fixture(self):
         corners = [(x, y, z) for x in (0, 2) for y in (0, 3) for z in (0, 5)]
         scene = single_part_scene("box", corners)
@@ -247,11 +261,6 @@ class TestEvalStructure:
             scene = fixtures.make_scene(kind)
             for program in programs:
                 assert ev(program, scene) >= 0.0
-
-    def test_term_weights_scale_cost_words(self):
-        scene = single_part_scene("x", [(0, 0, 0)], open_fraction=0.0)
-        value = ev("gripper_open_cost()", scene, term_weights={"gripper_open_cost": 0.25})
-        assert value == 0.25
 
     def test_void_action_is_not_evaluable(self):
         scene = single_part_scene("x", [(0, 0, 0)])

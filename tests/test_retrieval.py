@@ -6,7 +6,6 @@ from maniplang import fixtures
 from maniplang.costs import MissingPartError
 from maniplang.retrieval import (
     EmptyDatabaseError,
-    OracleSegmenter,
     PartDatabase,
     PartEntry,
     RetrievalError,
@@ -160,9 +159,9 @@ class TestOracleSegment:
 
     def test_segmenter_port_is_deterministic(self):
         scene = fixtures.make_scene("teapot_lid")
-        segmenter = OracleSegmenter(fixtures.build_part_database())
-        a = segmenter.segment(scene, "teapot spout")
-        b = segmenter.segment(scene, "teapot spout")
+        db = fixtures.build_part_database()
+        a = oracle_segment(scene, "teapot spout", db)
+        b = oracle_segment(scene, "teapot spout", db)
         assert a == b
 
     def test_part_resolver_integration(self):
