@@ -9,11 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import fixtures, metrics
 from .costs import EvalContext, EvalError, evaluate
 from .errors import ManiplangError
+from .files import read_text, write_text
 from .language.ast import to_source
 from .language.typecheck import Accepted, validate_program
 from .pipeline import (
@@ -37,10 +37,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except TranslationFailedError as exc:
-        _emit_trace(exc.trace, getattr(args, "out", None))
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except (EvalError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -130,7 +126,7 @@ def _validated(source: str):
 
 
 def _cmd_parse(args) -> int:
-    source = sys.stdin.read() if args.file == "-" else Path(args.file).read_text(encoding="utf-8")
+    source = sys.stdin.read() if args.file == "-" else read_text(args.file, ManiplangError)
     typed = _validated(source)
     if typed is None:
         return EXIT_INVALID
@@ -182,8 +178,7 @@ def _cmd_retrieve(args) -> int:
 
 def _cmd_metrics(args) -> int:
     profiles = metrics.load_profiles(args.profiles)
-    tasks_doc = json.loads(Path(args.tasks).read_text(encoding="utf-8"))
-    task_count = len(tasks_doc["tasks"])
+    task_count = len(fixtures.load_tasks(args.tasks))
     rows = metrics.compute_rows(profiles, task_count)
     metrics.write_outputs(rows, args.csv, args.svg)
     print(metrics.rows_to_csv(rows), end="")
@@ -193,7 +188,7 @@ def _cmd_metrics(args) -> int:
 def _emit_trace(trace, out_path) -> None:
     text = trace.dumps() + "\n"
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        write_text(out_path, text, ManiplangError)
     else:
         print(text, end="")
 
@@ -201,15 +196,15 @@ def _emit_trace(trace, out_path) -> None:
 def _cmd_run(args) -> int:
     scene = load_scene(args.scene)
     if args.client == "mock":
-        if args.fixtures:
-            responses = json.loads(Path(args.fixtures).read_text(encoding="utf-8"))
-        else:
-            responses = fixtures.load_mock_translations()
-        client = MockClient(responses)
+        client = MockClient(fixtures.load_mock_translations(args.fixtures))
     else:
         client = RemoteClient(endpoint=args.endpoint)
     cfg = PipelineConfig(solve=_solve_config(args), success_threshold=args.threshold)
-    trace = run_task(args.instruction, scene, client, cfg)
+    try:
+        trace = run_task(args.instruction, scene, client, cfg)
+    except TranslationFailedError as exc:
+        _emit_trace(exc.trace, args.out)
+        raise
     _emit_trace(trace, args.out)
     if any(stage.error for stage in trace.stages):
         return EXIT_SOLVER

@@ -17,15 +17,14 @@ translations, prompt templates) regenerates byte-identically via
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ManiplangError
+from .files import read_json, write_json
 from .geometry import (
     Point3,
     PointCloud,
@@ -627,24 +626,28 @@ def build_prompt_template() -> PromptTemplate:
 # -- data files -------------------------------------------------------------------
 
 
-def _data_root():
-    return resources.files("maniplang").joinpath("data")
+_DATA = Path(__file__).with_name("data")
 
 
-def _read_json(relative: str):
-    return json.loads(_data_root().joinpath(relative).read_text(encoding="utf-8"))
+def load_tasks(path=None) -> list[Task]:
+    path = path or shipped_tasks_path()
+    doc = read_json(path, FixtureError)
+    try:
+        return [Task(t["task_id"], t["title"], t["instruction"]) for t in doc["tasks"]]
+    except (KeyError, TypeError) as exc:
+        raise FixtureError(f"{path}: expected a tasks list of {{task_id, title, instruction}}") from exc
 
 
-def load_tasks() -> list[Task]:
-    return [Task(t["task_id"], t["title"], t["instruction"]) for t in _read_json("tasks_33.json")["tasks"]]
-
-
-def load_mock_translations() -> dict[str, str]:
-    return _read_json("mock_translations.json")
+def load_mock_translations(path=None) -> dict[str, str]:
+    path = path or _DATA / "mock_translations.json"
+    doc = read_json(path, FixtureError)
+    if not isinstance(doc, dict) or not all(isinstance(v, str) for v in doc.values()):
+        raise FixtureError(f"{path}: expected an object of instruction -> program text")
+    return doc
 
 
 def default_prompt_template() -> PromptTemplate:
-    doc = _read_json("prompt_templates.json")
+    doc = read_json(_DATA / "prompt_templates.json", FixtureError)
     return PromptTemplate(
         atomic_actions=tuple(
             AtomicAction(a["description"], a["template"], tuple(a.get("notes", ())))
@@ -654,35 +657,34 @@ def default_prompt_template() -> PromptTemplate:
 
 
 def shipped_part_database_path() -> Path:
-    return Path(str(_data_root().joinpath("part_database.json")))
+    return _DATA / "part_database.json"
 
 
 def shipped_profiles_dir() -> Path:
-    return Path(str(_data_root().joinpath("profiles")))
+    return _DATA / "profiles"
 
 
 def shipped_tasks_path() -> Path:
-    return Path(str(_data_root().joinpath("tasks_33.json")))
+    return _DATA / "tasks_33.json"
 
 
 def shipped_scene_path(kind: str) -> Path:
-    return Path(str(_data_root().joinpath("scenes", f"{kind}.json")))
-
-
-def _dump(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return _DATA / "scenes" / f"{kind}.json"
 
 
 def regen(out_dir, seed: int = DEFAULT_SEED) -> list[Path]:
     """Write the whole fixture tree; byte-stable for a given seed."""
     out = Path(out_dir)
-    (out / "profiles").mkdir(parents=True, exist_ok=True)
-    (out / "scenes").mkdir(parents=True, exist_ok=True)
+    try:
+        (out / "profiles").mkdir(parents=True, exist_ok=True)
+        (out / "scenes").mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise FixtureError(f"cannot create {out}: {exc}") from exc
     written: list[Path] = []
 
     def emit(relative: str, doc) -> None:
         path = out / relative
-        _dump(path, doc)
+        write_json(path, doc, FixtureError)
         written.append(path)
 
     emit("tasks_33.json", {"tasks": [

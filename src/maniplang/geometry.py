@@ -111,9 +111,6 @@ class PointCloud:
     def __eq__(self, other) -> bool:
         return isinstance(other, PointCloud) and np.array_equal(self.coords, other.coords)
 
-    def points(self) -> list[Point3]:
-        return [Point3.from_array(row) for row in self.coords]
-
 
 @dataclass(frozen=True)
 class EulerXYZ:

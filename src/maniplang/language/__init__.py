@@ -20,8 +20,6 @@ from .vocabulary import (
     Word,
     default_grammar,
     default_vocabulary,
-    load_vocabulary,
-    save_vocabulary,
     vocabulary_from_json,
     vocabulary_size,
     vocabulary_to_json,
@@ -49,9 +47,7 @@ __all__ = [
     "Word",
     "default_grammar",
     "default_vocabulary",
-    "load_vocabulary",
     "parse",
-    "save_vocabulary",
     "to_source",
     "tokenize",
     "type_check",

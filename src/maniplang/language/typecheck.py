@@ -108,8 +108,8 @@ def _infer_leaf(node: Expr, vocab, rules, expected: str | None) -> TypedExpr:
 
 
 def _infer_binop(node: BinOp, vocab, rules, expected: str | None) -> TypedExpr:
-    left_opts = _operand_options(node.left, vocab, rules, expected)
-    right_opts = _operand_options(node.right, vocab, rules, expected)
+    left_opts, left = _operand(node.left, vocab, rules, expected)
+    right_opts, right = _operand(node.right, vocab, rules, expected)
     matches = [
         rule
         for rule in rules
@@ -122,19 +122,23 @@ def _infer_binop(node: BinOp, vocab, rules, expected: str | None) -> TypedExpr:
         actual = f"{next(iter(left_opts))} {node.op} {next(iter(right_opts))}"
         raise TypeCheckError(node, expected or "a composable pair", actual)
     rule = next((r for r in matches if r.lhs == expected), matches[0])
-    left = _infer(node.left, vocab, rules, rule.rhs[0])
-    right = _infer(node.right, vocab, rules, rule.rhs[2])
+    left = left or _infer(node.left, vocab, rules, rule.rhs[0])
+    right = right or _infer(node.right, vocab, rules, rule.rhs[2])
     return TypedExpr(node, rule.lhs, (left, right))
 
 
-def _operand_options(node: Expr, vocab, rules, expected: str | None) -> tuple[str, ...]:
+def _operand(node: Expr, vocab, rules, expected: str | None):
+    """(possible sorts, typed tree or None) for one side of a binary node: a
+    literal is typed once the rule is picked; any other operand has one sort
+    in every context, so it is typed once, here (not once more per rule)."""
     if isinstance(node, (Literal, Triple)):
         opts = _literal_sorts(node, rules)
         if expected in opts:
             # Prefer the contextual reading so `0 + 0` sums as cost at the top.
-            return (expected,) + tuple(o for o in opts if o != expected)
-        return opts
-    return (_infer(node, vocab, rules, None).sort,)
+            return (expected,) + tuple(o for o in opts if o != expected), None
+        return opts, None
+    typed = _infer(node, vocab, rules, None)
+    return (typed.sort,), typed
 
 
 def _infer_call(node: Call, vocab, rules) -> TypedExpr:

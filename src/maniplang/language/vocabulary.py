@@ -9,7 +9,6 @@ lists load through the same code path.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from ..errors import ManiplangError
@@ -82,9 +81,6 @@ class Vocabulary:
         if word is not None and word.alias_of is not None:
             return self._by_name[word.alias_of]
         return word
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
 
     def names(self) -> tuple[str, ...]:
         return tuple(w.name for w in self.words)
@@ -197,14 +193,3 @@ def vocabulary_from_json(doc: dict) -> tuple[Vocabulary, tuple[GrammarRule, ...]
         GrammarRule(entry["lhs"], tuple(entry["rhs"])) for entry in doc.get("rules", [])
     )
     return Vocabulary(words, bool(doc.get("has_host_escape", False))), rules
-
-
-def save_vocabulary(path, vocab: Vocabulary, rules: tuple[GrammarRule, ...] = ()) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(vocabulary_to_json(vocab, rules), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_vocabulary(path) -> tuple[Vocabulary, tuple[GrammarRule, ...]]:
-    with open(path, encoding="utf-8") as fh:
-        return vocabulary_from_json(json.load(fh))

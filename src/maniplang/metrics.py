@@ -13,11 +13,11 @@ never re-queried from any model.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ManiplangError
+from .files import read_json, write_text
 from .language.vocabulary import (
     Vocabulary,
     VocabularyError,
@@ -122,14 +122,7 @@ def load_profiles(path) -> list[RepresentationProfile]:
     files = sorted(p.glob("*.json")) if p.is_dir() else [p]
     if not files:
         raise ProfileSchemaError(f"{p}: no profile files found")
-    profiles = []
-    for file in files:
-        try:
-            doc = json.loads(file.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ProfileSchemaError(f"{file.name}: not valid JSON ({exc})") from exc
-        profiles.append(profile_from_json(doc, source=file.stem))
-    return profiles
+    return [profile_from_json(read_json(f, ProfileSchemaError), source=f.stem) for f in files]
 
 
 @dataclass(frozen=True)
@@ -223,5 +216,5 @@ def rows_to_svg(rows: list[MetricsRow]) -> str:
 
 
 def write_outputs(rows: list[MetricsRow], csv_path, svg_path) -> None:
-    Path(csv_path).write_text(rows_to_csv(rows), encoding="utf-8")
-    Path(svg_path).write_text(rows_to_svg(rows), encoding="utf-8")
+    write_text(csv_path, rows_to_csv(rows), MetricsError)
+    write_text(svg_path, rows_to_svg(rows), MetricsError)

@@ -14,12 +14,12 @@ reads labeled scene parts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
 from .costs import MissingPartError
 from .errors import ManiplangError
+from .files import read_json
 from .geometry import PointCloud
 from .scene import Scene
 
@@ -67,7 +67,7 @@ class SupportPair:
     mask: str
 
     def __post_init__(self):
-        if not self.image or not self.mask:
+        if not all(isinstance(ref, str) and ref for ref in (self.image, self.mask)):
             raise RetrievalError("support pair references must be non-empty strings")
 
 
@@ -160,11 +160,17 @@ def database_to_json(db: PartDatabase) -> dict:
     }
 
 
+def _phrases(value) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise RetrievalError(f"key_phrases must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
 def database_from_json(doc: dict) -> PartDatabase:
     try:
         entries = tuple(
             PartEntry(
-                key_phrases=tuple(entry["key_phrases"]),
+                key_phrases=_phrases(entry["key_phrases"]),
                 support_pairs=tuple(
                     SupportPair(pair["image"], pair["mask"])
                     for pair in entry.get("support_pairs", [])
@@ -177,12 +183,5 @@ def database_from_json(doc: dict) -> PartDatabase:
     return PartDatabase(entries)
 
 
-def save_database(path, db: PartDatabase) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(database_to_json(db), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def load_database(path) -> PartDatabase:
-    with open(path, encoding="utf-8") as fh:
-        return database_from_json(json.load(fh))
+    return database_from_json(read_json(path, RetrievalError))

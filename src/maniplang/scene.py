@@ -17,10 +17,10 @@ earlier stages; `centroid_last` and the offset-move cost read them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .errors import ManiplangError
+from .files import read_json, write_json
 from .geometry import Point3, PointCloud, centroid
 
 GRIPPER_NAME = "gripper"
@@ -67,15 +67,13 @@ class Scene:
         return self.objects.get(part)
 
 
-def scene_to_json(scene: Scene, precision: int | None = 9) -> dict:
+def scene_to_json(scene: Scene) -> dict:
     def _triple(p: Point3) -> list[float]:
-        vals = [p.x, p.y, p.z]
-        return [round(v, precision) for v in vals] if precision is not None else vals
+        return [round(v, 9) for v in (p.x, p.y, p.z)]
 
     parts = {}
     for name in scene.parts:
-        coords = scene.parts[name].coords
-        rows = coords.round(precision).tolist() if precision is not None else coords.tolist()
+        rows = scene.parts[name].coords.round(9).tolist()
         entry = {"points": rows, "grasped": name in scene.grasped}
         if name in scene.objects:
             entry["object"] = scene.objects[name]
@@ -128,15 +126,8 @@ def scene_from_json(doc: dict) -> Scene:
 
 
 def save_scene(path, scene: Scene) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scene_to_json(scene), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, scene_to_json(scene), SceneError)
 
 
 def load_scene(path) -> Scene:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
-        raise SceneError(f"cannot read scene {path}: {exc}") from exc
-    return scene_from_json(doc)
+    return scene_from_json(read_json(path, SceneError))

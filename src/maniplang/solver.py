@@ -59,6 +59,8 @@ class SolveConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not np.isfinite([self.alpha, self.beta, self.tolerance]).all():
+            raise SolverError("alpha, beta and tolerance must be finite")
         if self.alpha < 0 or self.beta < 0:
             raise SolverError("regularizer weights must be non-negative")
         if self.max_iterations < 1:

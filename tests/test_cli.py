@@ -8,6 +8,8 @@ import pytest
 from maniplang import fixtures
 from maniplang.cli import main
 
+from util import unwritable_path
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -99,6 +101,13 @@ class TestSolveCommand:
         assert result.returncode == 3
 
 
+    def test_non_finite_weight_exits_three(self, scene_path):
+        code = main(["solve", "--scene", scene_path,
+                     "--expr", "move_cost(get_centroid('cube'), get_centroid('target'))",
+                     "--alpha", "nan"])
+        assert code == 3
+
+
 class TestRetrieveCommand:
     def test_prints_index_phrase_distance(self, tmp_path):
         db_path = fixtures.shipped_part_database_path()
@@ -154,3 +163,66 @@ class TestRunCommand:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["success"] is True
+
+
+BAD_UTF8 = b"\xff\xfe not utf-8"
+
+
+def _file(tmp_path, name, content):
+    """A path under tmp_path holding `content` (bytes or text); None leaves it absent."""
+    path = tmp_path / name
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content, encoding="utf-8")
+    return str(path)
+
+
+_SCENE = str(fixtures.shipped_scene_path("cube_target"))
+_PROFILES = str(fixtures.shipped_profiles_dir())
+_TASKS = str(fixtures.shipped_tasks_path())
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        lambda t: ["parse", _file(t, "p.txt", None)],
+        lambda t: ["parse", _file(t, "p.txt", BAD_UTF8)],
+        lambda t: ["retrieve", "--db", _file(t, "db.json", None), "--desc", "cup"],
+        lambda t: ["retrieve", "--db", _file(t, "db.json", BAD_UTF8), "--desc", "cup"],
+        lambda t: ["metrics", "--profiles", str(t / "absent"), "--tasks", _TASKS,
+                   "--csv", str(t / "m.csv"), "--svg", str(t / "m.svg")],
+        lambda t: ["metrics", "--profiles", _file(t, "p.json", BAD_UTF8), "--tasks", _TASKS,
+                   "--csv", str(t / "m.csv"), "--svg", str(t / "m.svg")],
+        lambda t: ["metrics", "--profiles", _PROFILES, "--tasks", _file(t, "t.json", None),
+                   "--csv", str(t / "m.csv"), "--svg", str(t / "m.svg")],
+        lambda t: ["metrics", "--profiles", _PROFILES, "--tasks", _file(t, "t.json", "{}"),
+                   "--csv", str(t / "m.csv"), "--svg", str(t / "m.svg")],
+        lambda t: ["metrics", "--profiles", _PROFILES,
+                   "--tasks", _file(t, "t.json", '{"tasks": 5}'),
+                   "--csv", str(t / "m.csv"), "--svg", str(t / "m.svg")],
+        lambda t: ["metrics", "--profiles", _PROFILES, "--tasks", _TASKS,
+                   "--csv", str(unwritable_path(t)), "--svg", str(t / "m.svg")],
+        lambda t: ["run", "--scene", _SCENE, "--instruction", "x",
+                   "--fixtures", _file(t, "map.json", None)],
+        lambda t: ["run", "--scene", _SCENE, "--instruction", "x",
+                   "--fixtures", _file(t, "map.json", "[1, 2]")],
+        lambda t: ["run", "--scene", _SCENE, "--instruction", "x",
+                   "--fixtures", _file(t, "map.json", BAD_UTF8)],
+        lambda t: ["run", "--scene", _SCENE, "--instruction", fixtures.GARBAGE_INSTRUCTION,
+                   "--out", str(unwritable_path(t))],
+    ],
+    ids=[
+        "parse_missing", "parse_bad_utf8",
+        "retrieve_db_missing", "retrieve_db_bad_utf8",
+        "metrics_profiles_missing_dir", "metrics_profiles_bad_utf8",
+        "metrics_tasks_missing", "metrics_tasks_empty_object", "metrics_tasks_not_a_list",
+        "metrics_csv_unwritable",
+        "run_fixtures_missing", "run_fixtures_not_an_object", "run_fixtures_bad_utf8",
+        "run_out_unwritable",
+    ],
+)
+def test_bad_file_input_or_output_is_validation_failure(tmp_path, capsys, make_argv):
+    code = main(make_argv(tmp_path))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")

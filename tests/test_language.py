@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -197,6 +198,15 @@ class TestValidateProgram:
 
     def test_negative_literal_is_not_a_cost(self):
         assert isinstance(validate_program("-1"), Rejected)
+
+    def test_long_sum_checks_in_linear_time(self):
+        # Typing each operand again once its rule is picked costs about 2^k
+        # inferences for k terms: seconds at 18 terms, against milliseconds.
+        source = " + ".join(["move_cost('a', 'b')"] * 18)
+        start = time.perf_counter()
+        verdict = validate_program(source)
+        assert time.perf_counter() - start < 1.0
+        assert verdict and verdict.typed.sort == "cost"
 
     def test_never_raises_on_garbage_bytes(self):
         for source in ("", "£$%^", ")(", "move_cost)(", "[", '"unterminated'):

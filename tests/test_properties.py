@@ -1,0 +1,188 @@
+"""Property tests: parse/print round trips, rigid invariance of the cost
+words, an alignment identity, and the solver's never-worse guarantee."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from maniplang.costs import EvalContext, evaluate
+from maniplang.geometry import Point3, PointCloud, rotation_xyz
+from maniplang.language import BinOp, Call, Literal, Neg, Triple, parse, to_source, type_check
+from maniplang.scene import Scene, SceneSnapshot
+from maniplang.solver import SolveConfig, initial_pose, objective, solve
+
+from util import random_rotation
+
+# -- parse(to_source(e)) == e ---------------------------------------------------
+
+_names = st.from_regex(r"[a-z_][a-z0-9_]{0,8}", fullmatch=True)
+# Numbers lex unsigned (a leading minus is a Neg node); strings print in
+# double quotes and may not span lines.
+_numbers = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(abs)
+_strings = st.text(
+    st.characters(blacklist_characters='"\n', blacklist_categories=("Cs",)), max_size=12
+)
+_leaves = st.one_of(_numbers.map(Literal), _strings.map(Literal))
+
+
+def _compound(children):
+    return st.one_of(
+        st.lists(children, min_size=1, max_size=4).map(lambda items: Triple(tuple(items))),
+        st.builds(Neg, children),
+        st.builds(BinOp, st.sampled_from("+-*"), children, children),
+        st.builds(
+            Call,
+            _names,
+            st.lists(children, max_size=3).map(tuple),
+            st.lists(st.tuples(_names, children), max_size=2).map(tuple),
+        ),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_leaves, _compound, max_leaves=16))
+def test_print_then_parse_is_identity(expr):
+    assert parse(to_source(expr)) == expr
+
+
+# -- rigid invariance -------------------------------------------------------------
+
+# Offsets are built from scene directions so they move with the scene.
+RIGID_PROGRAMS = {
+    "move_cost": "move_cost(get_centroid('a'), get_centroid('b'), "
+    "offset=direction_of('b', 'c') * 0.1)",
+    "move_cost_with_offset": "move_cost_with_offset('a', offset=direction_of('b', 'c') * 0.05)",
+    "move_cost_from_history": "move_cost('gripper', centroid_last('gripper') + "
+    "direction_of(start='b', end='gripper') * 0.15)",
+    "parallel_cost": "parallel_cost(get_axis('a'), get_axis('b'))",
+    "perpendicular_cost": "perpendicular_cost(get_axis('a'), direction_of('b', 'c'))",
+    "rotate_cost": "rotate_cost(direction_of('a', 'b'), 0.7, direction_of('a', 'c'))",
+    "orbit_cost": "orbit_cost('b', 0.1, 'a')",
+    "gripper_open_cost": "gripper_open_cost()",
+    "gripper_close_first_cost": "gripper_close_first_cost()",
+}
+# upright_cost compares against the world's up axis, so only motions that
+# keep that axis (a turn about z plus a shift) leave it unchanged.
+UPRIGHT_PROGRAM = "upright_cost('a', 'b')"
+
+_angles = st.floats(min_value=-math.pi, max_value=math.pi)
+_shifts = st.floats(min_value=-1.0, max_value=1.0)
+_seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _elongated_cloud(rng, n=200):
+    """A box with distinct extents, so its principal axis is well separated."""
+    coords = rng.uniform(-0.5, 0.5, size=(n, 3)) * np.array([0.2, 0.05, 0.02])
+    return coords @ random_rotation(rng).T + rng.uniform(-0.5, 0.5, size=3)
+
+
+def _random_scene(seed: int) -> Scene:
+    rng = np.random.default_rng(seed)
+    parts = {name: PointCloud(_elongated_cloud(rng)) for name in ("a", "b", "c")}
+    snapshot = SceneSnapshot(
+        Point3(*rng.uniform(-0.5, 0.5, size=3)),
+        {name: Point3(*rng.uniform(-0.5, 0.5, size=3)) for name in parts},
+    )
+    return Scene(
+        parts=parts,
+        grasped=frozenset({"a"}),
+        gripper_position=Point3(*rng.uniform(-0.5, 0.5, size=3)),
+        gripper_open_fraction=float(rng.uniform(0.0, 1.0)),
+        history=(snapshot,),
+    )
+
+
+def _moved(scene: Scene, rotation: np.ndarray, shift) -> Scene:
+    """Every part, the gripper and each history entry under one rigid motion."""
+
+    def point(p: Point3) -> Point3:
+        return Point3.from_array(rotation @ p.as_array() + shift)
+
+    return Scene(
+        parts={
+            name: PointCloud(cloud.coords @ rotation.T + shift)
+            for name, cloud in scene.parts.items()
+        },
+        grasped=scene.grasped,
+        gripper_position=point(scene.gripper_position),
+        gripper_open_fraction=scene.gripper_open_fraction,
+        history=tuple(
+            SceneSnapshot(
+                point(snap.gripper_position),
+                {name: point(c) for name, c in snap.part_centroids.items()},
+            )
+            for snap in scene.history
+        ),
+    )
+
+
+def _cost(source: str, scene: Scene) -> float:
+    return evaluate(type_check(parse(source)), EvalContext(scene))
+
+
+@pytest.mark.parametrize("word", sorted(RIGID_PROGRAMS))
+@settings(max_examples=30, deadline=None)
+@given(seed=_seeds, angles=st.tuples(_angles, _angles, _angles),
+       shift=st.tuples(_shifts, _shifts, _shifts))
+def test_cost_word_is_rigid_invariant(word, seed, angles, shift):
+    scene = _random_scene(seed)
+    moved = _moved(scene, rotation_xyz(*angles), np.array(shift))
+    source = RIGID_PROGRAMS[word]
+    assert _cost(source, moved) == pytest.approx(_cost(source, scene), abs=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=_seeds, yaw=_angles, shift=st.tuples(_shifts, _shifts, _shifts))
+def test_upright_cost_is_invariant_under_motions_keeping_up(seed, yaw, shift):
+    scene = _random_scene(seed)
+    moved = _moved(scene, rotation_xyz(0.0, 0.0, yaw), np.array(shift))
+    assert _cost(UPRIGHT_PROGRAM, moved) == pytest.approx(
+        _cost(UPRIGHT_PROGRAM, scene), abs=1e-9
+    )
+
+
+# -- parallel + perpendicular == 1 -------------------------------------------------
+
+_components = st.floats(min_value=-10.0, max_value=10.0)
+_vectors = st.tuples(_components, _components, _components).filter(
+    lambda v: np.linalg.norm(v) > 1e-6
+)
+
+
+@settings(deadline=None)
+@given(first=_vectors, second=_vectors)
+def test_parallel_plus_perpendicular_is_one(first, second):
+    ctx = EvalContext(_random_scene(0))
+    args = tuple(Triple(tuple(Literal(x) for x in v)) for v in (first, second))
+    parallel = evaluate(type_check(Call("parallel_cost", args)), ctx)
+    perpendicular = evaluate(type_check(Call("perpendicular_cost", args)), ctx)
+    assert parallel + perpendicular == pytest.approx(1.0, abs=1e-12)
+
+
+# -- solve never returns worse than the initial pose -------------------------------
+
+SOLVE_PROGRAMS = (
+    "move_cost(get_centroid('a'), get_centroid('b'), offset=[0, 0, 0.1])",
+    "parallel_cost(get_axis('a'), get_axis('b')) + move_cost('gripper', 'c')",
+    "perpendicular_cost(get_axis('a'), [0, 0, 1]) + orbit_cost('b', 0.2, 'a')",
+)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=_seeds,
+    program=st.sampled_from(SOLVE_PROGRAMS),
+    alpha=st.floats(min_value=0.0, max_value=1.0),
+    beta=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_solve_is_never_worse_than_initial_pose(seed, program, alpha, beta):
+    scene = _random_scene(seed)
+    expr = type_check(parse(program))
+    cfg = SolveConfig(alpha=alpha, beta=beta, restarts=2, max_iterations=200, seed=seed)
+    start = objective(expr, scene, initial_pose(scene), cfg)
+    # The reported objective is recomputed at the returned pose, whose
+    # translation round-trips through t0 + dt: allow that rounding.
+    assert solve(expr, scene, cfg).objective <= start + 1e-12

@@ -185,6 +185,19 @@ class TestDatabaseIO:
         with pytest.raises(RetrievalError):
             database_from_json({"entries": [{"support_pairs": []}]})
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"key_phrases": "cup"},
+            {"key_phrases": [1, 2]},
+            {"key_phrases": ["cup"], "support_pairs": [{"image": 5, "mask": "cup.png"}]},
+        ],
+        ids=["phrases_a_string", "phrases_not_strings", "support_ref_not_a_string"],
+    )
+    def test_entry_fields_must_be_strings(self, entry):
+        with pytest.raises(RetrievalError):
+            database_from_json({"entries": [entry]})
+
     def test_entry_requires_phrases(self):
         with pytest.raises(RetrievalError):
             PartEntry(())

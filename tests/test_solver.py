@@ -12,6 +12,7 @@ from maniplang.scene import Scene
 from maniplang.solver import (
     NoMovingPartsError,
     SolveConfig,
+    SolverError,
     initial_pose,
     objective,
     objective_terms,
@@ -46,6 +47,14 @@ def cube_scene():
         gripper_open_fraction=0.0,
         objects={"cube": "cube", "target": "target"},
     )
+
+
+class TestSolveConfig:
+    @pytest.mark.parametrize("field", ["alpha", "beta", "tolerance"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(SolverError, match="must be finite"):
+            SolveConfig(**{field: value})
 
 
 class TestPartition:

@@ -97,6 +97,12 @@ def lev_enumerate(a: str, b: str) -> int:
     raise AssertionError("unreachable: any string converts within max length edits")
 
 
+def unwritable_path(tmp_path):
+    """A path under a regular file: no directory can be created there, even as root."""
+    (tmp_path / "f.txt").write_text("", encoding="utf-8")
+    return tmp_path / "f.txt" / "x"
+
+
 def single_part_scene(
     name: str,
     coords,
