@@ -6,6 +6,9 @@ relation holds: distances in meters, alignment terms in [0, 1] via |cosine|
 A sum evaluates to the exact sum of its terms; mixed units are added
 unweighted, matching how programs are written.
 
+Words read a part only through the context's centroid, principal-axis and
+extent summaries, so the solver's posed context can stand in for moved clouds.
+
 Evaluation is pure given an immutable context and may run concurrently.
 """
 
@@ -54,7 +57,7 @@ class EvalContext:
     """Scene plus an optional part-name resolver hook.
 
     The default resolver is exact map lookup; the retrieval module can
-    substitute a phrase-matching one.
+    substitute a phrase-matching one. Summaries are computed on every read.
     """
 
     scene: Scene
@@ -71,10 +74,24 @@ class EvalContext:
             raise MissingPartError(name)
         return cloud
 
+    def part_centroid(self, name: str) -> np.ndarray:
+        return self.resolve_cloud(name).coords.mean(axis=0)
+
+    def part_axis(self, name: str) -> np.ndarray:
+        return principal_axis(self.resolve_cloud(name)).as_array()
+
+    def part_extent(self, name: str, dimension: str) -> float:
+        return extent(self.resolve_cloud(name), dimension)
+
+    def part_line(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """(centroid, principal axis), resolving the part once."""
+        cloud = self.resolve_cloud(name)
+        return cloud.coords.mean(axis=0), principal_axis(cloud).as_array()
+
     def resolve_point(self, name: str) -> np.ndarray:
         if name == GRIPPER_NAME:
             return self.scene.gripper_position.as_array()
-        return self.resolve_cloud(name).coords.mean(axis=0)
+        return self.part_centroid(name)
 
 
 def evaluate(expr: TypedExpr, ctx: EvalContext) -> CostValue:
@@ -149,16 +166,16 @@ def _centroid_last(node, ctx):
 
 
 def _get_axis(node, ctx):
-    return principal_axis(ctx.resolve_cloud(_string_arg(node, "part"))).as_array()
+    return ctx.part_axis(_string_arg(node, "part"))
 
 
 def _get_gripper_pos(node, ctx):
-    return ctx.scene.gripper_position.as_array()
+    return ctx.resolve_point(GRIPPER_NAME)
 
 
 def _make_extent(dimension):
     def _getter(node, ctx):
-        return extent(ctx.resolve_cloud(_string_arg(node, "part")), dimension)
+        return ctx.part_extent(_string_arg(node, "part"), dimension)
 
     return _getter
 
@@ -228,10 +245,7 @@ def _rotate_cost(node, ctx):
 
 
 def _orbit_cost(node, ctx):
-    center_name = _string_arg(node, "center_part")
-    center_cloud = ctx.resolve_cloud(center_name)
-    axis = principal_axis(center_cloud).as_array()
-    center = center_cloud.coords.mean(axis=0)
+    center, axis = ctx.part_line(_string_arg(node, "center_part"))
     moving = ctx.resolve_point(_string_arg(node, "moving_part"))
     radius = float(_arg(node, "radius", ctx))
     rel = moving - center
@@ -266,8 +280,6 @@ _COST_WORDS = {
     "gripper_open_cost": _gripper_open_cost,
     "gripper_close_first_cost": _gripper_close_first_cost,
 }
-
-COST_WORD_NAMES = tuple(sorted(_COST_WORDS))
 
 
 def motion_subjects(expr: TypedExpr) -> frozenset[str]:

@@ -34,3 +34,10 @@ def write_text(path, text: str, error: type[ManiplangError]) -> None:
 
 def write_json(path, doc, error: type[ManiplangError]) -> None:
     write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n", error)
+
+
+def string_list(value, what: str, error: type[ManiplangError]) -> tuple[str, ...]:
+    """A JSON list of strings; a bare string is refused, not split into characters."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise error(f"{what} must be a list of strings, got {value!r}")
+    return tuple(value)

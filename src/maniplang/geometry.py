@@ -83,9 +83,6 @@ class Vector3:
         x, y, z = (float(v) for v in arr)
         return cls(x, y, z)
 
-    def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-
 
 class PointCloud:
     """Non-empty set of 3D points backed by a read-only (N, 3) float array."""
@@ -175,23 +172,34 @@ def principal_axis(cloud: PointCloud) -> Vector3:
     eigvals, eigvecs = np.linalg.eigh(cov)
     if math.sqrt(max(eigvals[-1], 0.0)) < _DEGENERATE_SPREAD:
         raise DegenerateAxisError("all points coincide; no principal axis")
-    axis = eigvecs[:, -1]
-    dominant = int(np.argmax(np.abs(axis)))
-    if axis[dominant] < 0:
-        axis = -axis
+    axis = fix_axis_sign(eigvecs[:, -1])
     return Vector3.from_array(axis / np.linalg.norm(axis))
+
+
+def fix_axis_sign(axis: np.ndarray) -> np.ndarray:
+    """`axis` or its negation, whichever has a positive largest-magnitude component."""
+    return -axis if axis[int(np.argmax(np.abs(axis)))] < 0 else axis
 
 
 _EXTENT_AXES = {"length": 0, "width": 1, "height": 2}
 
 
+def _extent_axis(dimension: str) -> int:
+    if dimension not in _EXTENT_AXES:
+        raise GeometryError(f"unknown dimension {dimension!r}; expected one of {sorted(_EXTENT_AXES)}")
+    return _EXTENT_AXES[dimension]
+
+
 def extent(cloud: PointCloud, dimension: str) -> float:
     """World-frame extent: max - min along x (length), y (width), or z (height)."""
-    try:
-        axis = _EXTENT_AXES[dimension]
-    except KeyError:
-        raise GeometryError(f"unknown dimension {dimension!r}; expected one of {sorted(_EXTENT_AXES)}") from None
-    col = cloud.coords[:, axis]
+    col = cloud.coords[:, _extent_axis(dimension)]
+    return float(col.max() - col.min())
+
+
+def rotated_extent(cloud: PointCloud, rotation: np.ndarray, dimension: str) -> float:
+    """`extent` of the cloud turned by `rotation` about any point, then shifted
+    (which changes no extent); only the one row of `rotation` needed is applied."""
+    col = cloud.coords @ rotation[_extent_axis(dimension)]
     return float(col.max() - col.min())
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ManiplangError
+from ..files import string_list
 from .ast import SORTS
 
 
@@ -187,9 +188,10 @@ def vocabulary_from_json(doc: dict) -> tuple[Vocabulary, tuple[GrammarRule, ...]
             )
             for entry in doc["words"]
         ]
+        rules = tuple(
+            GrammarRule(entry["lhs"], string_list(entry["rhs"], "rule rhs", VocabularyError))
+            for entry in doc.get("rules", [])
+        )
     except (KeyError, TypeError) as exc:
         raise VocabularyError(f"malformed vocabulary document: {exc}") from exc
-    rules = tuple(
-        GrammarRule(entry["lhs"], tuple(entry["rhs"])) for entry in doc.get("rules", [])
-    )
     return Vocabulary(words, bool(doc.get("has_host_escape", False))), rules

@@ -110,8 +110,11 @@ def profile_from_json(doc: dict, source: str = "profile") -> RepresentationProfi
         verdict = entry["verdict"]
         if not isinstance(verdict, str):
             raise ProfileSchemaError(f"{path}.verdict: expected a string")
+        task_id = entry["task_id"]
+        if not isinstance(task_id, int) or isinstance(task_id, bool):
+            raise ProfileSchemaError(f"{path}.task_id: expected an integer, got {task_id!r}")
         success = bool(entry.get("success", judge_verdict(verdict)))
-        outcomes.append(TaskOutcome(int(entry["task_id"]), verdict, success))
+        outcomes.append(TaskOutcome(task_id, verdict, success))
     notes = tuple(str(n) for n in doc.get("grammar_notes", []))
     return RepresentationProfile(name, vocabulary, tuple(outcomes), notes)
 

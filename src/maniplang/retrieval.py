@@ -19,7 +19,7 @@ from typing import Callable
 
 from .costs import MissingPartError
 from .errors import ManiplangError
-from .files import read_json
+from .files import read_json, string_list
 from .geometry import PointCloud
 from .scene import Scene
 
@@ -160,17 +160,11 @@ def database_to_json(db: PartDatabase) -> dict:
     }
 
 
-def _phrases(value) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise RetrievalError(f"key_phrases must be a list of strings, got {value!r}")
-    return tuple(value)
-
-
 def database_from_json(doc: dict) -> PartDatabase:
     try:
         entries = tuple(
             PartEntry(
-                key_phrases=_phrases(entry["key_phrases"]),
+                key_phrases=string_list(entry["key_phrases"], "key_phrases", RetrievalError),
                 support_pairs=tuple(
                     SupportPair(pair["image"], pair["mask"])
                     for pair in entry.get("support_pairs", [])

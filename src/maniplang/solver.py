@@ -6,6 +6,13 @@ over the gripper end pose (R, t), starting from the identity rotation at the
 gripper's position t0. Parts attached to the grasped object move rigidly
 with the gripper; everything else stays put.
 
+The objective moves no cloud: cost words read a part only through its
+centroid, principal axis and extent, which a posed context maps in closed
+form. Static summaries are computed once per solve, on first read; a moving
+centroid maps as c -> R(c - t0) + t, a moving axis as a -> R a (sign-fixed
+again), not by a PCA rerun that tied eigenvalues could turn; a moving extent
+projects the points on the one row of R it needs.
+
 The optimizer is a derivative-free pattern search over the 6-vector
 (EulerXYZ angles of R, translation deltas from t0): coordinate polls
 first, seeded random poll directions when a coordinate cycle stalls (the
@@ -20,7 +27,7 @@ on wall clock.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,6 +38,8 @@ from .geometry import (
     PointCloud,
     PoseSE3,
     euler_from_rotation,
+    fix_axis_sign,
+    rotated_extent,
     rotation_xyz,
 )
 from .language.ast import TypedExpr
@@ -147,28 +156,62 @@ def transform_scene(scene: Scene, pose: PoseSE3, moving: frozenset[str] | None =
     to `pose`; the pre-move state is appended to history."""
     if moving is None:
         moving, _ = partition_moving_static(scene)
-    history = scene.history + (scene.snapshot(),)
-    return _move_scene(scene, moving, pose.rotation, pose.translation.as_array(), history)
-
-
-def _move_scene(
-    scene: Scene, moving: frozenset[str], rel: np.ndarray, t: np.ndarray, history: tuple
-) -> Scene:
-    """Rotate the moving parts by `rel` about the gripper and carry the
-    gripper to `t`; static parts are shared, not copied."""
     t0 = scene.gripper_position.as_array()
+    t = pose.translation.as_array()
+    # Static parts are shared, not copied.
     parts = {
-        name: PointCloud((cloud.coords - t0) @ rel.T + t) if name in moving else cloud
+        name: PointCloud((cloud.coords - t0) @ pose.rotation.T + t) if name in moving else cloud
         for name, cloud in scene.parts.items()
     }
     return Scene(
         parts=parts,
         grasped=scene.grasped,
-        gripper_position=Point3.from_array(t),
+        gripper_position=pose.translation,
         gripper_open_fraction=scene.gripper_open_fraction,
-        history=history,
+        history=scene.history + (scene.snapshot(),),
         objects=dict(scene.objects),
     )
+
+
+class _PosedContext(EvalContext):
+    """What `transform_scene` would give for the pose `place` sets, read through
+    part summaries. A summary that fails (missing part, degenerate axis)
+    raises each time a word reads it, like on the moved scene."""
+
+    def __init__(self, scene: Scene, moving: frozenset[str]):
+        super().__init__(replace(scene, history=scene.history + (scene.snapshot(),)))
+        self.moving = moving
+        self.t0 = scene.gripper_position.as_array()
+        self._at_start: dict = {}
+
+    def place(self, rel: np.ndarray, t: np.ndarray) -> None:
+        self.rel, self.t = rel, t
+
+    def _start(self, summary, *args):
+        """`summary` at the start pose, computed on first read."""
+        key = (summary, *args)
+        if key not in self._at_start:
+            self._at_start[key] = summary(self, *args)
+        return self._at_start[key]
+
+    def resolve_point(self, name: str) -> np.ndarray:
+        return self.t if name == GRIPPER_NAME else super().resolve_point(name)
+
+    def part_centroid(self, name: str) -> np.ndarray:
+        c = self._start(EvalContext.part_centroid, name)
+        return self.rel @ (c - self.t0) + self.t if name in self.moving else c
+
+    def part_axis(self, name: str) -> np.ndarray:
+        a = self._start(EvalContext.part_axis, name)
+        return fix_axis_sign(self.rel @ a) if name in self.moving else a
+
+    def part_extent(self, name: str, dimension: str) -> float:
+        if name in self.moving:
+            return rotated_extent(self.resolve_cloud(name), self.rel, dimension)
+        return self._start(EvalContext.part_extent, name, dimension)
+
+    def part_line(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        return self.part_centroid(name), self.part_axis(name)
 
 
 def objective(expr: TypedExpr, scene: Scene, pose: PoseSE3, cfg: SolveConfig) -> float:
@@ -180,16 +223,17 @@ def objective_terms(
     expr: TypedExpr, scene: Scene, pose: PoseSE3, cfg: SolveConfig
 ) -> tuple[float, float, float, float]:
     """(objective, cost term, translation regularizer, rotation regularizer)."""
-    moved = transform_scene(scene, pose)
-    dt = pose.translation.as_array() - scene.gripper_position.as_array()
-    return _terms(expr, moved, pose.rotation, dt, cfg)
+    ctx = _PosedContext(scene, partition_moving_static(scene)[0])
+    t = pose.translation.as_array()
+    ctx.place(pose.rotation, t)
+    return _terms(expr, ctx, pose.rotation, t - ctx.t0, cfg)
 
 
 def _terms(
-    expr: TypedExpr, moved: Scene, rel: np.ndarray, dt: np.ndarray, cfg: SolveConfig
+    expr: TypedExpr, ctx: _PosedContext, rel: np.ndarray, dt: np.ndarray, cfg: SolveConfig
 ) -> tuple[float, float, float, float]:
     """The one objective: the search minimizes exactly what objective_terms reports."""
-    cost = evaluate(expr, EvalContext(moved))
+    cost = evaluate(expr, ctx)
     reg_t = float(np.linalg.norm(dt))
     euler = euler_from_rotation(rel)
     reg_r = abs(euler.rx) + abs(euler.ry) + abs(euler.rz)
@@ -209,13 +253,13 @@ def solve(expr: TypedExpr, scene: Scene, cfg: SolveConfig | None = None) -> Solv
             f"expression constrains {sorted(subjects)} but nothing grasped moves"
         )
 
-    t0 = scene.gripper_position.as_array()
-    history = scene.history + (scene.snapshot(),)
+    ctx = _PosedContext(scene, moving)
+    t0 = ctx.t0
 
     def f(x: np.ndarray) -> float:
         rel = rotation_xyz(x[0], x[1], x[2])
-        moved = _move_scene(scene, moving, rel, t0 + x[3:6], history)
-        return _terms(expr, moved, rel, x[3:6], cfg)[0]
+        ctx.place(rel, t0 + x[3:6])
+        return _terms(expr, ctx, rel, x[3:6], cfg)[0]
 
     seed = cfg.seed & 0xFFFFFFFFFFFFFFFF  # SeedSequence wants unsigned 64-bit
     rng = np.random.default_rng(seed)

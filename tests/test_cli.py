@@ -183,6 +183,22 @@ _PROFILES = str(fixtures.shipped_profiles_dir())
 _TASKS = str(fixtures.shipped_tasks_path())
 
 
+def _profile(rule=None, task_id=1):
+    """A profile document, valid but for the given rule or task id."""
+    doc = {
+        "name": "p",
+        "words": [],
+        "rules": [rule or {"lhs": "cost", "rhs": ["cost", "+", "cost"]}],
+        "task_outcomes": [{"task_id": task_id, "verdict": "correct and sufficient"}],
+    }
+    return json.dumps(doc)
+
+
+def _metrics_on_profile(t, text):
+    return ["metrics", "--profiles", _file(t, "p.json", text), "--tasks", _TASKS,
+            "--csv", str(t / "m.csv"), "--svg", str(t / "m.svg")]
+
+
 @pytest.mark.parametrize(
     "make_argv",
     [
@@ -194,6 +210,10 @@ _TASKS = str(fixtures.shipped_tasks_path())
                    "--csv", str(t / "m.csv"), "--svg", str(t / "m.svg")],
         lambda t: ["metrics", "--profiles", _file(t, "p.json", BAD_UTF8), "--tasks", _TASKS,
                    "--csv", str(t / "m.csv"), "--svg", str(t / "m.svg")],
+        lambda t: _metrics_on_profile(t, _profile(task_id="one")),
+        lambda t: _metrics_on_profile(t, _profile(rule={"rhs": ["cost"]})),
+        lambda t: _metrics_on_profile(t, _profile(rule={"lhs": "cost", "rhs": 5})),
+        lambda t: _metrics_on_profile(t, _profile(rule={"lhs": "cost", "rhs": "cost"})),
         lambda t: ["metrics", "--profiles", _PROFILES, "--tasks", _file(t, "t.json", None),
                    "--csv", str(t / "m.csv"), "--svg", str(t / "m.svg")],
         lambda t: ["metrics", "--profiles", _PROFILES, "--tasks", _file(t, "t.json", "{}"),
@@ -216,6 +236,8 @@ _TASKS = str(fixtures.shipped_tasks_path())
         "parse_missing", "parse_bad_utf8",
         "retrieve_db_missing", "retrieve_db_bad_utf8",
         "metrics_profiles_missing_dir", "metrics_profiles_bad_utf8",
+        "metrics_profile_task_id_not_int", "metrics_profile_rule_without_lhs",
+        "metrics_profile_rhs_not_a_list", "metrics_profile_rhs_a_string",
         "metrics_tasks_missing", "metrics_tasks_empty_object", "metrics_tasks_not_a_list",
         "metrics_csv_unwritable",
         "run_fixtures_missing", "run_fixtures_not_an_object", "run_fixtures_bad_utf8",

@@ -1,5 +1,6 @@
 """Property tests: parse/print round trips, rigid invariance of the cost
-words, an alignment identity, and the solver's never-worse guarantee."""
+words, an alignment identity, the solver's objective against plain
+evaluation of the moved scene, and the solver's never-worse guarantee."""
 
 import math
 
@@ -8,11 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maniplang.costs import EvalContext, evaluate
-from maniplang.geometry import Point3, PointCloud, rotation_xyz
+from maniplang.costs import EvalContext, EvalError, evaluate
+from maniplang.geometry import GeometryError, Point3, PointCloud, PoseSE3, euler_from_rotation, rotation_xyz
 from maniplang.language import BinOp, Call, Literal, Neg, Triple, parse, to_source, type_check
 from maniplang.scene import Scene, SceneSnapshot
-from maniplang.solver import SolveConfig, initial_pose, objective, solve
+from maniplang.solver import (
+    SolveConfig,
+    initial_pose,
+    objective,
+    objective_terms,
+    solve,
+    transform_scene,
+)
 
 from util import random_rotation
 
@@ -160,6 +168,95 @@ def test_parallel_plus_perpendicular_is_one(first, second):
     parallel = evaluate(type_check(Call("parallel_cost", args)), ctx)
     perpendicular = evaluate(type_check(Call("perpendicular_cost", args)), ctx)
     assert parallel + perpendicular == pytest.approx(1.0, abs=1e-12)
+
+
+# -- objective_terms agrees with evaluating the moved scene ------------------------
+
+# 'a' is grasped and moves, 'b' and 'c' stay put. Every cost word, and every
+# getter on the moving part; rotate_cost reads the axis sign.
+POSED_PROGRAMS = {
+    "move_cost": "move_cost(get_centroid('a'), get_centroid('b'), "
+    "offset=direction_of('c', 'a') * 0.1)",
+    "move_cost_with_offset": "move_cost_with_offset('a', offset=[0, 0, get_height('a')])",
+    "centroid_last": "move_cost(centroid_last('a') + centroid_last('gripper'), get_gripper_pos())",
+    "extents": "move_cost([get_length('a'), get_width('a'), get_height('a')], "
+    "[get_length('b'), get_width('b'), get_height('b')])",
+    "parallel_cost": "parallel_cost(get_axis('a'), get_axis('b'))",
+    "perpendicular_cost": "perpendicular_cost(get_axis('a'), direction_of('b', 'a'))",
+    "rotate_cost": "rotate_cost(get_axis('a'), 0.7, get_axis('b'))",
+    "orbit_cost": "orbit_cost('a', 0.1, 'b')",
+    "upright_cost": "upright_cost('a', 'b')",
+    "gripper_costs": "gripper_open_cost() + gripper_close_first_cost()",
+}
+# 'd' (static) and 'a tip' (rides with 'a') are single points: no axis.
+ERROR_PROGRAMS = {
+    "missing_part": "move_cost(get_centroid('a'), get_centroid('nowhere'))",
+    "missing_in_history": "move_cost_with_offset('nowhere', offset=[0, 0, 0.1])",
+    "static_degenerate_axis": "parallel_cost(get_axis('a'), get_axis('d'))",
+    "moving_degenerate_axis": "rotate_cost(get_axis('a tip'), 0.3, get_axis('b'))",
+    # Both paths append the pre-move snapshot, so neither raises here.
+    "empty_history": "move_cost_with_offset('a', offset=[0, 0, 0.1])",
+}
+
+
+def _pose(scene: Scene, angles, shift) -> PoseSE3:
+    t = scene.gripper_position.as_array() + np.array(shift)
+    return PoseSE3(rotation_xyz(*angles), Point3.from_array(t))
+
+
+def _plain_terms(expr, scene: Scene, pose: PoseSE3, cfg: SolveConfig) -> tuple[float, float]:
+    """(objective, cost) by moving the clouds and evaluating from scratch."""
+    cost = evaluate(expr, EvalContext(transform_scene(scene, pose)))
+    reg_t = float(np.linalg.norm(pose.translation.as_array() - scene.gripper_position.as_array()))
+    reg_r = float(np.abs(euler_from_rotation(pose.rotation).as_array()).sum())
+    return cost + cfg.alpha * reg_t + cfg.beta * reg_r, cost
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (EvalError, GeometryError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("word", sorted(POSED_PROGRAMS))
+@settings(max_examples=25, deadline=None)
+@given(seed=_seeds, angles=st.tuples(_angles, _angles, _angles),
+       shift=st.tuples(_shifts, _shifts, _shifts))
+def test_objective_terms_match_the_moved_scene(word, seed, angles, shift):
+    scene = _random_scene(seed)
+    pose = _pose(scene, angles, shift)
+    expr = type_check(parse(POSED_PROGRAMS[word]))
+    cfg = SolveConfig()
+    obj, cost, _, _ = objective_terms(expr, scene, pose, cfg)
+    plain_obj, plain_cost = _plain_terms(expr, scene, pose, cfg)
+    assert cost == pytest.approx(plain_cost, abs=1e-12)
+    assert obj == pytest.approx(plain_obj, abs=1e-12)
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_PROGRAMS))
+@settings(max_examples=10, deadline=None)
+@given(seed=_seeds, angles=st.tuples(_angles, _angles, _angles),
+       shift=st.tuples(_shifts, _shifts, _shifts))
+def test_objective_terms_fail_like_the_moved_scene(case, seed, angles, shift):
+    base = _random_scene(seed)
+    point = base.parts["b"].coords[:1]
+    scene = Scene(
+        parts={**base.parts, "d": PointCloud(point), "a tip": PointCloud(np.repeat(point, 3, axis=0))},
+        grasped=base.grasped,
+        gripper_position=base.gripper_position,
+        gripper_open_fraction=base.gripper_open_fraction,
+        history=() if case == "empty_history" else base.history,
+    )
+    pose = _pose(scene, angles, shift)
+    expr = type_check(parse(ERROR_PROGRAMS[case]))
+    cfg = SolveConfig()
+    posed = _outcome(lambda: objective_terms(expr, scene, pose, cfg)[:2])
+    plain = _outcome(lambda: _plain_terms(expr, scene, pose, cfg))
+    if isinstance(plain, type):
+        assert posed is plain
+    else:
+        assert posed == pytest.approx(plain, abs=1e-12)
 
 
 # -- solve never returns worse than the initial pose -------------------------------
