@@ -8,6 +8,9 @@ unweighted, matching how programs are written.
 
 Words read a part only through the context's centroid, principal-axis and
 extent summaries, so the solver's posed context can stand in for moved clouds.
+Values broadcast over leading axes: where a context places a stack of K poses,
+points are (K, 3), scalars and costs (K,), and each row is what a plain
+context holding that one pose would give.
 
 Evaluation is pure given an immutable context and may run concurrently.
 """
@@ -23,19 +26,16 @@ import numpy as np
 from .errors import ManiplangError
 from .geometry import (
     DegenerateAxisError,
-    Point3,
     PointCloud,
     angle_between,
-    direction_of,
+    dot,
     extent,
+    norm,
     principal_axis,
+    unit_direction,
 )
 from .language.ast import BinOp, Call, Literal, Neg, Triple, TypedExpr
 from .scene import GRIPPER_NAME, Scene
-
-CostValue = float
-
-_UP = np.array([0.0, 0.0, 1.0])
 
 
 class EvalError(ManiplangError):
@@ -94,11 +94,14 @@ class EvalContext:
         return self.part_centroid(name)
 
 
-def evaluate(expr: TypedExpr, ctx: EvalContext) -> CostValue:
-    """Evaluate a cost-sorted expression to a non-negative scalar."""
+def evaluate(expr: TypedExpr, ctx: EvalContext) -> float | np.ndarray:
+    """Evaluate a cost-sorted expression to a non-negative float, or to one
+    per pose, shape (K,), when the context places a stack of poses and the
+    value depends on them."""
     if expr.sort != "cost":
         raise EvalError(f"can only evaluate cost expressions, got sort {expr.sort!r}")
-    return _eval(expr, ctx)
+    value = _eval(expr, ctx)
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def _eval(node: TypedExpr, ctx: EvalContext):
@@ -108,7 +111,10 @@ def _eval(node: TypedExpr, ctx: EvalContext):
             return ctx.resolve_point(expr.value)
         return expr.value
     if isinstance(expr, Triple):
-        return np.array([_eval(item, ctx) for item in node.children], dtype=float)
+        items = [_eval(item, ctx) for item in node.children]
+        if any(isinstance(item, np.ndarray) for item in items):
+            return np.stack(np.broadcast_arrays(*items), axis=-1, dtype=float)
+        return np.array(items, dtype=float)
     if isinstance(expr, Neg):
         return -_eval(node.children[0], ctx)
     if isinstance(expr, BinOp):
@@ -118,6 +124,9 @@ def _eval(node: TypedExpr, ctx: EvalContext):
             return left + right
         if expr.op == "-":
             return left - right
+        if node.sort == "vec":
+            # vec * scalar: a scalar per pose scales that pose's vector.
+            right = np.expand_dims(right, -1)
         return left * right
     if isinstance(expr, Call):
         return _eval_call(node, ctx)
@@ -183,7 +192,7 @@ def _make_extent(dimension):
 def _direction_of(node, ctx):
     start = ctx.resolve_point(_string_arg(node, "start"))
     end = ctx.resolve_point(_string_arg(node, "end"))
-    return direction_of(Point3.from_array(start), Point3.from_array(end)).as_array()
+    return unit_direction(start, end)
 
 
 _GETTERS = {
@@ -202,10 +211,10 @@ _GETTERS = {
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(vec))
-    if norm <= 1e-12:
+    length = norm(vec)
+    if (length <= 1e-12).any():
         raise DegenerateAxisError("zero-length vector in alignment cost")
-    return vec / norm
+    return vec / length[..., None]
 
 
 def _move_cost(node, ctx):
@@ -214,19 +223,19 @@ def _move_cost(node, ctx):
     offset = _arg(node, "offset", ctx)
     if offset is not None:
         target = target + offset
-    return float(np.linalg.norm(source - target))
+    return norm(source - target)
 
 
 def _move_cost_with_offset(node, ctx):
     offset = _arg(node, "offset", ctx)
     anchor = _centroid_last(node, ctx)
-    return float(np.linalg.norm(ctx.resolve_point(_string_arg(node, "part")) - (anchor + offset)))
+    return norm(ctx.resolve_point(_string_arg(node, "part")) - (anchor + offset))
 
 
-def _alignment(node, ctx) -> float:
+def _alignment(node, ctx):
     a = _unit(_arg(node, "first", ctx))
     b = _unit(_arg(node, "second", ctx))
-    return float(min(abs(float(a @ b)), 1.0))
+    return np.minimum(np.abs(dot(a, b)), 1.0)
 
 
 def _parallel_cost(node, ctx):
@@ -240,25 +249,24 @@ def _perpendicular_cost(node, ctx):
 def _rotate_cost(node, ctx):
     axis = _arg(node, "axis", ctx)
     reference = _arg(node, "reference", ctx)
-    target = float(_arg(node, "angle", ctx))
-    return abs(angle_between(axis, reference) - target) / math.pi
+    target = _arg(node, "angle", ctx)
+    return np.abs(angle_between(axis, reference) - target) / math.pi
 
 
 def _orbit_cost(node, ctx):
     center, axis = ctx.part_line(_string_arg(node, "center_part"))
     moving = ctx.resolve_point(_string_arg(node, "moving_part"))
-    radius = float(_arg(node, "radius", ctx))
+    radius = _arg(node, "radius", ctx)
     rel = moving - center
-    radial = rel - (rel @ axis) * axis
-    return abs(float(np.linalg.norm(radial)) - radius)
+    radial = rel - dot(rel, axis)[..., None] * axis
+    return np.abs(norm(radial) - radius)
 
 
 def _upright_cost(node, ctx):
     up = ctx.resolve_point(_string_arg(node, "up_part"))
     down = ctx.resolve_point(_string_arg(node, "down_part"))
-    direction = direction_of(Point3.from_array(down), Point3.from_array(up)).as_array()
     # Signed on purpose: "up above down" is not symmetric under axis flips.
-    return float(min(max(1.0 - float(direction @ _UP), 0.0), 2.0))
+    return np.minimum(np.maximum(1.0 - unit_direction(down, up)[..., 2], 0.0), 2.0)
 
 
 def _gripper_open_cost(node, ctx):

@@ -173,12 +173,15 @@ def principal_axis(cloud: PointCloud) -> Vector3:
     if math.sqrt(max(eigvals[-1], 0.0)) < _DEGENERATE_SPREAD:
         raise DegenerateAxisError("all points coincide; no principal axis")
     axis = fix_axis_sign(eigvecs[:, -1])
-    return Vector3.from_array(axis / np.linalg.norm(axis))
+    return Vector3.from_array(axis / norm(axis))
 
 
 def fix_axis_sign(axis: np.ndarray) -> np.ndarray:
-    """`axis` or its negation, whichever has a positive largest-magnitude component."""
-    return -axis if axis[int(np.argmax(np.abs(axis)))] < 0 else axis
+    """Each axis (over the last dimension) or its negation, whichever has a
+    positive largest-magnitude component."""
+    rows = axis.reshape(-1, 3)
+    largest = rows[np.arange(len(rows)), np.abs(rows).argmax(-1)]
+    return np.where(largest.reshape(axis.shape[:-1] + (1,)) < 0, -axis, axis)
 
 
 _EXTENT_AXES = {"length": 0, "width": 1, "height": 2}
@@ -196,11 +199,13 @@ def extent(cloud: PointCloud, dimension: str) -> float:
     return float(col.max() - col.min())
 
 
-def rotated_extent(cloud: PointCloud, rotation: np.ndarray, dimension: str) -> float:
+def rotated_extent(cloud: PointCloud, rotation: np.ndarray, dimension: str):
     """`extent` of the cloud turned by `rotation` about any point, then shifted
-    (which changes no extent); only the one row of `rotation` needed is applied."""
-    col = cloud.coords @ rotation[_extent_axis(dimension)]
-    return float(col.max() - col.min())
+    (which changes no extent); only the one row of `rotation` needed is applied.
+    A stack of rotations (..., 3, 3) gives one extent per rotation."""
+    rows = rotation[..., _extent_axis(dimension), :]
+    col = (cloud.coords @ rows[..., None])[..., 0]
+    return col.max(-1) - col.min(-1)
 
 
 def transform_cloud(cloud: PointCloud, pose_from: PoseSE3, pose_to: PoseSE3) -> PointCloud:
@@ -220,68 +225,89 @@ def rotation_from_euler(e: EulerXYZ) -> np.ndarray:
     return rotation_xyz(e.rx, e.ry, e.rz)
 
 
-def rotation_xyz(rx: float, ry: float, rz: float) -> np.ndarray:
-    cx, sx = math.cos(rx), math.sin(rx)
-    cy, sy = math.cos(ry), math.sin(ry)
-    cz, sz = math.cos(rz), math.sin(rz)
-    return np.array(
-        [
-            [cy * cz, -cy * sz, sy],
-            [cx * sz + sx * sy * cz, cx * cz - sx * sy * sz, -sx * cy],
-            [sx * sz - cx * sy * cz, sx * cz + cx * sy * sz, cx * cy],
-        ]
+def rotation_xyz(rx, ry, rz) -> np.ndarray:
+    """R = Rx(rx) @ Ry(ry) @ Rz(rz); angle arrays of shape S give rotations
+    of shape S + (3, 3)."""
+    cx, sx = np.cos(rx), np.sin(rx)
+    cy, sy = np.cos(ry), np.sin(ry)
+    cz, sz = np.cos(rz), np.sin(rz)
+    rows = (
+        cy * cz, -cy * sz, sy,
+        cx * sz + sx * sy * cz, cx * cz - sx * sy * sz, -sx * cy,
+        sx * sz - cx * sy * cz, sx * cz + cx * sy * sz, cx * cy,
     )
+    return np.moveaxis(np.array(rows), 0, -1).reshape(np.shape(cz) + (3, 3))
+
+
+def euler_angles(rotation) -> np.ndarray:
+    """Intrinsic XYZ angles (rx, ry, rz) of a rotation, or of each in a stack
+    (..., 3, 3); at gimbal lock (|ry| = pi/2) rz := 0."""
+    rot = np.asarray(rotation, dtype=float)
+    sy = np.minimum(np.maximum(rot[..., 0, 2], -1.0), 1.0)
+    lock = 1.0 - np.abs(sy) < _GIMBAL_EPS
+    ry = np.where(lock, np.copysign(math.pi / 2, sy), np.arcsin(sy))
+    rx = np.arctan2(
+        np.where(lock, rot[..., 2, 1], -rot[..., 1, 2]),
+        np.where(lock, rot[..., 1, 1], rot[..., 2, 2]),
+    )
+    rz = np.where(lock, 0.0, np.arctan2(-rot[..., 0, 1], rot[..., 0, 0]))
+    angles = np.stack((rx, ry, rz), axis=-1)
+    # atan2/asin already land in [-pi, pi]; fold the single excluded endpoint.
+    return np.where(angles <= -math.pi, math.pi, angles)
 
 
 def euler_from_rotation(rotation) -> EulerXYZ:
-    """Extract intrinsic XYZ angles; at gimbal lock (|ry| = pi/2) rz := 0."""
+    """Intrinsic XYZ angles of one rotation matrix."""
     rot = np.asarray(rotation, dtype=float)
     if rot.shape != (3, 3):
         raise GeometryError(f"rotation must be 3x3, got {rot.shape}")
-    sy = float(np.clip(rot[0, 2], -1.0, 1.0))
-    if 1.0 - abs(sy) < _GIMBAL_EPS:
-        ry = math.copysign(math.pi / 2, sy)
-        rx = math.atan2(rot[2, 1], rot[1, 1])
-        rz = 0.0
-    else:
-        ry = math.asin(sy)
-        rx = math.atan2(-rot[1, 2], rot[2, 2])
-        rz = math.atan2(-rot[0, 1], rot[0, 0])
-    return EulerXYZ(_wrap_half_open(rx), _wrap_half_open(ry), _wrap_half_open(rz))
+    return EulerXYZ(*euler_angles(rot).tolist())
 
 
-def _wrap_half_open(angle: float) -> float:
-    # atan2/asin already land in [-pi, pi]; fold the single excluded endpoint.
-    if angle <= -math.pi:
-        return math.pi
-    return angle
+def dot(a, b):
+    """Dot products over the last axis; each is the same sum as `a @ b` of
+    one pair of vectors, whatever the stack around it."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def norm(v):
+    """Euclidean lengths over the last axis."""
+    return np.sqrt(dot(v, v))
+
+
+def unit_direction(start, end) -> np.ndarray:
+    """Unit vectors from start to end over the last axis; coincident points
+    have no direction."""
+    delta = np.asarray(end, dtype=float) - np.asarray(start, dtype=float)
+    length = norm(delta)
+    coincident = length <= 1e-9
+    if coincident.any():
+        at = np.broadcast_to(end, delta.shape)[coincident][0]
+        raise DegenerateDirectionError(f"start and end coincide within 1e-9 m at {at.tolist()}")
+    return delta / length[..., None]
 
 
 def direction_of(start: Point3, end: Point3) -> Vector3:
     """Unit vector from start to end; coincident points have no direction."""
-    delta = end.as_array() - start.as_array()
-    norm = float(np.linalg.norm(delta))
-    if norm <= 1e-9:
-        raise DegenerateDirectionError(f"start and end coincide within 1e-9 m: {start} -> {end}")
-    return Vector3.from_array(delta / norm)
+    return Vector3.from_array(unit_direction(start.as_array(), end.as_array()))
 
 
 def rotation_about_axis(axis, angle: float) -> np.ndarray:
     """Rodrigues rotation by `angle` about a (not necessarily unit) axis."""
     a = np.asarray(axis, dtype=float)
-    norm = float(np.linalg.norm(a))
-    if norm <= 1e-12:
+    length = float(norm(a))
+    if length <= 1e-12:
         raise DegenerateAxisError("cannot rotate about a zero axis")
-    a = a / norm
+    a = a / length
     k = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
     return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
-def angle_between(a, b) -> float:
-    """Unsigned angle in [0, pi] between two vectors."""
+def angle_between(a, b):
+    """Unsigned angle in [0, pi] between two vectors, or between each pair
+    over the last axis."""
     av = np.asarray(a, dtype=float)
     bv = np.asarray(b, dtype=float)
-    na, nb = np.linalg.norm(av), np.linalg.norm(bv)
-    if na <= 1e-12 or nb <= 1e-12:
+    if (norm(av) <= 1e-12).any() or (norm(bv) <= 1e-12).any():
         raise DegenerateAxisError("angle with a zero-length vector is undefined")
-    return float(math.atan2(np.linalg.norm(np.cross(av, bv)), float(av @ bv)))
+    return np.arctan2(norm(np.cross(av, bv)), dot(av, bv))

@@ -17,11 +17,21 @@ The optimizer is a derivative-free pattern search over the 6-vector
 (EulerXYZ angles of R, translation deltas from t0): coordinate polls
 first, seeded random poll directions when a coordinate cycle stalls (the
 descent cone of a kinked objective can exclude every coordinate axis), and
-an acceleration step along each cycle's net movement. Deterministic
-multi-start on top: restart #0 is the initial pose, the rest are drawn
-from the seed. Identical inputs (expression, scene, config including seed)
-produce identical results; evaluation order is fixed and nothing depends
-on wall clock.
+an acceleration step along each cycle's net movement. Polls are
+opportunistic (Hooke & Jeeves): a probe that improves is taken before the
+next direction is tried. Deterministic multi-start on top: restart #0 is
+the initial pose, the rest are drawn from the seed.
+
+The objective scores a stack of poses in one numpy pass, so the search runs
+as generators that ask for points instead of calling a function. Restarts
+run in lockstep groups of `_LOCKSTEP`; each round scores every live
+restart's request in one call. A poll asks for all its probes still ahead
+at once and consumes their values in order up to the first improvement;
+the rest were speculative and are neither counted nor allowed to fail the
+solve. Every restart therefore takes exactly the steps, and reports the
+evaluation count, of a one-probe-at-a-time run. Identical inputs
+(expression, scene, config including seed) produce identical results;
+nothing depends on wall clock.
 """
 
 from __future__ import annotations
@@ -33,12 +43,14 @@ import numpy as np
 
 from .costs import EvalContext, EvalError, evaluate, motion_subjects
 from .errors import ManiplangError
-from .geometry import (
+from .geometry import (  # noqa: F401 (perfbench/tracing.py patches euler_from_rotation here)
     Point3,
     PointCloud,
     PoseSE3,
+    euler_angles,
     euler_from_rotation,
     fix_axis_sign,
+    norm,
     rotated_extent,
     rotation_xyz,
 )
@@ -174,9 +186,9 @@ def transform_scene(scene: Scene, pose: PoseSE3, moving: frozenset[str] | None =
 
 
 class _PosedContext(EvalContext):
-    """What `transform_scene` would give for the pose `place` sets, read through
-    part summaries. A summary that fails (missing part, degenerate axis)
-    raises each time a word reads it, like on the moved scene."""
+    """What `transform_scene` would give for each pose of the stack `place`
+    sets, read through part summaries. A summary that fails (missing part,
+    degenerate axis) raises each time a word reads it, like on the moved scene."""
 
     def __init__(self, scene: Scene, moving: frozenset[str]):
         super().__init__(replace(scene, history=scene.history + (scene.snapshot(),)))
@@ -185,6 +197,7 @@ class _PosedContext(EvalContext):
         self._at_start: dict = {}
 
     def place(self, rel: np.ndarray, t: np.ndarray) -> None:
+        """Poses to read: rotations (K, 3, 3) and gripper positions (K, 3)."""
         self.rel, self.t = rel, t
 
     def _start(self, summary, *args):
@@ -205,7 +218,7 @@ class _PosedContext(EvalContext):
         a = self._start(EvalContext.part_axis, name)
         return fix_axis_sign(self.rel @ a) if name in self.moving else a
 
-    def part_extent(self, name: str, dimension: str) -> float:
+    def part_extent(self, name: str, dimension: str):
         if name in self.moving:
             return rotated_extent(self.resolve_cloud(name), self.rel, dimension)
         return self._start(EvalContext.part_extent, name, dimension)
@@ -223,21 +236,44 @@ def objective_terms(
     expr: TypedExpr, scene: Scene, pose: PoseSE3, cfg: SolveConfig
 ) -> tuple[float, float, float, float]:
     """(objective, cost term, translation regularizer, rotation regularizer)."""
-    ctx = _PosedContext(scene, partition_moving_static(scene)[0])
+    return _pose_terms(expr, _PosedContext(scene, partition_moving_static(scene)[0]), pose, cfg)
+
+
+def _pose_terms(
+    expr: TypedExpr, ctx: _PosedContext, pose: PoseSE3, cfg: SolveConfig
+) -> tuple[float, float, float, float]:
+    """`_terms` at one pose, as a stack of one."""
     t = pose.translation.as_array()
-    ctx.place(pose.rotation, t)
-    return _terms(expr, ctx, pose.rotation, t - ctx.t0, cfg)
+    terms = _terms(expr, ctx, pose.rotation[None], t[None], (t - ctx.t0)[None], cfg)
+    return tuple(float(np.ravel(v)[0]) for v in terms)
 
 
 def _terms(
-    expr: TypedExpr, ctx: _PosedContext, rel: np.ndarray, dt: np.ndarray, cfg: SolveConfig
-) -> tuple[float, float, float, float]:
-    """The one objective: the search minimizes exactly what objective_terms reports."""
+    expr: TypedExpr, ctx: _PosedContext, rel: np.ndarray, t: np.ndarray, dt: np.ndarray, cfg: SolveConfig
+):
+    """The one objective, at K poses at once (rotations `rel`, gripper
+    positions `t`, translation deltas `dt`): objective, cost term and the two
+    regularizers, one value per pose. The search minimizes exactly what
+    objective_terms reports."""
+    ctx.place(rel, t)
     cost = evaluate(expr, ctx)
-    reg_t = float(np.linalg.norm(dt))
-    euler = euler_from_rotation(rel)
-    reg_r = abs(euler.rx) + abs(euler.ry) + abs(euler.rz)
+    reg_t = norm(dt)
+    reg_r = np.abs(euler_angles(rel)).sum(-1)
     return cost + cfg.alpha * reg_t + cfg.beta * reg_r, cost, reg_t, reg_r
+
+
+def _objective_rows(expr: TypedExpr, ctx: _PosedContext, xs: np.ndarray, cfg: SolveConfig) -> list:
+    """The objective at each search point, a row (EulerXYZ angles, translation
+    delta) of xs. A row whose evaluation fails holds its typed error instead,
+    so only a search that consumes it raises."""
+    rel = rotation_xyz(xs[:, 0], xs[:, 1], xs[:, 2])
+    try:
+        return _terms(expr, ctx, rel, ctx.t0 + xs[:, 3:], xs[:, 3:], cfg)[0].tolist()
+    except ManiplangError as exc:
+        if len(xs) == 1:
+            return [exc]
+    # Some row failed: score each on its own, so that it fails alone.
+    return [v for k in range(len(xs)) for v in _objective_rows(expr, ctx, xs[k : k + 1], cfg)]
 
 
 def solve(expr: TypedExpr, scene: Scene, cfg: SolveConfig | None = None) -> SolveResult:
@@ -254,13 +290,6 @@ def solve(expr: TypedExpr, scene: Scene, cfg: SolveConfig | None = None) -> Solv
         )
 
     ctx = _PosedContext(scene, moving)
-    t0 = ctx.t0
-
-    def f(x: np.ndarray) -> float:
-        rel = rotation_xyz(x[0], x[1], x[2])
-        ctx.place(rel, t0 + x[3:6])
-        return _terms(expr, ctx, rel, x[3:6], cfg)[0]
-
     seed = cfg.seed & 0xFFFFFFFFFFFFFFFF  # SeedSequence wants unsigned 64-bit
     rng = np.random.default_rng(seed)
     starts = [np.zeros(6)]
@@ -271,18 +300,24 @@ def solve(expr: TypedExpr, scene: Scene, cfg: SolveConfig | None = None) -> Solv
 
     best: tuple[float, int, np.ndarray, int, bool] | None = None
     total_evals = 0
-    for index, x_start in enumerate(starts):
-        poll_rng = np.random.default_rng((seed, index))
-        x, fx, evals, converged = _pattern_search(f, x_start, cfg, poll_rng)
-        total_evals += evals
-        key = (fx, index)
-        if best is None or key < (best[0], best[1]):
-            best = (fx, index, x, evals, converged)
+    for first in range(0, cfg.restarts, _LOCKSTEP):
+        group = range(first, min(first + _LOCKSTEP, cfg.restarts))
+        searches = {
+            index: _pattern_search(starts[index], cfg, np.random.default_rng((seed, index)))
+            for index in group
+        }
+        results = _lockstep(searches, lambda xs: _objective_rows(expr, ctx, xs, cfg))
+        for index in group:
+            x, fx, evals, converged = results[index]
+            total_evals += evals
+            key = (fx, index)
+            if best is None or key < (best[0], best[1]):
+                best = (fx, index, x, evals, converged)
 
     assert best is not None
     _, restart_index, x, evals, converged = best
-    pose = PoseSE3(rotation_xyz(x[0], x[1], x[2]), Point3.from_array(t0 + x[3:6]))
-    obj, cost, reg_t, reg_r = objective_terms(expr, scene, pose, cfg)
+    pose = PoseSE3(rotation_xyz(x[0], x[1], x[2]), Point3.from_array(ctx.t0 + x[3:6]))
+    obj, cost, reg_t, reg_r = _pose_terms(expr, ctx, pose, cfg)
     return SolveResult(
         pose=pose,
         objective=obj,
@@ -296,59 +331,103 @@ def solve(expr: TypedExpr, scene: Scene, cfg: SolveConfig | None = None) -> Solv
     )
 
 
+def _lockstep(searches: dict, score) -> dict:
+    """Run the searches (restart index -> generator) together: each round
+    scores every pending request with one `score` call. Returns each
+    search's result. A search that consumes a failed row stops; once the
+    others finish, the error of the lowest restart index is raised, as a
+    one-after-another run would raise it first."""
+    pending = {index: next(search) for index, search in searches.items()}
+    results, failures = {}, {}
+    while pending:
+        values = score(np.concatenate(list(pending.values())))
+        start = 0
+        for index, xs in list(pending.items()):
+            rows = values[start : start + len(xs)]
+            start += len(xs)
+            try:
+                pending[index] = searches[index].send(rows)
+            except StopIteration as done:
+                results[index] = done.value
+                del pending[index]
+            except ManiplangError as exc:
+                failures[index] = exc
+                del pending[index]
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
 _RANDOM_POLLS = 12
 _INIT_STEPS = np.array([_ROT_STEP] * 3 + [_TRANS_STEP] * 3)
+_SIGNS = np.array([[1.0], [-1.0]])
+# Restarts searched in lockstep; fixed, so memory stays flat as restarts grow.
+_LOCKSTEP = 8
 
 
-def _poll(f, x, fx, scale, directions, evals, budget):
-    """Greedy +/- probes along each direction; returns the improved point."""
+def _consume(value) -> float:
+    """A scored row's value; a failed row raises its error."""
+    if isinstance(value, ManiplangError):
+        raise value
+    return value
+
+
+def _poll(x, fx, scale, directions, evals, budget):
+    """Greedy +/- probes along each direction, moving to a probe that improves
+    and going on with the next direction from there. Each yield asks for every
+    probe still ahead from the current point (as many as the budget allows);
+    values are consumed in order up to the first improvement, and only the
+    consumed ones count. Returns (point, value, evaluations, improved)."""
+    steps = ((scale * directions)[:, None] * _SIGNS).reshape(-1, 6)
     improved = False
-    for direction in directions:
-        if evals[0] >= budget:
-            break
-        for sign in (1.0, -1.0):
-            trial = x + sign * scale * direction
-            ft = f(trial)
-            evals[0] += 1
+    probe = 0
+    while probe < len(steps) and evals < budget:
+        trials = x + steps[probe : probe + budget - evals]
+        values = yield trials
+        for k, value in enumerate(values):
+            ft = _consume(value)
+            evals += 1
             if ft < fx:
-                x, fx = trial, ft
-                improved = True
+                hit = probe + k
+                x, fx, improved = trials[k], ft, True
+                probe = hit + 2 - hit % 2  # the next direction's + probe
                 break
-            if evals[0] >= budget:
-                break
-    return x, fx, improved
+        else:
+            probe += len(trials)
+    return x, fx, evals, improved
 
 
-def _pattern_search(
-    f, x0: np.ndarray, cfg: SolveConfig, rng
-) -> tuple[np.ndarray, float, int, bool]:
+def _pattern_search(x0: np.ndarray, cfg: SolveConfig, rng):
     """Pattern search with shrink: each cycle polls the coordinate directions,
     falls back to seeded random directions when those stall, then accelerates
     along the cycle's net movement. Steps halve when a full cycle improves by
-    less than the tolerance; converged once they bottom out."""
-    evals = [0]
+    less than the tolerance; converged once they bottom out.
+
+    A generator: it yields each batch of points it needs scored, (m, 6), is
+    sent their values, and returns (x, fx, evaluations, converged)."""
+    budget = cfg.max_iterations
     x = np.array(x0, dtype=float)
-    fx = f(x)
-    evals[0] += 1
+    fx = _consume((yield x[None])[0])
+    evals = 1
     shrink = 1.0
     eye = np.eye(6)
     converged = False
-    while evals[0] < cfg.max_iterations:
+    while evals < budget:
         cycle_start = fx
         scale = _INIT_STEPS * shrink
-        x1, fx1, improved = _poll(f, x, fx, scale, eye, evals, cfg.max_iterations)
-        if not improved and evals[0] < cfg.max_iterations:
+        x1, fx1, evals, improved = yield from _poll(x, fx, scale, eye, evals, budget)
+        if not improved and evals < budget:
             directions = rng.normal(size=(_RANDOM_POLLS, 6))
             directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-            x1, fx1, improved = _poll(f, x1, fx1, scale, directions, evals, cfg.max_iterations)
+            x1, fx1, evals, improved = yield from _poll(x1, fx1, scale, directions, evals, budget)
         if improved:
-            while evals[0] < cfg.max_iterations:
+            while evals < budget:
                 direction = x1 - x
                 if not np.any(direction):
                     break
                 trial = x1 + direction
-                ft = f(trial)
-                evals[0] += 1
+                ft = _consume((yield trial[None])[0])
+                evals += 1
                 if ft < fx1:
                     x, fx = x1, fx1
                     x1, fx1 = trial, ft
@@ -360,4 +439,4 @@ def _pattern_search(
                 converged = True
                 break
             shrink *= 0.5
-    return x, fx, evals[0], converged
+    return x, fx, evals, converged

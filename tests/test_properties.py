@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maniplang import solver
 from maniplang.costs import EvalContext, EvalError, evaluate
 from maniplang.geometry import GeometryError, Point3, PointCloud, PoseSE3, euler_from_rotation, rotation_xyz
 from maniplang.language import BinOp, Call, Literal, Neg, Triple, parse, to_source, type_check
@@ -18,6 +19,7 @@ from maniplang.solver import (
     initial_pose,
     objective,
     objective_terms,
+    partition_moving_static,
     solve,
     transform_scene,
 )
@@ -173,7 +175,8 @@ def test_parallel_plus_perpendicular_is_one(first, second):
 # -- objective_terms agrees with evaluating the moved scene ------------------------
 
 # 'a' is grasped and moves, 'b' and 'c' stay put. Every cost word, and every
-# getter on the moving part; rotate_cost reads the axis sign.
+# getter on the moving part; rotate_cost reads the axis sign; a scalar that
+# depends on the pose scales a static vector and is negated.
 POSED_PROGRAMS = {
     "move_cost": "move_cost(get_centroid('a'), get_centroid('b'), "
     "offset=direction_of('c', 'a') * 0.1)",
@@ -187,6 +190,8 @@ POSED_PROGRAMS = {
     "orbit_cost": "orbit_cost('a', 0.1, 'b')",
     "upright_cost": "upright_cost('a', 'b')",
     "gripper_costs": "gripper_open_cost() + gripper_close_first_cost()",
+    "pose_scalars": "move_cost(get_centroid('a'), get_centroid('b'), "
+    "offset=direction_of('c', 'b') * get_height('a') + [0, 0, -get_width('a')])",
 }
 # 'd' (static) and 'a tip' (rides with 'a') are single points: no axis.
 ERROR_PROGRAMS = {
@@ -212,6 +217,16 @@ def _plain_terms(expr, scene: Scene, pose: PoseSE3, cfg: SolveConfig) -> tuple[f
     return cost + cfg.alpha * reg_t + cfg.beta * reg_r, cost
 
 
+def _batch_terms(expr, scene: Scene, poses, cfg: SolveConfig) -> list[tuple[float, float]]:
+    """(objective, cost) at each pose, from one call of the solver's objective
+    on the stack of poses."""
+    ctx = solver._PosedContext(scene, partition_moving_static(scene)[0])
+    rel = np.stack([pose.rotation for pose in poses])
+    t = np.stack([pose.translation.as_array() for pose in poses])
+    obj, cost, _, _ = np.broadcast_arrays(*solver._terms(expr, ctx, rel, t, t - ctx.t0, cfg))
+    return list(zip(obj.tolist(), cost.tolist()))
+
+
 def _outcome(fn):
     try:
         return fn()
@@ -219,19 +234,23 @@ def _outcome(fn):
         return type(exc)
 
 
+_poses = st.tuples(st.tuples(_angles, _angles, _angles), st.tuples(_shifts, _shifts, _shifts))
+
+
 @pytest.mark.parametrize("word", sorted(POSED_PROGRAMS))
 @settings(max_examples=25, deadline=None)
-@given(seed=_seeds, angles=st.tuples(_angles, _angles, _angles),
-       shift=st.tuples(_shifts, _shifts, _shifts))
-def test_objective_terms_match_the_moved_scene(word, seed, angles, shift):
+@given(seed=_seeds, drawn=st.lists(_poses, min_size=1, max_size=5))
+def test_objective_terms_match_the_moved_scene(word, seed, drawn):
     scene = _random_scene(seed)
-    pose = _pose(scene, angles, shift)
+    poses = [_pose(scene, angles, shift) for angles, shift in drawn]
     expr = type_check(parse(POSED_PROGRAMS[word]))
     cfg = SolveConfig()
-    obj, cost, _, _ = objective_terms(expr, scene, pose, cfg)
-    plain_obj, plain_cost = _plain_terms(expr, scene, pose, cfg)
-    assert cost == pytest.approx(plain_cost, abs=1e-12)
-    assert obj == pytest.approx(plain_obj, abs=1e-12)
+    for pose, (obj, cost) in zip(poses, _batch_terms(expr, scene, poses, cfg)):
+        plain_obj, plain_cost = _plain_terms(expr, scene, pose, cfg)
+        assert cost == pytest.approx(plain_cost, abs=1e-12)
+        assert obj == pytest.approx(plain_obj, abs=1e-12)
+        # A row of the stack is exactly the pose scored on its own.
+        assert (obj, cost) == objective_terms(expr, scene, pose, cfg)[:2]
 
 
 @pytest.mark.parametrize("case", sorted(ERROR_PROGRAMS))
@@ -257,6 +276,11 @@ def test_objective_terms_fail_like_the_moved_scene(case, seed, angles, shift):
         assert posed is plain
     else:
         assert posed == pytest.approx(plain, abs=1e-12)
+    if case in ("missing_part", "static_degenerate_axis"):
+        # Every pose fails, so the solve raises what its first evaluation does.
+        with pytest.raises(posed) as raised:
+            solve(expr, scene, SolveConfig(restarts=2, max_iterations=30))
+        assert raised.type is posed
 
 
 # -- solve never returns worse than the initial pose -------------------------------
@@ -283,3 +307,84 @@ def test_solve_is_never_worse_than_initial_pose(seed, program, alpha, beta):
     # The reported objective is recomputed at the returned pose, whose
     # translation round-trips through t0 + dt: allow that rounding.
     assert solve(expr, scene, cfg).objective <= start + 1e-12
+
+
+# -- the lockstep search takes the steps of the one-probe-at-a-time search ----------
+
+
+def _sequential_search(f, x0, cfg: SolveConfig, rng):
+    """Reference: the pattern search scoring one probe per call of f, as the
+    solver ran before polls were batched. Returns (x, fx, evaluations)."""
+    evals = [0]
+
+    def poll(x, fx, scale, directions):
+        improved = False
+        for direction in directions:
+            if evals[0] >= cfg.max_iterations:
+                break
+            for sign in (1.0, -1.0):
+                trial = x + sign * scale * direction
+                ft = f(trial)
+                evals[0] += 1
+                if ft < fx:
+                    x, fx, improved = trial, ft, True
+                    break
+                if evals[0] >= cfg.max_iterations:
+                    break
+        return x, fx, improved
+
+    steps = np.array([0.25] * 3 + [0.1] * 3)
+    x = np.array(x0, dtype=float)
+    fx = f(x)
+    evals[0] += 1
+    shrink = 1.0
+    while evals[0] < cfg.max_iterations:
+        cycle_start = fx
+        x1, fx1, improved = poll(x, fx, steps * shrink, np.eye(6))
+        if not improved and evals[0] < cfg.max_iterations:
+            directions = rng.normal(size=(12, 6))
+            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+            x1, fx1, improved = poll(x1, fx1, steps * shrink, directions)
+        while improved and evals[0] < cfg.max_iterations and np.any(x1 - x):
+            trial = x1 + (x1 - x)
+            ft = f(trial)
+            evals[0] += 1
+            if not ft < fx1:
+                break
+            x, fx, x1, fx1 = x1, fx1, trial, ft
+        x, fx = x1, fx1
+        if cycle_start - fx < cfg.tolerance:
+            if shrink * 0.25 <= 1e-7:
+                break
+            shrink *= 0.5
+    return x, fx, evals[0]
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=_seeds, program=st.sampled_from(SOLVE_PROGRAMS), restarts=st.sampled_from((1, 3, 10)))
+def test_solve_takes_the_sequential_search(seed, program, restarts):
+    scene = _random_scene(seed)
+    expr = type_check(parse(program))
+    cfg = SolveConfig(restarts=restarts, max_iterations=150, seed=seed)
+    ctx = solver._PosedContext(scene, partition_moving_static(scene)[0])
+
+    def f(x):
+        (value,) = solver._objective_rows(expr, ctx, x[None], cfg)
+        return value
+
+    rng = np.random.default_rng(seed)
+    starts = [np.zeros(6)] + [
+        np.concatenate([rng.uniform(-np.pi / 2, np.pi / 2, 3), rng.uniform(-0.2, 0.2, 3)])
+        for _ in range(restarts - 1)
+    ]
+    runs = [
+        _sequential_search(f, start, cfg, np.random.default_rng((seed, index)))
+        for index, start in enumerate(starts)
+    ]
+    best = min(range(restarts), key=lambda index: (runs[index][1], index))
+    x, _, evals = runs[best]
+    result = solve(expr, scene, cfg)
+    assert (result.restart_index, result.iterations) == (best, evals)
+    assert result.total_evaluations == sum(run[2] for run in runs)
+    assert np.array_equal(result.pose.rotation, rotation_xyz(x[0], x[1], x[2]))
+    assert result.pose.translation == Point3.from_array(ctx.t0 + x[3:])

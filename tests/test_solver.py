@@ -4,11 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from maniplang import fixtures
+from maniplang import fixtures, pipeline, solver
 from maniplang.costs import EvalContext, evaluate
-from maniplang.geometry import Point3, PointCloud, PoseSE3, angle_between, fix_axis_sign, principal_axis
+from maniplang.geometry import (
+    DegenerateDirectionError,
+    Point3,
+    PointCloud,
+    PoseSE3,
+    angle_between,
+    fix_axis_sign,
+    principal_axis,
+    rotation_xyz,
+)
 from maniplang.language import parse, type_check
-from maniplang.scene import Scene
+from maniplang.scene import Scene, load_scene
 from maniplang.solver import (
     NoMovingPartsError,
     SolveConfig,
@@ -336,3 +345,86 @@ class TestTransformScene:
         moved = transform_scene(scene, PoseSE3.identity(Point3(0.3, 0.0, 0.12)))
         assert len(moved.history) == len(scene.history) + 1
         assert moved.history[-1].gripper_position == scene.gripper_position
+
+
+# (total_evaluations, iterations, restart_index) of each mock task's solve
+# stage, recorded from the one-probe-at-a-time search before polls were
+# batched: batching may only change how many objective calls score them.
+MOCK_SEARCHES = {
+    "move the cube above the target": ("cube_target", (15032, 1880, 4)),
+    "lift the cube and release it": ("cube_target", (14480, 1666, 0)),
+    "put the pen into the penholder": ("pen_holder", (14612, 1777, 2)),
+    "cut the carrot with the knife": ("carrot_knife", (15505, 1899, 0)),
+}
+
+
+def degenerate_probe_scene(c_at):
+    """'a' (grasped, long along y, centroid at the origin) and a one-point part
+    'c' at `c_at`; the gripper sits 5 cm above 'a'. DIRECTION_PROGRAM turns
+    'a' about x first (+rx, the first probe of the first poll, improves) and
+    has no direction wherever the moved centroid of 'a' lands on 'c'."""
+    return Scene(
+        parts={
+            "a": PointCloud(grid_box((0, 0, 0), (0.02, 0.2, 0.02))),
+            "c": PointCloud([c_at]),
+        },
+        grasped=frozenset({"a"}),
+        gripper_position=Point3(0, 0, 0.05),
+        gripper_open_fraction=0.0,
+    )
+
+
+DIRECTION_PROGRAM = "parallel_cost(get_axis('a'), [0, 0, 1]) + perpendicular_cost(direction_of('a', 'c'), [1, 0, 0])"
+
+
+class TestLockstepSearch:
+    @pytest.mark.parametrize("instruction", sorted(MOCK_SEARCHES))
+    def test_mock_solves_take_the_recorded_search(self, instruction):
+        kind, recorded = MOCK_SEARCHES[instruction]
+        client = pipeline.MockClient(fixtures.load_mock_translations())
+        trace = pipeline.run_task(instruction, load_scene(fixtures.shipped_scene_path(kind)), client)
+        (result,) = [stage.solve for stage in trace.stages if stage.solve is not None]
+        assert (result.total_evaluations, result.iterations, result.restart_index) == recorded
+
+    def test_restarts_run_in_fixed_groups(self, monkeypatch):
+        groups = []
+        lockstep = solver._lockstep
+
+        def recorded(searches, score):
+            groups.append(len(searches))
+            return lockstep(searches, score)
+
+        monkeypatch.setattr(solver, "_lockstep", recorded)
+        scene = load_scene(fixtures.shipped_scene_path("cube_target"))
+        expr = typed("move_cost(get_centroid('cube'), get_centroid('target'), offset=[0, 0, 0.1])")
+        result = solve(expr, scene, SolveConfig(restarts=20))
+        assert groups == [8, 8, 4]
+        assert (result.total_evaluations, result.iterations, result.restart_index) == (36545, 1780, 9)
+        assert result.objective == 0.029387938484608224
+
+    def test_speculative_degenerate_probe_does_not_end_the_solve(self, monkeypatch):
+        # The first poll's last probe (-tz from the start) puts 'a' on 'c'. It
+        # is scored with the rest of that poll, but +rx improves first, so a
+        # one-probe-at-a-time search never evaluates it.
+        failures = []
+        original = solver.evaluate
+
+        def watched(expr, ctx):
+            try:
+                return original(expr, ctx)
+            except DegenerateDirectionError as exc:
+                failures.append(exc)
+                raise
+
+        monkeypatch.setattr(solver, "evaluate", watched)
+        scene = degenerate_probe_scene((0.0, 0.0, -0.1))
+        result = solve(typed(DIRECTION_PROGRAM), scene, SolveConfig(restarts=1, max_iterations=300))
+        assert failures, "the speculative probe was never scored"
+        assert result.cost_term < 0.1
+
+    def test_consumed_degenerate_probe_raises(self):
+        # Here the first probe itself (+rx) puts 'a' on 'c'.
+        t0 = np.array([0.0, 0.0, 0.05])
+        c_at = rotation_xyz(0.25, 0.0, 0.0) @ (np.zeros(3) - t0) + t0
+        with pytest.raises(DegenerateDirectionError):
+            solve(typed(DIRECTION_PROGRAM), degenerate_probe_scene(c_at), SolveConfig(restarts=1))

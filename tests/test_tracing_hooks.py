@@ -1,12 +1,17 @@
 """The benchmark's tracer (perfbench/tracing.py) replaces maniplang module
 attributes by name. Each one must still exist, or a traced benchmark run
-crashes before it measures anything."""
+crashes before it measures anything, and the call sites it counts must still
+go through them, or a figure silently reads 0."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from maniplang import fixtures, solver
+from maniplang.language import validate_program
+from maniplang.scene import load_scene
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -23,3 +28,19 @@ def _patch_points():
 )
 def test_patch_point_resolves(module, attribute):
     assert hasattr(importlib.import_module(module), attribute)
+
+
+def test_solve_evaluates_through_the_patched_name(monkeypatch):
+    # costs.evaluate_calls.* counts the calls to maniplang.solver.evaluate.
+    calls = []
+    original = solver.evaluate
+
+    def counted(expr, ctx):
+        calls.append(expr)
+        return original(expr, ctx)
+
+    monkeypatch.setattr(solver, "evaluate", counted)
+    scene = load_scene(fixtures.shipped_scene_path("cube_target"))
+    expr = validate_program("move_cost(get_centroid('cube'), get_centroid('target'), offset=[0, 0, 0.1])").typed
+    solver.solve(expr, scene, solver.SolveConfig(restarts=1, max_iterations=50))
+    assert calls
