@@ -1,13 +1,17 @@
 """Tokenizer for the expression language.
 
 Lexical rules: identifiers `[a-z_][a-z0-9_]*`, strings in single or double
-quotes (spaces allowed, no escapes needed by the vocabulary), unsigned
-decimal numbers with optional fraction and exponent, punctuation
-`( ) [ ] , + - * = .`, and `#` comments running to end of line.
+quotes on one line (spaces allowed, no escapes needed by the vocabulary),
+unsigned numbers of ASCII digits `[0-9]` with optional fraction and
+exponent that read as a finite float, punctuation `( ) [ ] , + - * = .`,
+`#` comments running to end of line, and whitespace ` \\t\\r\\n`. One
+master regular expression encodes them all.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 
 from ..errors import ManiplangError
@@ -33,74 +37,42 @@ class Token:
     value: float | str | None = None
 
 
-_PUNCT = "()[],+-*=."
-
-
-def _is_ident_start(c: str) -> bool:
-    return c == "_" or "a" <= c <= "z"
-
-
-def _is_ident_rest(c: str) -> bool:
-    return c == "_" or "a" <= c <= "z" or "0" <= c <= "9"
+# Every alternative matches at least one character, so the matches tile the
+# source; the unnamed first one (whitespace, comments) yields no token.
+_TOKEN = re.compile(
+    r"""
+      [ \t\r\n]+ | \#[^\n]*
+    | (?P<NUMBER>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
+    | (?P<IDENT>[a-z_][a-z0-9_]*)
+    | (?P<STRING>'[^'\n]*'|"[^"\n]*")
+    | (?P<PUNCT>[()\[\],+\-*=.])
+    | (?P<QUOTE>['"])
+    | (?P<OTHER>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c in " \t\r\n":
-            i += 1
+    for match in _TOKEN.finditer(source):
+        kind, text, offset = match.lastgroup, match.group(), match.start()
+        if kind is None:
             continue
-        if c == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if c in _PUNCT:
-            tokens.append(Token(c, c, i))
-            i += 1
-            continue
-        if c in "'\"":
-            quote = c
-            j = i + 1
-            while j < n and source[j] != quote:
-                if source[j] == "\n":
-                    raise ParseError("unterminated string", i, ("closing quote",))
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated string", i, ("closing quote",))
-            tokens.append(Token("STRING", source[i : j + 1], i, value=source[i + 1 : j]))
-            i = j + 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
-            text = source[i:j]
-            tokens.append(Token("NUMBER", text, i, value=float(text)))
-            i = j
-            continue
-        if _is_ident_start(c):
-            j = i
-            while j < n and _is_ident_rest(source[j]):
-                j += 1
-            text = source[i:j]
-            tokens.append(Token("IDENT", text, i, value=text))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i, ("token",))
-    tokens.append(Token("EOF", "", n))
+        if kind == "NUMBER":
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError("number literal is not finite", offset, ("finite number",))
+            tokens.append(Token(kind, text, offset, value=value))
+        elif kind == "IDENT":
+            tokens.append(Token(kind, text, offset, value=text))
+        elif kind == "STRING":
+            tokens.append(Token(kind, text, offset, value=text[1:-1]))
+        elif kind == "PUNCT":
+            tokens.append(Token(text, text, offset))
+        elif kind == "QUOTE":
+            raise ParseError("unterminated string", offset, ("closing quote",))
+        else:
+            raise ParseError(f"unexpected character {text!r}", offset, ("token",))
+    tokens.append(Token("EOF", "", len(source)))
     return tokens

@@ -12,12 +12,19 @@ tightest):
     call     := IDENT '(' [arg (',' arg)*] ')'
               | 'np' '.' 'array' '(' list ')'        # alternate list spelling
     arg      := [IDENT '='] expr
+
+A syntax tree taller than MAX_DEPTH is rejected while it is parsed, so no
+later pass recurses deeper. Each nested parenthesis, list, call and unary
+minus is a level, and so is each operator of a chain: it pushes the chain
+so far one level down.
 """
 
 from __future__ import annotations
 
 from .ast import BinOp, Call, Expr, Literal, Neg, Triple
 from .lexer import ParseError, Token, tokenize
+
+MAX_DEPTH = 100  # the tallest of 60,000 program_stream programs is 8 levels
 
 
 def parse(source: str) -> Expr:
@@ -29,6 +36,10 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._pos = 0
+        # `_depth` levels sit above the node being parsed; `_deepest` is the
+        # lowest level reached so far by the innermost chain being parsed.
+        self._depth = 0
+        self._deepest = 0
 
     def parse_program(self) -> Expr:
         if self._peek().kind == "EOF":
@@ -51,24 +62,40 @@ class _Parser:
             raise ParseError(f"unexpected {token.kind or 'end of input'}", token.offset, (kind,))
         return self._advance()
 
-    def _expr(self) -> Expr:
-        node = self._term()
-        while self._peek().kind in ("+", "-"):
-            op = self._advance().kind
-            node = BinOp(op, node, self._term())
-        return node
+    def _descend(self, token: Token) -> None:
+        """Step one level down; `token` opens the level. Callers step back up."""
+        self._depth += 1
+        if self._depth > self._deepest:
+            self._reach(self._depth, token)
 
-    def _term(self) -> Expr:
-        node = self._unary()
-        while self._peek().kind == "*":
-            self._advance()
-            node = BinOp("*", node, self._unary())
+    def _reach(self, level: int, token: Token) -> None:
+        if level > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", token.offset)
+        self._deepest = level
+
+    def _expr(self, tight: bool = False) -> Expr:
+        """A left-associative chain: `+`/`-` over `*` chains over unary
+        operands. One method serves both, for a shallower stack."""
+        outer, self._deepest = self._deepest, self._depth
+        node = self._unary() if tight else self._expr(True)
+        ops = ("*",) if tight else ("+", "-")
+        while self._peek().kind in ops:
+            token = self._advance()
+            self._reach(self._deepest + 1, token)  # everything to the left sinks a level
+            self._depth += 1  # and the right operand sits one level below the operator
+            node = BinOp(token.kind, node, self._unary() if tight else self._expr(True))
+            self._depth -= 1
+        self._deepest = max(outer, self._deepest)
         return node
 
     def _unary(self) -> Expr:
-        if self._peek().kind == "-":
+        token = self._peek()
+        if token.kind == "-":
             self._advance()
-            return Neg(self._unary())
+            self._descend(token)
+            node = Neg(self._unary())
+            self._depth -= 1
+            return node
         return self._primary()
 
     def _primary(self) -> Expr:
@@ -83,7 +110,9 @@ class _Parser:
             return self._list()
         if token.kind == "(":
             self._advance()
+            self._descend(token)
             node = self._expr()
+            self._depth -= 1
             self._expect(")")
             return node
         if token.kind == "IDENT":
@@ -95,11 +124,12 @@ class _Parser:
         )
 
     def _list(self) -> Expr:
-        self._expect("[")
+        self._descend(self._expect("["))
         items = [self._expr()]
         while self._peek().kind == ",":
             self._advance()
             items.append(self._expr())
+        self._depth -= 1
         self._expect("]")
         return Triple(tuple(items))
 
@@ -119,6 +149,7 @@ class _Parser:
             self._expect(")")
             return inner
         self._expect("(")
+        self._descend(name_token)
         args: list[Expr] = []
         kwargs: list[tuple[str, Expr]] = []
         if self._peek().kind != ")":
@@ -126,6 +157,7 @@ class _Parser:
             while self._peek().kind == ",":
                 self._advance()
                 self._argument(args, kwargs)
+        self._depth -= 1
         self._expect(")")
         return Call(name, tuple(args), tuple(kwargs))
 

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from ..errors import ManiplangError
 from .ast import BinOp, Call, Expr, Literal, Neg, Triple, TypedExpr, to_source
-from .lexer import ParseError
 from .parser import parse
-from .vocabulary import GrammarRule, Vocabulary, default_grammar, default_vocabulary
+from .vocabulary import GrammarRule, default_grammar, default_vocabulary
 
 
 class TypeCheckError(ManiplangError):
@@ -37,69 +36,70 @@ class ArgumentError(ManiplangError):
     """Wrong arity or an argument name the word does not declare."""
 
 
-def _rule_set(rules) -> frozenset[tuple[str, tuple[str, ...]]]:
-    return frozenset((r.lhs, r.rhs) for r in rules)
+def _grammar(rules) -> dict[tuple[str, tuple[str, ...]], None]:
+    """The rules as an ordered set of (lhs, rhs) pairs: membership tests are
+    lookups, and binary rules are still tried in rule order."""
+    return dict.fromkeys((r.lhs, r.rhs) for r in rules)
 
 
-def _literal_sorts(node: Expr, rules) -> tuple[str, ...]:
+# The shipped vocabulary and grammar, built once.
+_VOCAB = default_vocabulary()
+_GRAMMAR = _grammar(default_grammar())
+
+
+def _literal_sorts(node: Expr, grammar) -> tuple[str, ...]:
     """Possible sorts for an ambiguous leaf, base sort first."""
-    lookup = _rule_set(rules)
     if isinstance(node, Literal) and isinstance(node.value, str):
-        extra = ("point",) if ("point", ("string",)) in lookup else ()
+        extra = ("point",) if ("point", ("string",)) in grammar else ()
         return ("string",) + extra
     if isinstance(node, Literal):
-        extra = ("cost",) if node.value >= 0 and ("cost", ("number",)) in lookup else ()
+        extra = ("cost",) if node.value >= 0 and ("cost", ("number",)) in grammar else ()
         return ("scalar",) + extra
     if isinstance(node, Triple):
-        return tuple(
-            sort for sort in ("vec", "point") if (sort, ("triple",)) in lookup
-        )
+        return tuple(sort for sort in ("vec", "point") if (sort, ("triple",)) in grammar)
     raise TypeError(f"not a literal node: {node!r}")
 
 
 def type_check(
-    expr: Expr,
-    vocab: Vocabulary | None = None,
-    rules: tuple[GrammarRule, ...] | None = None,
-    expected_sort: str | None = "cost",
+    expr: Expr, rules: tuple[GrammarRule, ...] | None = None, expected_sort: str | None = "cost"
 ) -> TypedExpr:
     """Annotate `expr` with sorts; a program must come out at sort `cost`.
 
-    Pass expected_sort=None to type a bare subexpression, or "void" via
-    validate_program for gripper stage actions.
+    `rules` replaces the shipped grammar. Pass expected_sort=None to type a
+    bare subexpression, or "void" via validate_program for gripper stage
+    actions.
     """
-    vocab = vocab if vocab is not None else default_vocabulary()
-    rules = rules if rules is not None else default_grammar()
-    typed = _infer(expr, vocab, rules, expected_sort)
+    grammar = _GRAMMAR if rules is None else _grammar(rules)
+    typed = _infer(expr, grammar, expected_sort)
     if expected_sort is not None and typed.sort != expected_sort:
         raise TypeCheckError(expr, expected_sort, typed.sort)
     return typed
 
 
-def _infer(node: Expr, vocab, rules, expected: str | None) -> TypedExpr:
+def _infer(node: Expr, grammar, expected: str | None) -> TypedExpr:
     if isinstance(node, (Literal, Triple)):
-        return _infer_leaf(node, vocab, rules, expected)
+        return _infer_leaf(node, grammar, expected)
     if isinstance(node, Neg):
-        operand = _infer(node.operand, vocab, rules, "scalar")
-        if operand.sort != "scalar" or ("scalar", ("-", "scalar")) not in _rule_set(rules):
+        operand = _infer(node.operand, grammar, "scalar")
+        if operand.sort != "scalar" or ("scalar", ("-", "scalar")) not in grammar:
             raise TypeCheckError(node, "scalar", operand.sort)
         return TypedExpr(node, "scalar", (operand,))
     if isinstance(node, BinOp):
-        return _infer_binop(node, vocab, rules, expected)
+        return _infer_binop(node, grammar, expected)
     if isinstance(node, Call):
-        return _infer_call(node, vocab, rules)
+        return _infer_call(node, grammar)
     raise TypeError(f"unknown expression node: {node!r}")
 
 
-def _infer_leaf(node: Expr, vocab, rules, expected: str | None) -> TypedExpr:
-    candidates = _literal_sorts(node, rules)
+def _infer_leaf(node: Expr, grammar, expected: str | None) -> TypedExpr:
+    candidates = _literal_sorts(node, grammar)
     if not candidates:
         raise TypeCheckError(node, expected or "any", "untypable literal")
     sort = expected if expected in candidates else candidates[0]
     if isinstance(node, Triple):
         if len(node.items) != 3:
             raise TypeCheckError(node, "a 3-element list", f"{len(node.items)}-element list")
-        children = tuple(_infer(item, vocab, rules, "scalar") for item in node.items)
+        children = tuple(_infer(item, grammar, "scalar") for item in node.items)
         for item in children:
             if item.sort != "scalar":
                 raise TypeCheckError(item.expr, "scalar", item.sort)
@@ -107,42 +107,39 @@ def _infer_leaf(node: Expr, vocab, rules, expected: str | None) -> TypedExpr:
     return TypedExpr(node, sort)
 
 
-def _infer_binop(node: BinOp, vocab, rules, expected: str | None) -> TypedExpr:
-    left_opts, left = _operand(node.left, vocab, rules, expected)
-    right_opts, right = _operand(node.right, vocab, rules, expected)
+def _infer_binop(node: BinOp, grammar, expected: str | None) -> TypedExpr:
+    left_opts, left = _operand(node.left, grammar, expected)
+    right_opts, right = _operand(node.right, grammar, expected)
     matches = [
-        rule
-        for rule in rules
-        if len(rule.rhs) == 3
-        and rule.rhs[1] == node.op
-        and rule.rhs[0] in left_opts
-        and rule.rhs[2] in right_opts
+        (lhs, rhs)
+        for lhs, rhs in grammar
+        if len(rhs) == 3 and rhs[1] == node.op and rhs[0] in left_opts and rhs[2] in right_opts
     ]
     if not matches:
         actual = f"{next(iter(left_opts))} {node.op} {next(iter(right_opts))}"
         raise TypeCheckError(node, expected or "a composable pair", actual)
-    rule = next((r for r in matches if r.lhs == expected), matches[0])
-    left = left or _infer(node.left, vocab, rules, rule.rhs[0])
-    right = right or _infer(node.right, vocab, rules, rule.rhs[2])
-    return TypedExpr(node, rule.lhs, (left, right))
+    lhs, rhs = next((m for m in matches if m[0] == expected), matches[0])
+    left = left or _infer(node.left, grammar, rhs[0])
+    right = right or _infer(node.right, grammar, rhs[2])
+    return TypedExpr(node, lhs, (left, right))
 
 
-def _operand(node: Expr, vocab, rules, expected: str | None):
+def _operand(node: Expr, grammar, expected: str | None):
     """(possible sorts, typed tree or None) for one side of a binary node: a
     literal is typed once the rule is picked; any other operand has one sort
     in every context, so it is typed once, here (not once more per rule)."""
     if isinstance(node, (Literal, Triple)):
-        opts = _literal_sorts(node, rules)
+        opts = _literal_sorts(node, grammar)
         if expected in opts:
             # Prefer the contextual reading so `0 + 0` sums as cost at the top.
             return (expected,) + tuple(o for o in opts if o != expected), None
         return opts, None
-    typed = _infer(node, vocab, rules, None)
+    typed = _infer(node, grammar, None)
     return (typed.sort,), typed
 
 
-def _infer_call(node: Call, vocab, rules) -> TypedExpr:
-    word = vocab.lookup(node.word)
+def _infer_call(node: Call, grammar) -> TypedExpr:
+    word = _VOCAB.lookup(node.word)
     if word is None:
         raise UnknownWordError(node.word)
     params = word.params
@@ -150,9 +147,7 @@ def _infer_call(node: Call, vocab, rules) -> TypedExpr:
         raise ArgumentError(
             f"{node.word} takes at most {len(params)} arguments, got {len(node.args)}"
         )
-    assigned: dict[str, Expr] = {}
-    for param, arg in zip(params, node.args):
-        assigned[param.name] = arg
+    assigned: dict[str, Expr] = {param.name: arg for param, arg in zip(params, node.args)}
     declared = {p.name for p in params}
     for name, value in node.kwargs:
         if name not in declared:
@@ -168,14 +163,12 @@ def _infer_call(node: Call, vocab, rules) -> TypedExpr:
                 raise ArgumentError(f"{node.word}: missing argument {param.name!r}")
             continue
         arg = assigned[param.name]
-        typed_arg = _infer(arg, vocab, rules, param.sort)
+        typed_arg = _infer(arg, grammar, param.sort)
         if typed_arg.sort != param.sort:
             raise TypeCheckError(arg, param.sort, typed_arg.sort)
         bound.append((param.name, typed_arg))
         order[id(arg)] = typed_arg
-    children = tuple(
-        order[id(arg)] for arg in list(node.args) + [v for _, v in node.kwargs]
-    )
+    children = tuple(order[id(arg)] for arg in (*node.args, *(v for _, v in node.kwargs)))
     return TypedExpr(node, word.result_sort, children, word=word.name, bound=tuple(bound))
 
 
@@ -204,26 +197,18 @@ class Rejected:
         return False
 
 
-def validate_program(
-    source: str,
-    vocab: Vocabulary | None = None,
-    rules: tuple[GrammarRule, ...] | None = None,
-) -> Accepted | Rejected:
-    """Parse + type check as a total function; errors come back as values.
+def validate_program(source: str) -> Accepted | Rejected:
+    """Parse + type check against the shipped vocabulary and grammar, as a
+    total function; errors come back as values.
 
     A program is a cost expression, or a bare void gripper action that
     stands alone as a stage.
     """
-    vocab = vocab if vocab is not None else default_vocabulary()
-    rules = rules if rules is not None else default_grammar()
     try:
         expr = parse(source)
-    except ParseError as exc:
-        return Rejected(exc)
-    try:
         # Hint cost so literal terms coerce, but let void actions through.
-        typed = _infer(expr, vocab, rules, "cost")
-    except ManiplangError as exc:
+        typed = _infer(expr, _GRAMMAR, "cost")
+    except ManiplangError as exc:  # ParseError included
         return Rejected(exc)
     if typed.sort not in ("cost", "void"):
         return Rejected(TypeCheckError(expr, "cost", typed.sort))

@@ -12,6 +12,7 @@ serializes byte-identically across repeats.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import urllib.request
@@ -26,6 +27,7 @@ from .scene import Scene
 from .solver import SolveConfig, SolveResult, partition_moving_static, solve, transform_scene
 
 REMOTE_URL_ENV = "MANIPLANG_REMOTE_URL"
+REMOTE_TIMEOUT_S = 30.0
 STAGE_SEPARATOR = "---"
 MAX_ATTEMPTS = 3  # the first translation plus two reprompts
 
@@ -101,9 +103,8 @@ class RemoteClient:
     prompt} and read back {"program": ...}. Endpoint comes from the
     constructor or the MANIPLANG_REMOTE_URL environment variable."""
 
-    def __init__(self, endpoint: str | None = None, timeout: float = 30.0):
+    def __init__(self, endpoint: str | None = None):
         self.endpoint = endpoint or os.environ.get(REMOTE_URL_ENV, "")
-        self.timeout = timeout
         if not self.endpoint:
             raise PipelineError(
                 f"remote client needs an endpoint (set {REMOTE_URL_ENV} or pass one)"
@@ -113,13 +114,14 @@ class RemoteClient:
         payload = json.dumps(
             {"instruction": instruction, "scene_summary": scene_summary, "prompt": prompt}
         ).encode("utf-8")
-        request = urllib.request.Request(
-            self.endpoint, data=payload, headers={"Content-Type": "application/json"}
-        )
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
+            request = urllib.request.Request(
+                self.endpoint, data=payload, headers={"Content-Type": "application/json"}
+            )
+            with urllib.request.urlopen(request, timeout=REMOTE_TIMEOUT_S) as response:
                 doc = json.loads(response.read().decode("utf-8"))
-        except (OSError, ValueError) as exc:  # URLError is an OSError; bad JSON a ValueError
+        # A bad URL or JSON is a ValueError, a bad host an HTTPException, URLError an OSError.
+        except (OSError, ValueError, http.client.HTTPException) as exc:
             raise PipelineError(f"remote endpoint {self.endpoint} failed: {exc}") from exc
         if not isinstance(doc, dict) or "program" not in doc:
             raise PipelineError("remote response is missing the 'program' field")

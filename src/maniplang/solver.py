@@ -43,7 +43,7 @@ import numpy as np
 
 from .costs import EvalContext, EvalError, evaluate, motion_subjects
 from .errors import ManiplangError
-from .geometry import (  # noqa: F401 (perfbench/tracing.py patches euler_from_rotation here)
+from .geometry import (  # noqa: F401 (perfbench/tracing.py patches euler_from_rotation and PointCloud here)
     Point3,
     PointCloud,
     PoseSE3,
@@ -53,6 +53,7 @@ from .geometry import (  # noqa: F401 (perfbench/tracing.py patches euler_from_r
     norm,
     rotated_extent,
     rotation_xyz,
+    transform_cloud,
 )
 from .language.ast import TypedExpr
 from .scene import GRIPPER_NAME, Scene
@@ -168,11 +169,10 @@ def transform_scene(scene: Scene, pose: PoseSE3, moving: frozenset[str] | None =
     to `pose`; the pre-move state is appended to history."""
     if moving is None:
         moving, _ = partition_moving_static(scene)
-    t0 = scene.gripper_position.as_array()
-    t = pose.translation.as_array()
+    start = initial_pose(scene)
     # Static parts are shared, not copied.
     parts = {
-        name: PointCloud((cloud.coords - t0) @ pose.rotation.T + t) if name in moving else cloud
+        name: transform_cloud(cloud, start, pose) if name in moving else cloud
         for name, cloud in scene.parts.items()
     }
     return Scene(

@@ -28,10 +28,14 @@ class TestParseCommand:
         source.write_text("gripper_open_cost()\n", encoding="utf-8")
         assert main(["parse", str(source)]) == 0
 
-    def test_rejects_invalid_file(self, tmp_path):
-        source = tmp_path / "program.txt"
-        source.write_text("fly_to('moon')\n", encoding="utf-8")
-        assert main(["parse", str(source)]) == 2
+    def test_rejects_invalid_file(self, tmp_path, capsys):
+        # An unknown word, a digit that is not ASCII, a literal past the
+        # float range, and nesting past the parser's depth bound.
+        for text in ("fly_to('moon')", "²", "1e309", "(" * 10_000 + "0" + ")" * 10_000):
+            source = tmp_path / "program.txt"
+            source.write_text(text + "\n", encoding="utf-8")
+            assert main(["parse", str(source)]) == 2, text
+            assert capsys.readouterr().err.startswith("rejected: "), text
 
     def test_reads_stdin_with_dash(self):
         result = subprocess.run(
@@ -146,10 +150,12 @@ class TestRunCommand:
         with socket.socket() as sock:  # bind then close: nothing listens on the port
             sock.bind(("127.0.0.1", 0))
             port = sock.getsockname()[1]
-        code = main(["run", "--scene", scene_path, "--instruction", "x",
-                     "--client", "remote", "--endpoint", f"http://127.0.0.1:{port}/"])
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        # A closed port, and an endpoint that is not a URL at all.
+        for endpoint in (f"http://127.0.0.1:{port}/", "notaurl"):
+            code = main(["run", "--scene", scene_path, "--instruction", "x",
+                         "--client", "remote", "--endpoint", endpoint])
+            assert code == 2, endpoint
+            assert capsys.readouterr().err.startswith("error: "), endpoint
 
     def test_custom_fixture_map(self, scene_path, tmp_path, capsys):
         fixture_map = tmp_path / "map.json"

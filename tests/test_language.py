@@ -1,7 +1,10 @@
+import math
 import random
 import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from maniplang.language import (
     Accepted,
@@ -13,6 +16,7 @@ from maniplang.language import (
     Neg,
     ParseError,
     Rejected,
+    Token,
     Triple,
     TypeCheckError,
     UnknownWordError,
@@ -27,6 +31,7 @@ from maniplang.language import (
     vocabulary_size,
     vocabulary_to_json,
 )
+from maniplang.language.parser import MAX_DEPTH
 from maniplang.language.vocabulary import Vocabulary
 
 from util import CARROT_KNIFE_PROGRAM, PEN_PROGRAM
@@ -209,9 +214,36 @@ class TestValidateProgram:
         assert verdict and verdict.typed.sort == "cost"
 
     def test_never_raises_on_garbage_bytes(self):
-        for source in ("", "£$%^", ")(", "move_cost)(", "[", '"unterminated'):
+        for source in (
+            "", "£$%^", ")(", "move_cost)(", "[", '"unterminated',
+            "²", "٣", "1e309", "9" * 400, "(" * 10_000,
+        ):
             verdict = validate_program(source)
-            assert isinstance(verdict, Rejected)
+            assert isinstance(verdict, Rejected), source[:20]
+            assert "ParseError" in verdict.reason, source[:20]
+
+    def test_deep_parentheses_rejected(self):
+        at_bound = "(" * MAX_DEPTH + "0" + ")" * MAX_DEPTH
+        assert isinstance(validate_program(at_bound), Accepted)
+        verdict = validate_program("(" + at_bound + ")")
+        assert isinstance(verdict, Rejected)
+        assert f"nested deeper than {MAX_DEPTH} levels at offset {MAX_DEPTH}" in verdict.reason
+        assert isinstance(validate_program("(" * 10_000 + "0" + ")" * 10_000), Rejected)
+
+    def test_deep_unary_minus_rejected(self):
+        program = "move_cost('a', 'b', offset=[0, 0, {}1])"
+        # The literal sits two levels down (call, list), plus one per minus.
+        assert isinstance(validate_program(program.format("-" * (MAX_DEPTH - 2))), Accepted)
+        assert isinstance(validate_program(program.format("-" * (MAX_DEPTH - 1))), Rejected)
+        assert isinstance(validate_program("-" * 10_000 + "1"), Rejected)
+
+    def test_long_sum_rejected_by_height(self):
+        # A left-deep sum is as tall as it has operators, plus the call level.
+        term = "gripper_open_cost()"
+        assert isinstance(validate_program(" + ".join([term] * MAX_DEPTH)), Accepted)
+        verdict = validate_program(" + ".join([term] * 10_000))
+        assert isinstance(verdict, Rejected)
+        assert f"nested deeper than {MAX_DEPTH} levels" in verdict.reason
 
     def test_token_shuffle_fuzz_rejects_virtually_all(self):
         tokens = [t.text for t in tokenize(CARROT_KNIFE_PROGRAM)[:-1]]
@@ -224,6 +256,211 @@ class TestValidateProgram:
             if isinstance(validate_program(" ".join(shuffled)), Rejected):
                 rejected += 1
         assert rejected >= int(0.99 * runs), f"only {rejected}/{runs} shuffles rejected"
+
+
+# -- the regular-expression lexer against a character-by-character scanner -----
+
+
+def _reference_tokenize(source: str) -> list[Token]:
+    """The character-by-character scanner the lexer replaced (its helpers
+    inlined), kept as the reference. It reads any `str.isdigit` character
+    as a digit."""
+    tokens: list[Token] = []
+    i = 0
+    n = len(source)
+    while i < n:
+        c = source[i]
+        if c in " \t\r\n":
+            i += 1
+            continue
+        if c == "#":
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        if c in "()[],+-*=.":
+            tokens.append(Token(c, c, i))
+            i += 1
+            continue
+        if c in "'\"":
+            quote = c
+            j = i + 1
+            while j < n and source[j] != quote:
+                if source[j] == "\n":
+                    raise ParseError("unterminated string", i, ("closing quote",))
+                j += 1
+            if j >= n:
+                raise ParseError("unterminated string", i, ("closing quote",))
+            tokens.append(Token("STRING", source[i : j + 1], i, value=source[i + 1 : j]))
+            i = j + 1
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and source[j].isdigit():
+                j += 1
+            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
+                j += 1
+                while j < n and source[j].isdigit():
+                    j += 1
+            if j < n and source[j] in "eE":
+                k = j + 1
+                if k < n and source[k] in "+-":
+                    k += 1
+                if k < n and source[k].isdigit():
+                    j = k
+                    while j < n and source[j].isdigit():
+                        j += 1
+            text = source[i:j]
+            tokens.append(Token("NUMBER", text, i, value=float(text)))
+            i = j
+            continue
+        if c == "_" or "a" <= c <= "z":
+            j = i
+            while j < n and (source[j] == "_" or "a" <= source[j] <= "z" or "0" <= source[j] <= "9"):
+                j += 1
+            text = source[i:j]
+            tokens.append(Token("IDENT", text, i, value=text))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {c!r}", i, ("token",))
+    tokens.append(Token("EOF", "", n))
+    return tokens
+
+
+# The language's characters, other whitespace, other quotes, and non-ASCII
+# letters and digits ("²" is a digit to str.isdigit but not to float, so
+# the reference raises ValueError on it).
+_LEXER_ALPHABET = (
+    "abcdefghijklmnopqrstuvwxyz_0123456789eE()[],+-*=.#'\" \t\r\n"
+    "\x0b\x0c\xa0\u2028`\u2018\u2019\u201c\u201dAZéΩ²٣"
+)
+
+
+def _expected_tokens(text):
+    """The reference's tokens or error, plus the one rule it lacks: a number
+    literal that is not a finite float is an error where it starts."""
+    try:
+        tokens, error = _reference_tokenize(text), None
+    except ParseError as exc:
+        # The tokens before the error, which the lexer sees first.
+        tokens = _reference_tokenize(text[: exc.offset])
+        error = (str(exc), exc.offset, exc.expected)
+    for token in tokens:
+        if token.kind == "NUMBER" and not math.isfinite(token.value):
+            message = f"number literal is not finite at offset {token.offset} (expected finite number)"
+            return (message, token.offset, ("finite number",))
+    return error or tokens
+
+
+_lexer_text = st.text(_LEXER_ALPHABET, max_size=40)
+# Number literals around the float range, e.g. 1e308 and 1e309, inside text.
+_numbers = st.from_regex(r"[0-9]{1,3}(\.[0-9]{1,3})?[eE][+-]?[0-9]{1,3}", fullmatch=True)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_lexer_text | st.tuples(_lexer_text, _numbers, _lexer_text).map("".join))
+def test_tokenize_matches_the_character_scanner(text):
+    # Digits are ASCII now: the reference reads "٣" as 3, the lexer rejects it.
+    assume(not any(c.isdecimal() and not c.isascii() for c in text))
+    try:
+        expected = _expected_tokens(text)
+    except ValueError:
+        assume(False)
+    try:
+        actual = tokenize(text)
+    except ParseError as exc:
+        actual = (str(exc), exc.offset, exc.expected)
+    assert actual == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(_LEXER_ALPHABET) | st.text())
+def test_validate_program_is_total(text):
+    assert isinstance(validate_program(text), (Accepted, Rejected))
+
+
+# -- the depth bound against the height of the concrete syntax tree -------------
+
+
+def _reference_height(tokens: list[Token]) -> int:
+    """Height of the concrete syntax tree, counted bottom-up: parentheses,
+    lists, calls and unary minus are nodes, chains are left-deep. Covers
+    the sources `_tall_source` writes (no named arguments, no np.array)."""
+    pos = 0
+
+    def take():
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1].kind
+
+    def chain(ops, operand):
+        height = operand()
+        while tokens[pos].kind in ops:
+            take()
+            height = max(height, operand()) + 1
+        return height
+
+    def expr():
+        return chain(("+", "-"), lambda: chain(("*",), unary))
+
+    def unary():
+        if tokens[pos].kind == "-":
+            take()
+            return 1 + unary()
+        kind = take()
+        if kind in ("NUMBER", "STRING"):
+            return 0
+        if kind == "(":
+            height = expr()
+        else:  # a list, or a call: IDENT '(' args ')'
+            if kind == "IDENT":
+                take()
+            heights = [0] if tokens[pos].kind in (")", "]") else [expr()]
+            while tokens[pos].kind == ",":
+                take()
+                heights.append(expr())
+            height = max(heights)
+        take()
+        return 1 + height
+
+    return expr()
+
+
+def _tall_source(rng: random.Random, budget: int) -> str:
+    """Concrete source with one deep child per node and shallow siblings."""
+    if budget <= 0:
+        return rng.choice(["1", "'a'", "f()"])
+    deep = _tall_source(rng, budget - 1)
+    parts = [deep] + [
+        _tall_source(rng, rng.randint(0, min(2, budget - 1))) for _ in range(rng.randint(1, 3))
+    ]
+    rng.shuffle(parts)
+    roll = rng.random()
+    if roll < 0.2:
+        return f"({deep})"
+    if roll < 0.35:
+        return f"-{deep}"
+    if roll < 0.55:
+        return "[" + ", ".join(parts) + "]"
+    if roll < 0.75:
+        return "f(" + ", ".join(parts) + ")"
+    return parts[0] + "".join(rng.choice([" + ", " - ", " * "]) + part for part in parts[1:])
+
+
+def test_depth_bound_is_the_concrete_tree_height():
+    rng = random.Random(6)
+    verdicts = set()
+    for _ in range(150):
+        source = _tall_source(rng, rng.randint(MAX_DEPTH // 2, MAX_DEPTH))
+        height = _reference_height(tokenize(source))
+        try:
+            parse(source)
+            accepted = True
+        except ParseError as exc:
+            assert "nested deeper" in str(exc)
+            accepted = False
+        assert accepted == (height <= MAX_DEPTH), (height, source)
+        verdicts.add(accepted)
+    assert verdicts == {True, False}
 
 
 def _random_expr(rng: random.Random, depth: int):
