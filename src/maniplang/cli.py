@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 validation failure (syntax/type/translation),
-3 solver or evaluation failure.
+Exit codes: 0 success, 2 validation failure (syntax/type/translation, or
+an unreadable or malformed input file), 3 solver or evaluation failure
+(including degenerate geometry).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from . import fixtures, metrics
 from .costs import EvalContext, EvalError, evaluate
 from .errors import ManiplangError
 from .files import read_text, write_text
+from .geometry import GeometryError
 from .language.ast import to_source
 from .language.typecheck import Accepted, validate_program
 from .pipeline import (
@@ -37,7 +39,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (EvalError, SolverError) as exc:
+    except (EvalError, GeometryError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except ManiplangError as exc:

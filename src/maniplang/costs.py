@@ -97,10 +97,15 @@ class EvalContext:
 def evaluate(expr: TypedExpr, ctx: EvalContext) -> float | np.ndarray:
     """Evaluate a cost-sorted expression to a non-negative float, or to one
     per pose, shape (K,), when the context places a stack of poses and the
-    value depends on them."""
+    value depends on them. A value that is not finite (arithmetic that
+    overflows, say) raises EvalError."""
     if expr.sort != "cost":
         raise EvalError(f"can only evaluate cost expressions, got sort {expr.sort!r}")
-    value = _eval(expr, ctx)
+    with np.errstate(all="ignore"):
+        value = _eval(expr, ctx)
+    finite = np.isfinite(value)
+    if not finite.all():
+        raise EvalError(f"cost is not finite: {np.ravel(value)[~np.ravel(finite)][0]}")
     return float(value) if np.ndim(value) == 0 else value
 
 

@@ -9,16 +9,18 @@ carrot axis at the known solved pose, and the pen axis sits exactly 30
 degrees off the holder axis. Sampling noise therefore never leaks into
 tolerances.
 
-The data tree (tasks, judgment corpus, profiles, part database, mock
-translations, prompt templates) regenerates byte-identically via
-`maniplang fixtures regen --out DIR`; the shipped copies under
-`maniplang/data` were produced by exactly that code path.
+The data tree regenerates byte-identically via `maniplang fixtures regen
+--out DIR`; the shipped copies under `maniplang/data` were produced by
+exactly that code path. It holds `tasks_33.json` (the task corpus),
+`part_database.json`, `mock_translations.json`, `prompt_templates.json`,
+`profiles/<stem>.json` (one representation profile per method, judgment
+corpus embedded) and `scenes/<kind>.json` (one per `SCENE_KINDS` entry).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,26 +36,18 @@ from .geometry import (
     rotation_xyz,
 )
 from .language.vocabulary import (
-    Param,
     Vocabulary,
-    Word,
     default_grammar,
     default_vocabulary,
+    make_word,
     vocabulary_to_json,
 )
+from .metrics import judge_verdict
 from .retrieval import PartDatabase, PartEntry, SupportPair, database_to_json
 from .scene import Scene, scene_to_json
 
 DEFAULT_SEED = 7
 POINTS_PER_PART = 1000
-
-SCENE_KINDS = (
-    "cube_target",
-    "pen_holder",
-    "carrot_knife",
-    "carrot_knife_solved",
-    "teapot_lid",
-)
 
 GARBAGE_INSTRUCTION = "summon the kraken"  # deliberately invalid mock program
 
@@ -86,13 +80,13 @@ class PromptTemplate:
 # -- point cloud builders -----------------------------------------------------
 
 
-def _box(rng, center, size, n=POINTS_PER_PART) -> np.ndarray:
+def _box(rng, center, size) -> np.ndarray:
     center = np.asarray(center, dtype=float)
     size = np.asarray(size, dtype=float)
-    return rng.uniform(-0.5, 0.5, size=(n, 3)) * size + center
+    return rng.uniform(-0.5, 0.5, size=(POINTS_PER_PART, 3)) * size + center
 
 
-def _cylinder(rng, center, axis, length, radius, n=POINTS_PER_PART) -> np.ndarray:
+def _cylinder(rng, center, axis, length, radius) -> np.ndarray:
     center = np.asarray(center, dtype=float)
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
@@ -100,9 +94,9 @@ def _cylinder(rng, center, axis, length, radius, n=POINTS_PER_PART) -> np.ndarra
     u = np.cross(axis, helper)
     u /= np.linalg.norm(u)
     v = np.cross(axis, u)
-    t = rng.uniform(-length / 2, length / 2, size=n)
-    theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    r = radius * np.sqrt(rng.uniform(0.0, 1.0, size=n))
+    t = rng.uniform(-length / 2, length / 2, size=POINTS_PER_PART)
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=POINTS_PER_PART)
+    r = radius * np.sqrt(rng.uniform(0.0, 1.0, size=POINTS_PER_PART))
     return (
         center
         + np.outer(t, axis)
@@ -111,11 +105,11 @@ def _cylinder(rng, center, axis, length, radius, n=POINTS_PER_PART) -> np.ndarra
     )
 
 
-def _annulus(rng, center, inner, outer, thickness, n=POINTS_PER_PART) -> np.ndarray:
+def _annulus(rng, center, inner, outer, thickness) -> np.ndarray:
     center = np.asarray(center, dtype=float)
-    theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    r = np.sqrt(rng.uniform(inner**2, outer**2, size=n))
-    z = rng.uniform(-thickness / 2, thickness / 2, size=n)
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=POINTS_PER_PART)
+    r = np.sqrt(rng.uniform(inner**2, outer**2, size=POINTS_PER_PART))
+    z = rng.uniform(-thickness / 2, thickness / 2, size=POINTS_PER_PART)
     return center + np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
 
 
@@ -147,17 +141,9 @@ def _align_axis_to(coords: np.ndarray, target: np.ndarray) -> np.ndarray:
 def make_scene(kind: str, seed: int = DEFAULT_SEED) -> Scene:
     """Deterministic synthetic scene; identical (kind, seed) gives an
     identical scene."""
-    if kind == "cube_target":
-        return _cube_target(seed)
-    if kind == "pen_holder":
-        return _pen_holder(seed)
-    if kind == "carrot_knife":
-        return _carrot_knife(seed)[0]
-    if kind == "carrot_knife_solved":
-        return _carrot_knife(seed)[2]
-    if kind == "teapot_lid":
-        return _teapot_lid(seed)
-    raise FixtureError(f"unknown scene kind {kind!r}; expected one of {SCENE_KINDS}")
+    if kind not in _SCENE_MAKERS:
+        raise FixtureError(f"unknown scene kind {kind!r}; expected one of {SCENE_KINDS}")
+    return _SCENE_MAKERS[kind](seed)
 
 
 def known_solution(kind: str, seed: int = DEFAULT_SEED) -> PoseSE3:
@@ -244,16 +230,14 @@ def _carrot_knife(seed: int) -> tuple[Scene, PoseSE3, Scene]:
     )
 
     offset_rot = rotation_xyz(0.0, 0.0, math.radians(35)) @ rotation_xyz(math.radians(20), 0.0, 0.0)
-    start = Scene(
+    start = replace(
+        solved,
         parts={
-            "carrot": PointCloud(carrot),
+            **solved.parts,
             "knife": PointCloud(_rotate_about(handle, blade_c, offset_rot)),
             "knife blade": PointCloud(_rotate_about(blade, blade_c, offset_rot)),
         },
-        grasped=frozenset({"knife"}),
         gripper_position=Point3.from_array(blade_c + offset_rot @ _KNIFE_OFFSET),
-        gripper_open_fraction=0.0,
-        objects={"carrot": "carrot", "knife": "knife", "knife blade": "knife"},
     )
     solution = PoseSE3(offset_rot.T, Point3.from_array(blade_c + _KNIFE_OFFSET))
     return start, solution, solved
@@ -282,6 +266,16 @@ def _teapot_lid(seed: int) -> Scene:
             "lid": "lid",
         },
     )
+
+
+_SCENE_MAKERS = {
+    "cube_target": _cube_target,
+    "pen_holder": _pen_holder,
+    "carrot_knife": lambda seed: _carrot_knife(seed)[0],
+    "carrot_knife_solved": lambda seed: _carrot_knife(seed)[2],
+    "teapot_lid": _teapot_lid,
+}
+SCENE_KINDS = tuple(_SCENE_MAKERS)
 
 
 # -- task corpus and judgment fixtures ----------------------------------------
@@ -323,7 +317,7 @@ _TASKS: tuple[tuple[str, str], ...] = (
 )
 
 # One verdict code per task, in task order. Codes map to the judge's wording
-# per method below; only fully-correct verdicts count as success.
+# per method below; `metrics.judge_verdict` decides which wording is success.
 _JUDGMENT_CODES = {
     "seam": "ccccccicccciccciiiiiiiccicccccccc",
     "omnimanip": "cccccppccccxcccxpxxpxxxcpcccccpcp",
@@ -342,8 +336,6 @@ _VERDICT_TEXT = {
     "rekep": {"s": "success", "p": "partial success"},
 }
 
-_SUCCESS_CODES = frozenset({"c", "s"})
-
 
 def tasks() -> list[Task]:
     return [Task(i + 1, title, text) for i, (title, text) in enumerate(_TASKS)]
@@ -353,7 +345,7 @@ def judgments(method: str) -> list[dict]:
     codes = _JUDGMENT_CODES[method]
     text = _VERDICT_TEXT[method]
     return [
-        {"task_id": i + 1, "verdict": text[code], "success": code in _SUCCESS_CODES}
+        {"task_id": i + 1, "verdict": text[code], "success": judge_verdict(text[code])}
         for i, code in enumerate(codes)
     ]
 
@@ -381,21 +373,16 @@ def _core_vocabulary() -> Vocabulary:
     return Vocabulary([full[name] for name in _CORE_TABLE_WORDS])
 
 
-def _simple_word(name, arity_sorts, result):
-    params = tuple(Param(f"arg{i}" if n is None else n, s) for i, (n, s) in enumerate(arity_sorts))
-    return Word(name, params, result)
-
-
 def _rekep_vocabulary() -> Vocabulary:
     s, p = "string", "point"
     return Vocabulary(
         [
-            _simple_word("get_keypoint", [("part", s)], p),
-            _simple_word("gripper_close", [], "void"),
-            _simple_word("gripper_open", [], "void"),
-            _simple_word("move_to", [("target", p)], "void"),
-            _simple_word("get_gripper_pos", [], p),
-            _simple_word("get_gripper_pose", [], "vec"),
+            make_word("get_keypoint", [("part", s)], p),
+            make_word("gripper_close", [], "void"),
+            make_word("gripper_open", [], "void"),
+            make_word("move_to", [("target", p)], "void"),
+            make_word("get_gripper_pos", [], p),
+            make_word("get_gripper_pose", [], "vec"),
         ],
         has_host_escape=True,
     )
@@ -405,13 +392,13 @@ def _omnimanip_vocabulary() -> Vocabulary:
     s, p = "string", "point"
     return Vocabulary(
         [
-            _simple_word("gripper_close", [], "void"),
-            _simple_word("gripper_open", [], "void"),
-            _simple_word("move_to", [("target", p)], "void"),
-            _simple_word("get_gripper_pos", [], p),
-            _simple_word("get_gripper_pose", [], "vec"),
-            _simple_word("get_keypoint", [("part", s)], p),
-            _simple_word("get_axis", [("part", s)], "vec"),
+            make_word("gripper_close", [], "void"),
+            make_word("gripper_open", [], "void"),
+            make_word("move_to", [("target", p)], "void"),
+            make_word("get_gripper_pos", [], p),
+            make_word("get_gripper_pose", [], "vec"),
+            make_word("get_keypoint", [("part", s)], p),
+            make_word("get_axis", [("part", s)], "vec"),
         ]
     )
 
@@ -441,68 +428,54 @@ def _instruct2act_vocabulary() -> Vocabulary:
         "straighten",
     ]
     words = [
-        _simple_word("gripper_close", [], "void"),
-        _simple_word("gripper_open", [], "void"),
-        _simple_word("get_gripper_pos", [], "point"),
-        _simple_word("get_gripper_pose", [], "vec"),
-        _simple_word("find", [("part", s)], "point"),
-        _simple_word("move_above", [("part", s), ("target", s), ("offset", "scalar")], "void"),
+        make_word("gripper_close", [], "void"),
+        make_word("gripper_open", [], "void"),
+        make_word("get_gripper_pos", [], "point"),
+        make_word("get_gripper_pose", [], "vec"),
+        make_word("find", [("part", s)], "point"),
+        make_word("move_above", [("part", s), ("target", s), ("offset", "scalar")], "void"),
     ]
-    words += [_simple_word(name, [("part", s)], "void") for name in unary]
-    words += [_simple_word(name, [("first", s), ("second", s)], "void") for name in binary]
+    words += [make_word(name, [("part", s)], "void") for name in unary]
+    words += [make_word(name, [("first", s), ("second", s)], "void") for name in binary]
     return Vocabulary(words, has_host_escape=True)
 
 
 def build_profiles() -> dict[str, dict]:
     """Profile documents keyed by file stem; judgment corpus embedded."""
-    seam_doc = vocabulary_to_json(default_vocabulary(), default_grammar())
-    seam_doc["name"] = "seam"
-    seam_doc["task_outcomes"] = judgments("seam")
-
-    seam_core_doc = vocabulary_to_json(_core_vocabulary(), default_grammar())
-    seam_core_doc["name"] = "seam_core"
-    seam_core_doc["task_outcomes"] = judgments("seam")
-
-    rekep_doc = vocabulary_to_json(_rekep_vocabulary())
-    rekep_doc["name"] = "rekep"
-    rekep_doc["task_outcomes"] = judgments("rekep")
-    rekep_doc["grammar_notes"] = [
-        "cost -> cost + cost",
-        "cost -> cost_fns, kpts",
-        "kpts -> kpts, keypoint",
-        "kpts -> get_keypoint",
-        "kpts -> get_end_effector",
-        "plus the host-language grammar",
-    ]
-
-    omnimanip_doc = vocabulary_to_json(_omnimanip_vocabulary())
-    omnimanip_doc["name"] = "omnimanip"
-    omnimanip_doc["task_outcomes"] = judgments("omnimanip")
-    omnimanip_doc["grammar_notes"] = [
-        "cost -> cost + cost",
-        "cost -> angular constraint, p, p",
-        "start -> distance constraint, p, p",
-        "p -> get_keypoint",
-        "p -> get_axis",
-    ]
-
-    instruct2act_doc = vocabulary_to_json(_instruct2act_vocabulary())
-    instruct2act_doc["name"] = "instruct2act"
-    instruct2act_doc["task_outcomes"] = judgments("instruct2act")
-    instruct2act_doc["grammar_notes"] = [
-        "action -> action + action",
-        "action -> verb, segment",
-        "segment -> find, object",
-        "plus the host-language grammar",
-    ]
-
-    return {
-        "seam": seam_doc,
-        "seam_core": seam_core_doc,
-        "rekep": rekep_doc,
-        "omnimanip": omnimanip_doc,
-        "instruct2act": instruct2act_doc,
-    }
+    table = (  # (stem, vocabulary, grammar rules, judged method, grammar notes)
+        ("seam", default_vocabulary(), default_grammar(), "seam", ()),
+        ("seam_core", _core_vocabulary(), default_grammar(), "seam", ()),
+        ("rekep", _rekep_vocabulary(), (), "rekep", (
+            "cost -> cost + cost",
+            "cost -> cost_fns, kpts",
+            "kpts -> kpts, keypoint",
+            "kpts -> get_keypoint",
+            "kpts -> get_end_effector",
+            "plus the host-language grammar",
+        )),
+        ("omnimanip", _omnimanip_vocabulary(), (), "omnimanip", (
+            "cost -> cost + cost",
+            "cost -> angular constraint, p, p",
+            "start -> distance constraint, p, p",
+            "p -> get_keypoint",
+            "p -> get_axis",
+        )),
+        ("instruct2act", _instruct2act_vocabulary(), (), "instruct2act", (
+            "action -> action + action",
+            "action -> verb, segment",
+            "segment -> find, object",
+            "plus the host-language grammar",
+        )),
+    )
+    profiles = {}
+    for stem, vocab, rules, method, notes in table:
+        doc = vocabulary_to_json(vocab, rules)
+        doc["name"] = stem
+        doc["task_outcomes"] = judgments(method)
+        if notes:
+            doc["grammar_notes"] = list(notes)
+        profiles[stem] = doc
+    return profiles
 
 
 # -- part database --------------------------------------------------------------
@@ -568,7 +541,8 @@ def build_mock_translations() -> dict[str, str]:
 # -- prompt templates ------------------------------------------------------------
 
 
-def build_prompt_template() -> PromptTemplate:
+def default_prompt_template() -> PromptTemplate:
+    """The reference expressions shown to the translation model."""
     return PromptTemplate(
         atomic_actions=(
             AtomicAction(
@@ -646,16 +620,6 @@ def load_mock_translations(path=None) -> dict[str, str]:
     return doc
 
 
-def default_prompt_template() -> PromptTemplate:
-    doc = read_json(_DATA / "prompt_templates.json", FixtureError)
-    return PromptTemplate(
-        atomic_actions=tuple(
-            AtomicAction(a["description"], a["template"], tuple(a.get("notes", ())))
-            for a in doc["atomic_actions"]
-        )
-    )
-
-
 def shipped_part_database_path() -> Path:
     return _DATA / "part_database.json"
 
@@ -692,14 +656,12 @@ def regen(out_dir, seed: int = DEFAULT_SEED) -> list[Path]:
     ]})
     emit("part_database.json", database_to_json(build_part_database()))
     emit("mock_translations.json", build_mock_translations())
-    template = build_prompt_template()
     emit("prompt_templates.json", {
         "atomic_actions": [
             {"description": a.description, "template": a.template, "notes": list(a.notes)}
-            for a in template.atomic_actions
+            for a in default_prompt_template().atomic_actions
         ]
     })
-    emit("vocabulary.json", vocabulary_to_json(default_vocabulary(), default_grammar()))
     for stem, doc in build_profiles().items():
         emit(f"profiles/{stem}.json", doc)
     for kind in SCENE_KINDS:

@@ -137,7 +137,8 @@ class PoseSE3:
         rot = np.asarray(rotation, dtype=float)
         if rot.shape != (3, 3):
             raise GeometryError(f"rotation must be 3x3, got {rot.shape}")
-        if not np.allclose(rot.T @ rot, np.eye(3), atol=1e-9):
+        # Absolute bound (allclose would add rtol=1e-5); `not <=` also rejects NaN.
+        if not np.abs(rot.T @ rot - np.eye(3)).max() <= 1e-9:
             raise GeometryError("rotation is not orthonormal within 1e-9")
         if abs(np.linalg.det(rot) - 1.0) > 1e-9:
             raise GeometryError("rotation determinant is not +1 within 1e-9")

@@ -93,7 +93,8 @@ def vocabulary_size(vocab: Vocabulary) -> int:
     return len(vocab.words)
 
 
-def _w(name, params, result, alias_of=None):
+def make_word(name, params, result, alias_of=None) -> Word:
+    """A word whose parameters are `Param`s or (name, sort) pairs."""
     return Word(name, tuple(Param(*p) if isinstance(p, tuple) else p for p in params), result, alias_of)
 
 
@@ -102,26 +103,26 @@ def default_vocabulary() -> Vocabulary:
     s, p, v, c = "string", "point", "vec", "cost"
     return Vocabulary(
         [
-            _w("get_axis", [("part", s)], v),
-            _w("get_centroid", [("part", s)], p),
-            _w("centroid", [("part", s)], p, alias_of="get_centroid"),
-            _w("centroid_last", [("part", s)], p),
-            _w("get_height", [("part", s)], "scalar"),
-            _w("get_width", [("part", s)], "scalar"),
-            _w("get_length", [("part", s)], "scalar"),
-            _w("get_gripper_pos", [], p),
-            _w("direction_of", [("start", s), ("end", s)], v),
-            _w("move_cost", [("source", p), ("target", p), Param("offset", v, required=False)], c),
-            _w("move_cost_with_offset", [("part", s), ("offset", v)], c),
-            _w("parallel_cost", [("first", v), ("second", v)], c),
-            _w("perpendicular_cost", [("first", v), ("second", v)], c),
-            _w("rotate_cost", [("axis", v), ("angle", "scalar"), ("reference", v)], c),
-            _w("orbit_cost", [("center_part", s), ("radius", "scalar"), ("moving_part", s)], c),
-            _w("upright_cost", [("up_part", s), ("down_part", s)], c),
-            _w("gripper_open_cost", [], c),
-            _w("gripper_close_first_cost", [], c),
-            _w("gripper_open", [], "void"),
-            _w("gripper_close", [], "void"),
+            make_word("get_axis", [("part", s)], v),
+            make_word("get_centroid", [("part", s)], p),
+            make_word("centroid", [("part", s)], p, alias_of="get_centroid"),
+            make_word("centroid_last", [("part", s)], p),
+            make_word("get_height", [("part", s)], "scalar"),
+            make_word("get_width", [("part", s)], "scalar"),
+            make_word("get_length", [("part", s)], "scalar"),
+            make_word("get_gripper_pos", [], p),
+            make_word("direction_of", [("start", s), ("end", s)], v),
+            make_word("move_cost", [("source", p), ("target", p), Param("offset", v, required=False)], c),
+            make_word("move_cost_with_offset", [("part", s), ("offset", v)], c),
+            make_word("parallel_cost", [("first", v), ("second", v)], c),
+            make_word("perpendicular_cost", [("first", v), ("second", v)], c),
+            make_word("rotate_cost", [("axis", v), ("angle", "scalar"), ("reference", v)], c),
+            make_word("orbit_cost", [("center_part", s), ("radius", "scalar"), ("moving_part", s)], c),
+            make_word("upright_cost", [("up_part", s), ("down_part", s)], c),
+            make_word("gripper_open_cost", [], c),
+            make_word("gripper_close_first_cost", [], c),
+            make_word("gripper_open", [], "void"),
+            make_word("gripper_close", [], "void"),
         ]
     )
 

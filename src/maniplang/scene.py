@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import ManiplangError
 from .files import read_json, write_json
-from .geometry import Point3, PointCloud, centroid
+from .geometry import GeometryError, Point3, PointCloud, centroid
 
 GRIPPER_NAME = "gripper"
 
@@ -121,7 +121,7 @@ def scene_from_json(doc: dict) -> Scene:
             history=history,
             objects=objects,
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, GeometryError, KeyError, TypeError, ValueError) as exc:
         raise SceneError(f"malformed scene document: {exc}") from exc
 
 

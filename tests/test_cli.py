@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import socket
 import subprocess
@@ -7,6 +8,8 @@ import pytest
 
 from maniplang import fixtures
 from maniplang.cli import main
+from maniplang.geometry import PointCloud
+from maniplang.scene import save_scene
 
 from util import unwritable_path
 
@@ -59,6 +62,27 @@ class TestEvalCommand:
                      "--expr", "move_cost(get_centroid('ghost'), [0,0,0])"])
         assert code == 3
 
+    OVERFLOW = "move_cost(get_centroid('cube'), [0, 0, 1e308] + [0, 0, 1e308])"
+
+    @pytest.mark.parametrize(
+        "command, expr",
+        [
+            ("eval", "parallel_cost(get_axis('dot'), [0, 0, 1])"),
+            ("eval", "parallel_cost(direction_of('cube', 'cube'), [0, 0, 1])"),
+            ("eval", "rotate_cost([0, 0, 0], 1, [0, 0, 1])"),
+            ("eval", OVERFLOW),
+            ("solve", OVERFLOW),
+        ],
+        ids=["degenerate_axis", "coincident_direction", "zero_rotate_axis", "overflow", "solve_overflow"],
+    )
+    def test_degenerate_geometry_and_overflow_are_runtime_failures(self, tmp_path, capsys, command, expr):
+        cube = fixtures.make_scene("cube_target")
+        dot = PointCloud([(0.1, 0.1, 0.1)] * 5)  # every point coincides: no axis
+        save_scene(tmp_path / "scene.json", dataclasses.replace(cube, parts={**cube.parts, "dot": dot}))
+        assert main([command, "--scene", str(tmp_path / "scene.json"), "--expr", expr]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
     def test_bad_expression_is_validation_failure(self, scene_path):
         assert main(["eval", "--scene", scene_path, "--expr", "nonsense("]) == 2
 
@@ -67,8 +91,14 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize(
         "content",
-        [None, "not json {", json.dumps({"parts": 5})],
-        ids=["missing_file", "not_json", "parts_not_a_map"],
+        [
+            None,
+            "not json {",
+            json.dumps({"parts": 5}),
+            json.dumps({"parts": {"a": {"points": []}}, "gripper": {"position": [0, 0, 0], "open_fraction": 0}}),
+            json.dumps({"parts": {}, "gripper": {"position": [float("nan"), 0, 0], "open_fraction": 0}}),
+        ],
+        ids=["missing_file", "not_json", "parts_not_a_map", "empty_points", "nan_gripper"],
     )
     def test_unreadable_scene_is_validation_failure(self, tmp_path, capsys, content):
         path = tmp_path / "scene.json"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from maniplang.costs import (
     EmptyHistoryError,
     EvalContext,
+    EvalError,
     MissingPartError,
     evaluate,
     motion_subjects,
@@ -261,6 +263,18 @@ class TestEvalStructure:
             scene = fixtures.make_scene(kind)
             for program in programs:
                 assert ev(program, scene) >= 0.0
+
+    def test_non_finite_cost_is_an_eval_error(self):
+        scene = single_part_scene("a", [(0, 0, 0)])
+        # Each literal is finite; the sum overflows, and inf - inf is NaN.
+        for source in (
+            "move_cost(get_centroid('a'), [0, 0, 1e308] + [0, 0, 1e308])",
+            "move_cost([0, 0, 1e308] + [0, 0, 1e308], [0, 0, 1e308] + [0, 0, 1e308])",
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # and no numpy RuntimeWarning
+                with pytest.raises(EvalError, match="not finite"):
+                    ev(source, scene)
 
     def test_void_action_is_not_evaluable(self):
         scene = single_part_scene("x", [(0, 0, 0)])

@@ -115,20 +115,19 @@ class TestShippedData:
         assert len(db.entries) >= 5
 
     def test_vocabulary_census_file(self):
-        doc = json.loads(
-            (Path(fixtures.shipped_tasks_path()).parent / "vocabulary.json").read_text()
-        )
+        doc = json.loads((fixtures.shipped_profiles_dir() / "seam.json").read_text())
         assert len(doc["words"]) == 20
 
     def test_regen_is_byte_identical_to_shipped(self, tmp_path):
         written = fixtures.regen(tmp_path)
         data_root = Path(fixtures.shipped_tasks_path()).parent
         assert written
+        # The same files on both sides: a stale shipped file fails too.
+        shipped_files = {p.relative_to(data_root) for p in data_root.rglob("*") if p.is_file()}
+        assert {p.relative_to(tmp_path) for p in written} == shipped_files
         for path in written:
             relative = path.relative_to(tmp_path)
-            shipped = data_root / relative
-            assert shipped.exists(), f"missing shipped copy of {relative}"
-            assert filecmp.cmp(path, shipped, shallow=False), f"{relative} differs"
+            assert filecmp.cmp(path, data_root / relative, shallow=False), f"{relative} differs"
 
     def test_prompt_templates_validate_after_substitution(self):
         from maniplang.pipeline import instantiate_template

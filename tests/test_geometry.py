@@ -8,6 +8,7 @@ from maniplang.geometry import (
     DegenerateDirectionError,
     EmptyCloudError,
     EulerXYZ,
+    GeometryError,
     Point3,
     PointCloud,
     PoseSE3,
@@ -212,8 +213,12 @@ class TestDirections:
 
 class TestPose:
     def test_rejects_non_orthonormal(self):
-        with pytest.raises(Exception):
-            PoseSE3(np.eye(3) * 1.01, Point3(0, 0, 0))
+        # The stretch has determinant 1 and R^T R off by 8e-6: inside allclose's
+        # default relative tolerance, outside the promised 1e-9.
+        stretch = 1.0 + 4e-6
+        for rot in (np.eye(3) * 1.01, np.diag([stretch, 1.0 / stretch, 1.0]), np.full((3, 3), np.nan)):
+            with pytest.raises(GeometryError, match="orthonormal"):
+                PoseSE3(rot, Point3(0, 0, 0))
 
     def test_rejects_reflection(self):
         reflect = np.diag([1.0, 1.0, -1.0])

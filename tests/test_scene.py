@@ -56,8 +56,14 @@ class TestJson:
         assert loaded.objects == {"cup": "cup"}
 
     def test_malformed_document_raises_scene_error(self):
-        with pytest.raises(SceneError):
-            scene_from_json({"parts": {}})
+        gripper = {"position": [0, 0, 0], "open_fraction": 1.0}
+        for doc in (
+            {"parts": {}},
+            {"parts": {"cup": {"points": []}}, "gripper": gripper},
+            {"parts": {}, "gripper": {**gripper, "position": [float("nan"), 0, 0]}},
+        ):
+            with pytest.raises(SceneError):
+                scene_from_json(doc)
 
     def test_history_round_trip(self):
         scene = minimal()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from maniplang import fixtures, pipeline, solver
-from maniplang.costs import EvalContext, evaluate
+from maniplang.costs import EvalContext, EvalError, evaluate
 from maniplang.geometry import (
     DegenerateDirectionError,
     Point3,
@@ -421,6 +421,16 @@ class TestLockstepSearch:
         result = solve(typed(DIRECTION_PROGRAM), scene, SolveConfig(restarts=1, max_iterations=300))
         assert failures, "the speculative probe was never scored"
         assert result.cost_term < 0.1
+
+    def test_non_finite_row_holds_its_error(self):
+        # Turned 45 degrees the cube is taller, and its target angle overflows.
+        scene = load_scene(fixtures.shipped_scene_path("cube_target"))
+        expr = typed("rotate_cost(get_axis('cube'), get_height('cube') * 1e308 * 40, [0, 0, 1])")
+        ctx = solver._PosedContext(scene, partition_moving_static(scene)[0])
+        xs = np.array([[0.0] * 6, [math.pi / 4, 0, 0, 0, 0, 0]])
+        start, turned = solver._objective_rows(expr, ctx, xs, SolveConfig())
+        assert math.isfinite(start)
+        assert isinstance(turned, EvalError)
 
     def test_consumed_degenerate_probe_raises(self):
         # Here the first probe itself (+rx) puts 'a' on 'c'.
