@@ -295,6 +295,20 @@ _COST_WORDS = {
 }
 
 
+# Cost word -> the arguments whose parts it asks to move (None: all of them).
+_SUBJECT_ARGS = {
+    "move_cost": ("source",),
+    "move_cost_with_offset": ("part",),
+    "upright_cost": ("up_part", "down_part"),
+    "orbit_cost": ("moving_part",),
+    "parallel_cost": None,
+    "perpendicular_cost": None,
+    "rotate_cost": None,
+}
+# Getters that pass their part names through to a subject argument.
+_PART_GETTERS = frozenset({"get_axis", "get_centroid", "centroid_last", "direction_of"})
+
+
 def motion_subjects(expr: TypedExpr) -> frozenset[str]:
     """Part names whose placement the expression constrains.
 
@@ -306,39 +320,18 @@ def motion_subjects(expr: TypedExpr) -> frozenset[str]:
 
     def visit(node: TypedExpr, collect_parts: bool):
         expr_node = node.expr
-        if collect_parts and isinstance(expr_node, Literal) and node.sort in ("point", "string"):
-            if isinstance(expr_node.value, str):
-                subjects.add(expr_node.value)
+        if collect_parts and isinstance(expr_node, Literal) and isinstance(expr_node.value, str):
+            subjects.add(expr_node.value)
         if isinstance(expr_node, Call):
-            word = node.word
-            if word == "move_cost":
-                bound = node.binding("source")
-                if bound is not None:
-                    visit(bound, True)
+            if node.word in _SUBJECT_ARGS or (collect_parts and node.word in _PART_GETTERS):
+                names = _SUBJECT_ARGS.get(node.word)
+                for name, child in node.bound:
+                    if names is None or name in names:
+                        visit(child, True)
                 return
-            if word == "move_cost_with_offset":
-                subjects.add(_string_arg(node, "part"))
-                return
-            if word == "upright_cost":
-                subjects.add(_string_arg(node, "up_part"))
-                subjects.add(_string_arg(node, "down_part"))
-                return
-            if word == "orbit_cost":
-                subjects.add(_string_arg(node, "moving_part"))
-                return
-            if word in ("parallel_cost", "perpendicular_cost", "rotate_cost"):
-                for _, child in node.bound:
-                    visit(child, True)
-                return
-            if word in ("get_axis", "get_centroid", "centroid_last") and collect_parts:
-                subjects.add(_string_arg(node, "part"))
-                return
-            if word == "direction_of" and collect_parts:
-                subjects.add(_string_arg(node, "start"))
-                subjects.add(_string_arg(node, "end"))
-                return
+            collect_parts = False
         for child in node.children:
-            visit(child, collect_parts if not isinstance(expr_node, Call) else False)
+            visit(child, collect_parts)
 
     visit(expr, False)
     return frozenset(subjects)

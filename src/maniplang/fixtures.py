@@ -12,9 +12,10 @@ tolerances.
 The data tree regenerates byte-identically via `maniplang fixtures regen
 --out DIR`; the shipped copies under `maniplang/data` were produced by
 exactly that code path. It holds `tasks_33.json` (the task corpus),
-`part_database.json`, `mock_translations.json`, `prompt_templates.json`,
-`profiles/<stem>.json` (one representation profile per method, judgment
-corpus embedded) and `scenes/<kind>.json` (one per `SCENE_KINDS` entry).
+`part_database.json`, `mock_translations.json`, `profiles/<stem>.json` (one
+representation profile per method, each task's verdict embedded) and
+`scenes/<kind>.json` (one per `SCENE_KINDS` entry); the prompt template is
+`default_prompt_template()`, in code only.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .language.vocabulary import (
     make_word,
     vocabulary_to_json,
 )
-from .metrics import judge_verdict
 from .retrieval import PartDatabase, PartEntry, SupportPair, database_to_json
 from .scene import Scene, scene_to_json
 
@@ -78,6 +78,12 @@ class PromptTemplate:
 
 
 # -- point cloud builders -----------------------------------------------------
+
+
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise FixtureError(f"seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def _box(rng, center, size) -> np.ndarray:
@@ -160,7 +166,7 @@ def known_solution(kind: str, seed: int = DEFAULT_SEED) -> PoseSE3:
 
 
 def _cube_target(seed: int) -> Scene:
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     cube = _box(rng, (0.3, 0.0, 0.02), (0.04, 0.04, 0.04))
     target = _box(rng, (0.5, 0.2, 0.005), (0.1, 0.1, 0.01))
     return Scene(
@@ -173,7 +179,7 @@ def _cube_target(seed: int) -> Scene:
 
 
 def _pen_holder(seed: int) -> Scene:
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     holder = _cylinder(rng, (0.45, 0.1, 0.06), (0.0, 0.0, 1.0), 0.12, 0.02)
     tilt = rotation_xyz(math.pi / 6, 0.0, 0.0) @ np.array([0.0, 0.0, 1.0])
     pen = _cylinder(rng, (0.3, -0.05, 0.2), tilt, 0.15, 0.004)
@@ -204,7 +210,7 @@ def _carrot_knife(seed: int) -> tuple[Scene, PoseSE3, Scene]:
     scene is that configuration rotated rigidly about the blade centroid,
     so undoing the rotation is a certificate optimum.
     """
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     carrot = _cylinder(rng, (0.4, 0.0, 0.015), (1.0, 0.0, 0.0), 0.15, 0.012)
     carrot_axis = principal_axis(PointCloud(carrot)).as_array()
 
@@ -244,7 +250,7 @@ def _carrot_knife(seed: int) -> tuple[Scene, PoseSE3, Scene]:
 
 
 def _teapot_lid(seed: int) -> Scene:
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     body = _cylinder(rng, (0.5, 0.0, 0.06), (0.0, 0.0, 1.0), 0.12, 0.05)
     opening = _annulus(rng, (0.5, 0.0, 0.125), 0.038, 0.046, 0.004)
     spout = _cylinder(rng, (0.56, 0.0, 0.09), (0.95, 0.0, 0.3), 0.06, 0.008)
@@ -344,10 +350,7 @@ def tasks() -> list[Task]:
 def judgments(method: str) -> list[dict]:
     codes = _JUDGMENT_CODES[method]
     text = _VERDICT_TEXT[method]
-    return [
-        {"task_id": i + 1, "verdict": text[code], "success": judge_verdict(text[code])}
-        for i, code in enumerate(codes)
-    ]
+    return [{"task_id": i + 1, "verdict": text[code]} for i, code in enumerate(codes)]
 
 
 # -- representation profiles ---------------------------------------------------
@@ -638,6 +641,7 @@ def shipped_scene_path(kind: str) -> Path:
 
 def regen(out_dir, seed: int = DEFAULT_SEED) -> list[Path]:
     """Write the whole fixture tree; byte-stable for a given seed."""
+    scenes = {kind: make_scene(kind, seed) for kind in SCENE_KINDS}  # a bad seed writes nothing
     out = Path(out_dir)
     try:
         (out / "profiles").mkdir(parents=True, exist_ok=True)
@@ -656,14 +660,8 @@ def regen(out_dir, seed: int = DEFAULT_SEED) -> list[Path]:
     ]})
     emit("part_database.json", database_to_json(build_part_database()))
     emit("mock_translations.json", build_mock_translations())
-    emit("prompt_templates.json", {
-        "atomic_actions": [
-            {"description": a.description, "template": a.template, "notes": list(a.notes)}
-            for a in default_prompt_template().atomic_actions
-        ]
-    })
     for stem, doc in build_profiles().items():
         emit(f"profiles/{stem}.json", doc)
-    for kind in SCENE_KINDS:
-        emit(f"scenes/{kind}.json", scene_to_json(make_scene(kind, seed)))
+    for kind, scene in scenes.items():
+        emit(f"scenes/{kind}.json", scene_to_json(scene))
     return written

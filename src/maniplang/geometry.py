@@ -43,8 +43,8 @@ class DegenerateDirectionError(GeometryError):
 
 
 @dataclass(frozen=True)
-class Point3:
-    """A position in meters, world frame."""
+class _Coords3:
+    """Three finite components; subclasses name what they measure."""
 
     x: float
     y: float
@@ -52,36 +52,29 @@ class Point3:
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
-            raise GeometryError(f"non-finite point: {(self.x, self.y, self.z)}")
+            raise GeometryError(f"non-finite {self._noun}: {(self.x, self.y, self.z)}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
 
     @classmethod
-    def from_array(cls, arr) -> "Point3":
+    def from_array(cls, arr):
         x, y, z = (float(v) for v in arr)
         return cls(x, y, z)
 
 
 @dataclass(frozen=True)
-class Vector3:
+class Point3(_Coords3):
+    """A position in meters, world frame."""
+
+    _noun = "point"
+
+
+@dataclass(frozen=True)
+class Vector3(_Coords3):
     """A direction; dimensionless components."""
 
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
-            raise GeometryError(f"non-finite vector: {(self.x, self.y, self.z)}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-    @classmethod
-    def from_array(cls, arr) -> "Vector3":
-        x, y, z = (float(v) for v in arr)
-        return cls(x, y, z)
+    _noun = "vector"
 
 
 class PointCloud:
@@ -286,11 +279,6 @@ def unit_direction(start, end) -> np.ndarray:
         at = np.broadcast_to(end, delta.shape)[coincident][0]
         raise DegenerateDirectionError(f"start and end coincide within 1e-9 m at {at.tolist()}")
     return delta / length[..., None]
-
-
-def direction_of(start: Point3, end: Point3) -> Vector3:
-    """Unit vector from start to end; coincident points have no direction."""
-    return Vector3.from_array(unit_direction(start.as_array(), end.as_array()))
 
 
 def rotation_about_axis(axis, angle: float) -> np.ndarray:

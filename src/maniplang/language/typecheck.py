@@ -4,8 +4,8 @@ Inference is bottom-up with one twist: literals are sort-ambiguous (a quoted
 part name can stand for the part's centroid, a bracket triple can be a point
 or a displacement, a non-negative number can be a constant cost term), and
 the expected sort from the enclosing context picks the reading. All
-composition and coercion possibilities come from the grammar rule set, so
-the checker accepts exactly what the serialized grammar says.
+composition and coercion possibilities come from `default_grammar()`, built
+once as `_GRAMMAR`, so the checker accepts exactly what that grammar says.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from ..errors import ManiplangError
 from .ast import BinOp, Call, Expr, Literal, Neg, Triple, TypedExpr, to_source
 from .parser import parse
-from .vocabulary import GrammarRule, default_grammar, default_vocabulary
+from .vocabulary import default_grammar, default_vocabulary
 
 
 class TypeCheckError(ManiplangError):
@@ -36,70 +36,62 @@ class ArgumentError(ManiplangError):
     """Wrong arity or an argument name the word does not declare."""
 
 
-def _grammar(rules) -> dict[tuple[str, tuple[str, ...]], None]:
-    """The rules as an ordered set of (lhs, rhs) pairs: membership tests are
-    lookups, and binary rules are still tried in rule order."""
-    return dict.fromkeys((r.lhs, r.rhs) for r in rules)
-
-
-# The shipped vocabulary and grammar, built once.
+# The shipped vocabulary, and the shipped grammar as an ordered set of
+# (lhs, rhs) pairs: membership tests are lookups, and binary rules are still
+# tried in rule order.
 _VOCAB = default_vocabulary()
-_GRAMMAR = _grammar(default_grammar())
+_GRAMMAR = dict.fromkeys((r.lhs, r.rhs) for r in default_grammar())
 
 
-def _literal_sorts(node: Expr, grammar) -> tuple[str, ...]:
+def _literal_sorts(node: Expr) -> tuple[str, ...]:
     """Possible sorts for an ambiguous leaf, base sort first."""
     if isinstance(node, Literal) and isinstance(node.value, str):
-        extra = ("point",) if ("point", ("string",)) in grammar else ()
+        extra = ("point",) if ("point", ("string",)) in _GRAMMAR else ()
         return ("string",) + extra
     if isinstance(node, Literal):
-        extra = ("cost",) if node.value >= 0 and ("cost", ("number",)) in grammar else ()
+        extra = ("cost",) if node.value >= 0 and ("cost", ("number",)) in _GRAMMAR else ()
         return ("scalar",) + extra
     if isinstance(node, Triple):
-        return tuple(sort for sort in ("vec", "point") if (sort, ("triple",)) in grammar)
+        return tuple(sort for sort in ("vec", "point") if (sort, ("triple",)) in _GRAMMAR)
     raise TypeError(f"not a literal node: {node!r}")
 
 
-def type_check(
-    expr: Expr, rules: tuple[GrammarRule, ...] | None = None, expected_sort: str | None = "cost"
-) -> TypedExpr:
+def type_check(expr: Expr, expected_sort: str | None = "cost") -> TypedExpr:
     """Annotate `expr` with sorts; a program must come out at sort `cost`.
 
-    `rules` replaces the shipped grammar. Pass expected_sort=None to type a
-    bare subexpression, or "void" via validate_program for gripper stage
-    actions.
+    Pass expected_sort=None to type a bare subexpression; validate_program
+    also lets a void gripper stage action through.
     """
-    grammar = _GRAMMAR if rules is None else _grammar(rules)
-    typed = _infer(expr, grammar, expected_sort)
+    typed = _infer(expr, expected_sort)
     if expected_sort is not None and typed.sort != expected_sort:
         raise TypeCheckError(expr, expected_sort, typed.sort)
     return typed
 
 
-def _infer(node: Expr, grammar, expected: str | None) -> TypedExpr:
+def _infer(node: Expr, expected: str | None) -> TypedExpr:
     if isinstance(node, (Literal, Triple)):
-        return _infer_leaf(node, grammar, expected)
+        return _infer_leaf(node, expected)
     if isinstance(node, Neg):
-        operand = _infer(node.operand, grammar, "scalar")
-        if operand.sort != "scalar" or ("scalar", ("-", "scalar")) not in grammar:
+        operand = _infer(node.operand, "scalar")
+        if operand.sort != "scalar" or ("scalar", ("-", "scalar")) not in _GRAMMAR:
             raise TypeCheckError(node, "scalar", operand.sort)
         return TypedExpr(node, "scalar", (operand,))
     if isinstance(node, BinOp):
-        return _infer_binop(node, grammar, expected)
+        return _infer_binop(node, expected)
     if isinstance(node, Call):
-        return _infer_call(node, grammar)
+        return _infer_call(node)
     raise TypeError(f"unknown expression node: {node!r}")
 
 
-def _infer_leaf(node: Expr, grammar, expected: str | None) -> TypedExpr:
-    candidates = _literal_sorts(node, grammar)
+def _infer_leaf(node: Expr, expected: str | None) -> TypedExpr:
+    candidates = _literal_sorts(node)
     if not candidates:
         raise TypeCheckError(node, expected or "any", "untypable literal")
     sort = expected if expected in candidates else candidates[0]
     if isinstance(node, Triple):
         if len(node.items) != 3:
             raise TypeCheckError(node, "a 3-element list", f"{len(node.items)}-element list")
-        children = tuple(_infer(item, grammar, "scalar") for item in node.items)
+        children = tuple(_infer(item, "scalar") for item in node.items)
         for item in children:
             if item.sort != "scalar":
                 raise TypeCheckError(item.expr, "scalar", item.sort)
@@ -107,38 +99,38 @@ def _infer_leaf(node: Expr, grammar, expected: str | None) -> TypedExpr:
     return TypedExpr(node, sort)
 
 
-def _infer_binop(node: BinOp, grammar, expected: str | None) -> TypedExpr:
-    left_opts, left = _operand(node.left, grammar, expected)
-    right_opts, right = _operand(node.right, grammar, expected)
+def _infer_binop(node: BinOp, expected: str | None) -> TypedExpr:
+    left_opts, left = _operand(node.left, expected)
+    right_opts, right = _operand(node.right, expected)
     matches = [
         (lhs, rhs)
-        for lhs, rhs in grammar
+        for lhs, rhs in _GRAMMAR
         if len(rhs) == 3 and rhs[1] == node.op and rhs[0] in left_opts and rhs[2] in right_opts
     ]
     if not matches:
         actual = f"{next(iter(left_opts))} {node.op} {next(iter(right_opts))}"
         raise TypeCheckError(node, expected or "a composable pair", actual)
     lhs, rhs = next((m for m in matches if m[0] == expected), matches[0])
-    left = left or _infer(node.left, grammar, rhs[0])
-    right = right or _infer(node.right, grammar, rhs[2])
+    left = left or _infer(node.left, rhs[0])
+    right = right or _infer(node.right, rhs[2])
     return TypedExpr(node, lhs, (left, right))
 
 
-def _operand(node: Expr, grammar, expected: str | None):
+def _operand(node: Expr, expected: str | None):
     """(possible sorts, typed tree or None) for one side of a binary node: a
     literal is typed once the rule is picked; any other operand has one sort
     in every context, so it is typed once, here (not once more per rule)."""
     if isinstance(node, (Literal, Triple)):
-        opts = _literal_sorts(node, grammar)
+        opts = _literal_sorts(node)
         if expected in opts:
             # Prefer the contextual reading so `0 + 0` sums as cost at the top.
             return (expected,) + tuple(o for o in opts if o != expected), None
         return opts, None
-    typed = _infer(node, grammar, None)
+    typed = _infer(node, None)
     return (typed.sort,), typed
 
 
-def _infer_call(node: Call, grammar) -> TypedExpr:
+def _infer_call(node: Call) -> TypedExpr:
     word = _VOCAB.lookup(node.word)
     if word is None:
         raise UnknownWordError(node.word)
@@ -163,7 +155,7 @@ def _infer_call(node: Call, grammar) -> TypedExpr:
                 raise ArgumentError(f"{node.word}: missing argument {param.name!r}")
             continue
         arg = assigned[param.name]
-        typed_arg = _infer(arg, grammar, param.sort)
+        typed_arg = _infer(arg, param.sort)
         if typed_arg.sort != param.sort:
             raise TypeCheckError(arg, param.sort, typed_arg.sort)
         bound.append((param.name, typed_arg))
@@ -207,7 +199,7 @@ def validate_program(source: str) -> Accepted | Rejected:
     try:
         expr = parse(source)
         # Hint cost so literal terms coerce, but let void actions through.
-        typed = _infer(expr, _GRAMMAR, "cost")
+        typed = _infer(expr, "cost")
     except ManiplangError as exc:  # ParseError included
         return Rejected(exc)
     if typed.sort not in ("cost", "void"):

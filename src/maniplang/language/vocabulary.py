@@ -83,9 +83,6 @@ class Vocabulary:
             return self._by_name[word.alias_of]
         return word
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(w.name for w in self.words)
-
 
 def vocabulary_size(vocab: Vocabulary) -> int:
     """|V| as used by the generalizability metric; the escape set is a flag,

@@ -2,8 +2,8 @@
 
 AG = 1 - |V| / T   (|V| = unique vocabulary operations, T = task count;
                     may go negative when a vocabulary outgrows the task set)
-VC = N_succ / T    (fraction of tasks whose generated representation was
-                    judged executable)
+VC = N_succ / T    (fraction of tasks whose judged verdict `judge_verdict`
+                    reads as success)
 
 A host-language escape (methods that additionally allow arbitrary code) is
 carried as a flag: the core |V| excludes it and is what gets plotted; the
@@ -44,7 +44,10 @@ class ProfileSchemaError(MetricsError):
 class TaskOutcome:
     task_id: int
     verdict: str
-    success: bool
+
+    @property
+    def success(self) -> bool:
+        return judge_verdict(self.verdict)
 
 
 @dataclass(frozen=True)
@@ -52,17 +55,12 @@ class RepresentationProfile:
     name: str
     vocabulary: Vocabulary
     task_outcomes: tuple[TaskOutcome, ...] = ()
-    grammar_notes: tuple[str, ...] = ()
-
-    @property
-    def has_host_escape(self) -> bool:
-        return self.vocabulary.has_host_escape
 
     def core_size(self) -> int:
         return vocabulary_size(self.vocabulary)
 
     def size_with_escape(self) -> int:
-        return self.core_size() + (1 if self.has_host_escape else 0)
+        return self.core_size() + (1 if self.vocabulary.has_host_escape else 0)
 
 
 def action_generalizability(profile: RepresentationProfile, task_count: int) -> float:
@@ -75,8 +73,7 @@ def action_generalizability(profile: RepresentationProfile, task_count: int) -> 
 def vlm_comprehensibility(profile: RepresentationProfile) -> float:
     if not profile.task_outcomes:
         raise ZeroTasksError(f"profile {profile.name!r} has no task outcomes")
-    succeeded = sum(1 for outcome in profile.task_outcomes if outcome.success)
-    return succeeded / len(profile.task_outcomes)
+    return success_count(profile) / len(profile.task_outcomes)
 
 
 def success_count(profile: RepresentationProfile) -> int:
@@ -100,7 +97,7 @@ def profile_from_json(doc: dict, source: str = "profile") -> RepresentationProfi
         vocabulary, _ = vocabulary_from_json(doc)
     except VocabularyError as exc:
         raise ProfileSchemaError(f"{source}.words: {exc}") from exc
-    outcomes = []
+    outcomes: dict[int, TaskOutcome] = {}
     for i, entry in enumerate(doc.get("task_outcomes", [])):
         path = f"{source}.task_outcomes[{i}]"
         if not isinstance(entry, dict):
@@ -113,10 +110,10 @@ def profile_from_json(doc: dict, source: str = "profile") -> RepresentationProfi
         task_id = entry["task_id"]
         if not isinstance(task_id, int) or isinstance(task_id, bool):
             raise ProfileSchemaError(f"{path}.task_id: expected an integer, got {task_id!r}")
-        success = bool(entry.get("success", judge_verdict(verdict)))
-        outcomes.append(TaskOutcome(task_id, verdict, success))
-    notes = tuple(str(n) for n in doc.get("grammar_notes", []))
-    return RepresentationProfile(name, vocabulary, tuple(outcomes), notes)
+        if task_id in outcomes:
+            raise ProfileSchemaError(f"{path}.task_id: task {task_id} already has an outcome")
+        outcomes[task_id] = TaskOutcome(task_id, verdict)
+    return RepresentationProfile(name, vocabulary, tuple(outcomes.values()))
 
 
 def load_profiles(path) -> list[RepresentationProfile]:
@@ -141,12 +138,16 @@ class MetricsRow:
 def compute_rows(profiles: list[RepresentationProfile], task_count: int) -> list[MetricsRow]:
     rows = []
     for profile in profiles:
+        ag = action_generalizability(profile, task_count)
+        stray = [o.task_id for o in profile.task_outcomes if not 1 <= o.task_id <= task_count]
+        if stray:
+            raise MetricsError(f"profile {profile.name!r}: task {stray[0]} is not in 1..{task_count}")
         rows.append(
             MetricsRow(
                 method=profile.name,
                 vocab_size=profile.core_size(),
                 vocab_size_with_escape=profile.size_with_escape(),
-                ag=action_generalizability(profile, task_count),
+                ag=ag,
                 n_succ=success_count(profile),
                 vc=vlm_comprehensibility(profile),
             )

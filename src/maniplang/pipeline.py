@@ -133,6 +133,10 @@ class PipelineConfig:
     solve: SolveConfig = SolveConfig()
     success_threshold: float = 1e-2
 
+    def __post_init__(self):
+        if not 0.0 <= self.success_threshold < float("inf"):  # NaN fails too
+            raise PipelineError(f"success threshold must be finite and >= 0, got {self.success_threshold}")
+
 
 @dataclass(frozen=True)
 class AttemptRecord:

@@ -63,9 +63,6 @@ class Scene:
             part_centroids={name: centroid(cloud) for name, cloud in self.parts.items()},
         )
 
-    def object_of(self, part: str) -> str | None:
-        return self.objects.get(part)
-
 
 def scene_to_json(scene: Scene) -> dict:
     def _triple(p: Point3) -> list[float]:

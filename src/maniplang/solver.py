@@ -144,14 +144,14 @@ def partition_moving_static(scene: Scene) -> tuple[frozenset[str], frozenset[str
     grasped "knife". The gripper itself always moves and is not a part.
     """
     grasped_info = [
-        (g, scene.object_of(g), tuple(g.split())) for g in sorted(scene.grasped)
+        (g, scene.objects.get(g), tuple(g.split())) for g in sorted(scene.grasped)
     ]
     moving: set[str] = set()
     for name in scene.parts:
         if name in scene.grasped:
             moving.add(name)
             continue
-        obj = scene.object_of(name)
+        obj = scene.objects.get(name)
         tokens = tuple(name.split())
         for _, g_obj, g_tokens in grasped_info:
             if obj is not None and g_obj is not None:

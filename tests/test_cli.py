@@ -219,13 +219,13 @@ _PROFILES = str(fixtures.shipped_profiles_dir())
 _TASKS = str(fixtures.shipped_tasks_path())
 
 
-def _profile(rule=None, task_id=1):
-    """A profile document, valid but for the given rule or task id."""
+def _profile(rule=None, task_ids=(1,)):
+    """A profile document, valid but for the given rule or task ids."""
     doc = {
         "name": "p",
         "words": [],
         "rules": [rule or {"lhs": "cost", "rhs": ["cost", "+", "cost"]}],
-        "task_outcomes": [{"task_id": task_id, "verdict": "correct and sufficient"}],
+        "task_outcomes": [{"task_id": i, "verdict": "correct and sufficient"} for i in task_ids],
     }
     return json.dumps(doc)
 
@@ -246,7 +246,9 @@ def _metrics_on_profile(t, text):
                    "--csv", str(t / "m.csv"), "--svg", str(t / "m.svg")],
         lambda t: ["metrics", "--profiles", _file(t, "p.json", BAD_UTF8), "--tasks", _TASKS,
                    "--csv", str(t / "m.csv"), "--svg", str(t / "m.svg")],
-        lambda t: _metrics_on_profile(t, _profile(task_id="one")),
+        lambda t: _metrics_on_profile(t, _profile(task_ids=("one",))),
+        lambda t: _metrics_on_profile(t, _profile(task_ids=(1, 1, 1, 1, 1, 99))),
+        lambda t: _metrics_on_profile(t, _profile(task_ids=(1, 99))),
         lambda t: _metrics_on_profile(t, _profile(rule={"rhs": ["cost"]})),
         lambda t: _metrics_on_profile(t, _profile(rule={"lhs": "cost", "rhs": 5})),
         lambda t: _metrics_on_profile(t, _profile(rule={"lhs": "cost", "rhs": "cost"})),
@@ -267,17 +269,23 @@ def _metrics_on_profile(t, text):
                    "--fixtures", _file(t, "map.json", BAD_UTF8)],
         lambda t: ["run", "--scene", _SCENE, "--instruction", fixtures.GARBAGE_INSTRUCTION,
                    "--out", str(unwritable_path(t))],
+        lambda t: ["fixtures", "regen", "--out", str(t / "data"), "--seed", "-1"],
+        lambda t: ["run", "--scene", _SCENE, "--instruction", "move the cube above the target",
+                   "--threshold", "nan"],
+        lambda t: ["run", "--scene", _SCENE, "--instruction", "move the cube above the target",
+                   "--threshold", "-1"],
     ],
     ids=[
         "parse_missing", "parse_bad_utf8",
         "retrieve_db_missing", "retrieve_db_bad_utf8",
         "metrics_profiles_missing_dir", "metrics_profiles_bad_utf8",
-        "metrics_profile_task_id_not_int", "metrics_profile_rule_without_lhs",
+        "metrics_profile_task_id_not_int", "metrics_profile_task_id_repeated",
+        "metrics_profile_task_id_not_a_task", "metrics_profile_rule_without_lhs",
         "metrics_profile_rhs_not_a_list", "metrics_profile_rhs_a_string",
         "metrics_tasks_missing", "metrics_tasks_empty_object", "metrics_tasks_not_a_list",
         "metrics_csv_unwritable",
         "run_fixtures_missing", "run_fixtures_not_an_object", "run_fixtures_bad_utf8",
-        "run_out_unwritable",
+        "run_out_unwritable", "regen_negative_seed", "run_threshold_nan", "run_threshold_negative",
     ],
 )
 def test_bad_file_input_or_output_is_validation_failure(tmp_path, capsys, make_argv):

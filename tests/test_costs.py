@@ -379,3 +379,27 @@ class TestMotionSubjects:
     def test_alignment_subjects_include_axis_parts(self):
         subjects = motion_subjects(typed(CARROT_KNIFE_PROGRAM))
         assert {"carrot", "knife blade", "knife"} <= subjects
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("move_cost(centroid('a'), get_centroid('b'), offset=direction_of('c', 'd') * 0.1)", {"a"}),
+            ("move_cost_with_offset('a', offset=direction_of('b', 'c') * get_height('d'))", {"a"}),
+            ("upright_cost('a', 'b')", {"a", "b"}),
+            ("orbit_cost('a', get_width('b'), 'c')", {"c"}),
+            ("parallel_cost(get_axis('a'), get_axis('b'))", {"a", "b"}),
+            ("perpendicular_cost(get_axis('a'), [0, 0, 1]) + gripper_open_cost()", {"a"}),
+            ("rotate_cost(get_axis('a'), get_height('b'), direction_of('c', 'd'))", {"a", "c", "d"}),
+            # Getters pass part names through only inside a subject argument,
+            # and extent getters never do.
+            ("move_cost(centroid_last('a') + get_axis('b') * get_length('c'), 'd')", {"a", "b"}),
+            ("move_cost('a', 'b') + 0.5", {"a"}),
+        ],
+        ids=[
+            "move_cost", "move_cost_with_offset", "upright_cost", "orbit_cost",
+            "parallel_cost", "perpendicular_cost", "rotate_cost",
+            "getters_pass_through", "literal_source",
+        ],
+    )
+    def test_subjects_per_word(self, source, expected):
+        assert motion_subjects(typed(source)) == expected

@@ -34,6 +34,15 @@ class TestScenes:
         b = fixtures.make_scene("cube_target", 8)
         assert not np.array_equal(a.parts["cube"].coords, b.parts["cube"].coords)
 
+    def test_negative_seed(self, tmp_path):
+        with pytest.raises(fixtures.FixtureError, match="non-negative"):
+            fixtures.make_scene("pen_holder", -1)
+        with pytest.raises(fixtures.FixtureError, match="non-negative"):
+            fixtures.known_solution("cube_target", -1)
+        with pytest.raises(fixtures.FixtureError, match="non-negative"):
+            fixtures.regen(tmp_path / "tree", seed=-1)
+        assert not (tmp_path / "tree").exists()  # nothing half-written
+
     def test_unknown_kind(self):
         with pytest.raises(fixtures.FixtureError):
             fixtures.make_scene("volcano")

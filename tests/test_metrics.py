@@ -5,6 +5,7 @@ import pytest
 from maniplang import fixtures
 from maniplang.language.vocabulary import Vocabulary, Word
 from maniplang.metrics import (
+    MetricsError,
     MetricsRow,
     ProfileSchemaError,
     RepresentationProfile,
@@ -24,9 +25,9 @@ from maniplang.metrics import (
 def _profile(word_count, successes=0, failures=0, escape=False, name="m"):
     words = [Word(f"w{i}", (), "void") for i in range(word_count)]
     outcomes = tuple(
-        TaskOutcome(i + 1, "correct", True) for i in range(successes)
+        TaskOutcome(i + 1, "correct") for i in range(successes)
     ) + tuple(
-        TaskOutcome(successes + i + 1, "insufficient", False) for i in range(failures)
+        TaskOutcome(successes + i + 1, "insufficient") for i in range(failures)
     )
     return RepresentationProfile(name, Vocabulary(words, escape), outcomes)
 
@@ -88,7 +89,7 @@ class TestVlmComprehensibility:
         for method, count in expected.items():
             outcomes = fixtures.judgments(method)
             assert len(outcomes) == 33
-            assert sum(1 for o in outcomes if o["success"]) == count
+            assert sum(1 for o in outcomes if judge_verdict(o["verdict"])) == count
 
     def test_only_full_verdicts_count(self):
         assert judge_verdict("Correct and sufficient")
@@ -111,14 +112,14 @@ class TestProfiles:
 
     def test_omnimanip_words(self):
         profiles = {p.name: p for p in load_profiles(fixtures.shipped_profiles_dir())}
-        names = set(profiles["omnimanip"].vocabulary.names())
+        names = {w.name for w in profiles["omnimanip"].vocabulary.words}
         assert {"get_keypoint", "get_axis", "move_to"} <= names
 
     def test_escape_flags(self):
         profiles = {p.name: p for p in load_profiles(fixtures.shipped_profiles_dir())}
-        assert profiles["rekep"].has_host_escape
-        assert profiles["instruct2act"].has_host_escape
-        assert not profiles["seam"].has_host_escape
+        assert profiles["rekep"].vocabulary.has_host_escape
+        assert profiles["instruct2act"].vocabulary.has_host_escape
+        assert not profiles["seam"].vocabulary.has_host_escape
 
     def test_empty_file_is_schema_error(self, tmp_path):
         bad = tmp_path / "empty.json"
@@ -142,6 +143,18 @@ class TestProfiles:
                 w["name"] for w in doc["words"]
             ]
             assert len(loaded.task_outcomes) == len(doc["task_outcomes"])
+
+    def test_repeated_task_id_is_schema_error(self):
+        outcomes = [{"task_id": 1, "verdict": "correct"}, {"task_id": 1, "verdict": "correct"}]
+        with pytest.raises(ProfileSchemaError, match=r"x\.task_outcomes\[1\]\.task_id"):
+            profile_from_json({"name": "x", "words": [], "task_outcomes": outcomes}, source="x")
+
+    def test_success_is_judged_from_the_verdict(self):
+        # A stored "success" flag is not read: the verdict alone decides.
+        outcomes = [{"task_id": 1, "verdict": "insufficient", "success": True}]
+        profile = profile_from_json({"name": "x", "words": [], "task_outcomes": outcomes})
+        assert vlm_comprehensibility(profile) == 0.0
+        assert compute_rows([profile], 33)[0].n_succ == 0
 
     def test_missing_words_key(self):
         with pytest.raises(ProfileSchemaError) as err:
@@ -172,6 +185,12 @@ class TestOutputs:
         assert svg.startswith("<svg")
         for name in ("seam", "seam_core", "rekep", "omnimanip", "instruct2act"):
             assert f">{name}</text>" in svg
+
+    @pytest.mark.parametrize("task_id", [0, 34, 99])
+    def test_task_outside_the_task_list_is_rejected(self, task_id):
+        profile = RepresentationProfile("m", Vocabulary([]), (TaskOutcome(task_id, "correct"),))
+        with pytest.raises(MetricsError, match=f"task {task_id} is not in 1..33"):
+            compute_rows([profile], 33)
 
     def test_success_counts_match_rows(self):
         for row in self.rows():
