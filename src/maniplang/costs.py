@@ -74,9 +74,6 @@ class EvalContext:
             raise MissingPartError(name)
         return cloud
 
-    def part_centroid(self, name: str) -> np.ndarray:
-        return self.resolve_cloud(name).coords.mean(axis=0)
-
     def part_axis(self, name: str) -> np.ndarray:
         return principal_axis(self.resolve_cloud(name)).as_array()
 
@@ -89,9 +86,10 @@ class EvalContext:
         return cloud.coords.mean(axis=0), principal_axis(cloud).as_array()
 
     def resolve_point(self, name: str) -> np.ndarray:
+        """The gripper's position, or a part's centroid."""
         if name == GRIPPER_NAME:
             return self.scene.gripper_position.as_array()
-        return self.part_centroid(name)
+        return self.resolve_cloud(name).coords.mean(axis=0)
 
 
 def evaluate(expr: TypedExpr, ctx: EvalContext) -> float | np.ndarray:
@@ -150,12 +148,10 @@ def _string_arg(node: TypedExpr, name: str) -> str:
 
 
 def _eval_call(node: TypedExpr, ctx: EvalContext):
-    word = node.word
-    if word in _GETTERS:
-        return _GETTERS[word](node, ctx)
-    if word in _COST_WORDS:
-        return _COST_WORDS[word](node, ctx)
-    raise EvalError(f"word {word!r} is not evaluable (void actions run in the pipeline)")
+    word = _WORDS.get(node.word)
+    if word is None:
+        raise EvalError(f"word {node.word!r} is not evaluable (void actions run in the pipeline)")
+    return word(node, ctx)
 
 
 # -- getters -----------------------------------------------------------------
@@ -198,18 +194,6 @@ def _direction_of(node, ctx):
     start = ctx.resolve_point(_string_arg(node, "start"))
     end = ctx.resolve_point(_string_arg(node, "end"))
     return unit_direction(start, end)
-
-
-_GETTERS = {
-    "get_centroid": _get_centroid,
-    "centroid_last": _centroid_last,
-    "get_axis": _get_axis,
-    "get_gripper_pos": _get_gripper_pos,
-    "get_height": _make_extent("height"),
-    "get_width": _make_extent("width"),
-    "get_length": _make_extent("length"),
-    "direction_of": _direction_of,
-}
 
 
 # -- cost words --------------------------------------------------------------
@@ -282,7 +266,16 @@ def _gripper_close_first_cost(node, ctx):
     return ctx.scene.gripper_open_fraction
 
 
-_COST_WORDS = {
+# Every evaluable word: the getters, then the cost words.
+_WORDS = {
+    "get_centroid": _get_centroid,
+    "centroid_last": _centroid_last,
+    "get_axis": _get_axis,
+    "get_gripper_pos": _get_gripper_pos,
+    "get_height": _make_extent("height"),
+    "get_width": _make_extent("width"),
+    "get_length": _make_extent("length"),
+    "direction_of": _direction_of,
     "move_cost": _move_cost,
     "move_cost_with_offset": _move_cost_with_offset,
     "parallel_cost": _parallel_cost,

@@ -36,6 +36,13 @@ def write_json(path, doc, error: type[ManiplangError]) -> None:
     write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n", error)
 
 
+def typed_value(value, kind: type, what: str, error: type[ManiplangError]):
+    """`value` if it is a `kind` (str or bool): JSON's "false" is no bool, its 1 no str."""
+    if not isinstance(value, kind):
+        raise error(f"{what} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def string_list(value, what: str, error: type[ManiplangError]) -> tuple[str, ...]:
     """A JSON list of strings; a bare string is refused, not split into characters."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):

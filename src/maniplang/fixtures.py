@@ -43,7 +43,7 @@ from .language.vocabulary import (
     make_word,
     vocabulary_to_json,
 )
-from .retrieval import PartDatabase, PartEntry, SupportPair, database_to_json
+from .retrieval import PartDatabase, PartEntry, database_to_json
 from .scene import Scene, scene_to_json
 
 DEFAULT_SEED = 7
@@ -484,29 +484,22 @@ def build_profiles() -> dict[str, dict]:
 # -- part database --------------------------------------------------------------
 
 
-def _entry(phrases, stem, pairs=1) -> PartEntry:
-    return PartEntry(
-        key_phrases=tuple(phrases),
-        support_pairs=tuple(
-            SupportPair(f"support/{stem}_{i:02d}.rgb.png", f"support/{stem}_{i:02d}.mask.png")
-            for i in range(1, pairs + 1)
-        ),
-    )
-
-
 def build_part_database() -> PartDatabase:
     return PartDatabase(
-        entries=(
-            _entry(["cup opening", "cup rim", "cup edge"], "cup_opening", 3),
-            _entry(["teapot opening", "teapot top rim"], "teapot_opening", 2),
-            _entry(["teapot spout", "teapot nozzle"], "teapot_spout", 2),
-            _entry(["pen cap", "cap of the pen"], "pen_cap"),
-            _entry(["drawer handle", "drawer pull"], "drawer_handle", 2),
-            _entry(["button", "push button", "doorbell button"], "button", 2),
-            _entry(["microwave hinge", "microwave door hinge"], "microwave_hinge"),
-            _entry(["flower stem", "plant stem"], "flower_stem"),
-            _entry(["bowl rim", "bowl edge"], "bowl_rim"),
-            _entry(["knife blade", "blade of the knife"], "knife_blade"),
+        entries=tuple(
+            PartEntry(phrases)
+            for phrases in (
+                ("cup opening", "cup rim", "cup edge"),
+                ("teapot opening", "teapot top rim"),
+                ("teapot spout", "teapot nozzle"),
+                ("pen cap", "cap of the pen"),
+                ("drawer handle", "drawer pull"),
+                ("button", "push button", "doorbell button"),
+                ("microwave hinge", "microwave door hinge"),
+                ("flower stem", "plant stem"),
+                ("bowl rim", "bowl edge"),
+                ("knife blade", "blade of the knife"),
+            )
         )
     )
 

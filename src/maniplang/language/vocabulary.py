@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ManiplangError
-from ..files import string_list
+from ..files import string_list, typed_value
 from .ast import SORTS
 
 
@@ -172,17 +172,26 @@ def vocabulary_to_json(vocab: Vocabulary, rules: tuple[GrammarRule, ...] = ()) -
     return doc
 
 
+def _field(entry: dict, key: str, kind: type, *default):
+    """entry[key], which must be a `kind`; `default`, if one is given, for an absent key."""
+    if default and key not in entry:
+        return default[0]
+    return typed_value(entry[key], kind, key, VocabularyError)
+
+
 def vocabulary_from_json(doc: dict) -> tuple[Vocabulary, tuple[GrammarRule, ...]]:
+    """Word and parameter names and `alias_of` must be strings, `required` and
+    `has_host_escape` booleans."""
     try:
         words = [
             Word(
-                entry["name"],
+                _field(entry, "name", str),
                 tuple(
-                    Param(p["name"], p["sort"], bool(p.get("required", True)))
+                    Param(_field(p, "name", str), p["sort"], _field(p, "required", bool, True))
                     for p in entry.get("params", [])
                 ),
                 entry["result_sort"],
-                entry.get("alias_of"),
+                _field(entry, "alias_of", str, None),
             )
             for entry in doc["words"]
         ]
@@ -190,6 +199,7 @@ def vocabulary_from_json(doc: dict) -> tuple[Vocabulary, tuple[GrammarRule, ...]
             GrammarRule(entry["lhs"], string_list(entry["rhs"], "rule rhs", VocabularyError))
             for entry in doc.get("rules", [])
         )
+        has_host_escape = _field(doc, "has_host_escape", bool, False)
     except (KeyError, TypeError) as exc:
         raise VocabularyError(f"malformed vocabulary document: {exc}") from exc
-    return Vocabulary(words, bool(doc.get("has_host_escape", False))), rules
+    return Vocabulary(words, has_host_escape), rules

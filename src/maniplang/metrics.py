@@ -136,12 +136,18 @@ class MetricsRow:
 
 
 def compute_rows(profiles: list[RepresentationProfile], task_count: int) -> list[MetricsRow]:
+    """One row per profile; each must give every task in 1..task_count an
+    outcome, and no other task, so VC divides N_succ by T."""
     rows = []
     for profile in profiles:
         ag = action_generalizability(profile, task_count)
         stray = [o.task_id for o in profile.task_outcomes if not 1 <= o.task_id <= task_count]
         if stray:
             raise MetricsError(f"profile {profile.name!r}: task {stray[0]} is not in 1..{task_count}")
+        listed = {o.task_id for o in profile.task_outcomes}
+        missing = next((i for i in range(1, task_count + 1) if i not in listed), None)
+        if missing is not None:
+            raise MetricsError(f"profile {profile.name!r}: task {missing} has no outcome")
         rows.append(
             MetricsRow(
                 method=profile.name,

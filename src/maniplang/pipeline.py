@@ -17,6 +17,7 @@ import json
 import os
 import urllib.request
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Mapping, Protocol
 
 from . import fixtures
@@ -191,17 +192,8 @@ class TaskTrace:
 
 def split_stages(candidate: str) -> list[str]:
     """Stage programs are separated by lines holding only `---`."""
-    stages: list[str] = []
-    current: list[str] = []
-    for line in candidate.splitlines():
-        if line.strip() == STAGE_SEPARATOR:
-            if current:
-                stages.append("\n".join(current).strip())
-                current = []
-            continue
-        current.append(line)
-    if current and "\n".join(current).strip():
-        stages.append("\n".join(current).strip())
+    groups = groupby(candidate.splitlines(), key=lambda line: line.strip() == STAGE_SEPARATOR)
+    stages = ("\n".join(lines).strip() for separator, lines in groups if not separator)
     return [stage for stage in stages if stage]
 
 
@@ -241,19 +233,14 @@ def run_task(
             attempts.append(AttemptRecord(raw, False, "empty candidate"))
             prompt += "\nThe previous answer was empty. Reply with one cost expression.\n"
             continue
-        verdicts = [(text, validate_program(text)) for text in stage_texts]
-        rejection = next((v for v in verdicts if not isinstance(v[1], Accepted)), None)
+        verdicts = [validate_program(text) for text in stage_texts]
+        rejection = next((v for v in verdicts if not isinstance(v, Accepted)), None)
         if rejection is None:
-            accepted_stages = [
-                (text, verdict.typed)
-                for text, verdict in verdicts
-                if isinstance(verdict, Accepted)
-            ]
+            accepted_stages = [(text, verdict.typed) for text, verdict in zip(stage_texts, verdicts)]
             attempts.append(AttemptRecord(raw, True))
             break
-        _, verdict = rejection
-        attempts.append(AttemptRecord(raw, False, verdict.reason))
-        prompt += f"\nThe previous answer was rejected: {verdict.reason}\nPlease fix it.\n"
+        attempts.append(AttemptRecord(raw, False, rejection.reason))
+        prompt += f"\nThe previous answer was rejected: {rejection.reason}\nPlease fix it.\n"
 
     if accepted_stages is None:
         trace = TaskTrace(

@@ -1,7 +1,7 @@
 """Phrase-keyed part database with edit-distance matching.
 
-Each entry pairs a set of key phrases (e.g. {cup opening, cup rim, cup edge})
-with opaque support-pair references. A description retrieves the entry whose
+Each entry is a set of key phrases (e.g. {cup opening, cup rim, cup edge}),
+the first of which names the part. A description retrieves the entry whose
 key phrase has the least Levenshtein distance; ties break by entry index,
 then by the lexicographically smaller phrase, so results are reproducible.
 
@@ -62,27 +62,12 @@ def levenshtein(a: str, b: str) -> int:
 
 
 @dataclass(frozen=True)
-class SupportPair:
-    image: str
-    mask: str
-
-    def __post_init__(self):
-        if not all(isinstance(ref, str) and ref for ref in (self.image, self.mask)):
-            raise RetrievalError("support pair references must be non-empty strings")
-
-
-@dataclass(frozen=True)
 class PartEntry:
     key_phrases: tuple[str, ...]
-    support_pairs: tuple[SupportPair, ...] = ()
 
     def __post_init__(self):
         if not self.key_phrases:
             raise RetrievalError("an entry needs at least one key phrase")
-
-    @property
-    def canonical_phrase(self) -> str:
-        return self.key_phrases[0]
 
 
 @dataclass(frozen=True)
@@ -116,7 +101,7 @@ def retrieve(db: PartDatabase, desc: str) -> RetrievalMatch:
 
 
 def oracle_segment(scene: Scene, part_desc: str, db: PartDatabase) -> PointCloud:
-    """Desk-scale segmenter: retrieval picks an entry, the entry's canonical
+    """Desk-scale segmenter: retrieval picks an entry, the entry's first key
     phrase picks the closest-named labeled scene part. Deterministic given
     identical inputs.
 
@@ -126,11 +111,11 @@ def oracle_segment(scene: Scene, part_desc: str, db: PartDatabase) -> PointCloud
     match = retrieve(db, part_desc)
     if match.distance > MATCH_RATIO * len(normalize_phrase(match.matched_phrase)):
         raise MissingPartError(part_desc)
-    canonical = match.entry.canonical_phrase
+    phrase = match.entry.key_phrases[0]
     if not scene.parts:
         raise MissingPartError(part_desc)
-    best_distance, best_name = min((levenshtein(canonical, name), name) for name in scene.parts)
-    if best_distance > MATCH_RATIO * len(normalize_phrase(canonical)):
+    best_distance, best_name = min((levenshtein(phrase, name), name) for name in scene.parts)
+    if best_distance > MATCH_RATIO * len(normalize_phrase(phrase)):
         raise MissingPartError(part_desc)
     return scene.parts[best_name]
 
@@ -147,29 +132,13 @@ def make_part_resolver(scene: Scene, db: PartDatabase) -> Callable[[str], PointC
 
 
 def database_to_json(db: PartDatabase) -> dict:
-    return {
-        "entries": [
-            {
-                "key_phrases": list(entry.key_phrases),
-                "support_pairs": [
-                    {"image": pair.image, "mask": pair.mask} for pair in entry.support_pairs
-                ],
-            }
-            for entry in db.entries
-        ]
-    }
+    return {"entries": [{"key_phrases": list(entry.key_phrases)} for entry in db.entries]}
 
 
 def database_from_json(doc: dict) -> PartDatabase:
     try:
         entries = tuple(
-            PartEntry(
-                key_phrases=string_list(entry["key_phrases"], "key_phrases", RetrievalError),
-                support_pairs=tuple(
-                    SupportPair(pair["image"], pair["mask"])
-                    for pair in entry.get("support_pairs", [])
-                ),
-            )
+            PartEntry(string_list(entry["key_phrases"], "key_phrases", RetrievalError))
             for entry in doc["entries"]
         )
     except (KeyError, TypeError) as exc:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ManiplangError
-from .files import read_json, write_json
+from .files import read_json, typed_value, write_json
 from .geometry import GeometryError, Point3, PointCloud, centroid
 
 GRIPPER_NAME = "gripper"
@@ -98,10 +98,10 @@ def scene_from_json(doc: dict) -> Scene:
         objects = {}
         for name, entry in doc["parts"].items():
             parts[name] = PointCloud(entry["points"])
-            if entry.get("grasped", False):
+            if typed_value(entry.get("grasped", False), bool, f"part {name!r} grasped", SceneError):
                 grasped.add(name)
             if "object" in entry:
-                objects[name] = entry["object"]
+                objects[name] = typed_value(entry["object"], str, f"part {name!r} object", SceneError)
         gripper = doc["gripper"]
         history = tuple(
             SceneSnapshot(

@@ -175,13 +175,8 @@ def transform_scene(scene: Scene, pose: PoseSE3, moving: frozenset[str] | None =
         name: transform_cloud(cloud, start, pose) if name in moving else cloud
         for name, cloud in scene.parts.items()
     }
-    return Scene(
-        parts=parts,
-        grasped=scene.grasped,
-        gripper_position=pose.translation,
-        gripper_open_fraction=scene.gripper_open_fraction,
-        history=scene.history + (scene.snapshot(),),
-        objects=dict(scene.objects),
+    return replace(
+        scene, parts=parts, gripper_position=pose.translation, history=scene.history + (scene.snapshot(),)
     )
 
 
@@ -208,10 +203,9 @@ class _PosedContext(EvalContext):
         return self._at_start[key]
 
     def resolve_point(self, name: str) -> np.ndarray:
-        return self.t if name == GRIPPER_NAME else super().resolve_point(name)
-
-    def part_centroid(self, name: str) -> np.ndarray:
-        c = self._start(EvalContext.part_centroid, name)
+        if name == GRIPPER_NAME:
+            return self.t
+        c = self._start(EvalContext.resolve_point, name)
         return self.rel @ (c - self.t0) + self.t if name in self.moving else c
 
     def part_axis(self, name: str) -> np.ndarray:
@@ -224,7 +218,7 @@ class _PosedContext(EvalContext):
         return self._start(EvalContext.part_extent, name, dimension)
 
     def part_line(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        return self.part_centroid(name), self.part_axis(name)
+        return self.resolve_point(name), self.part_axis(name)
 
 
 def objective(expr: TypedExpr, scene: Scene, pose: PoseSE3, cfg: SolveConfig) -> float:
@@ -298,24 +292,17 @@ def solve(expr: TypedExpr, scene: Scene, cfg: SolveConfig | None = None) -> Solv
         trans = rng.uniform(-0.2, 0.2, size=3)
         starts.append(np.concatenate([euler, trans]))
 
-    best: tuple[float, int, np.ndarray, int, bool] | None = None
-    total_evals = 0
+    results = {}
     for first in range(0, cfg.restarts, _LOCKSTEP):
         group = range(first, min(first + _LOCKSTEP, cfg.restarts))
         searches = {
             index: _pattern_search(starts[index], cfg, np.random.default_rng((seed, index)))
             for index in group
         }
-        results = _lockstep(searches, lambda xs: _objective_rows(expr, ctx, xs, cfg))
-        for index in group:
-            x, fx, evals, converged = results[index]
-            total_evals += evals
-            key = (fx, index)
-            if best is None or key < (best[0], best[1]):
-                best = (fx, index, x, evals, converged)
+        results.update(_lockstep(searches, lambda xs: _objective_rows(expr, ctx, xs, cfg)))
 
-    assert best is not None
-    _, restart_index, x, evals, converged = best
+    restart_index = min(results, key=lambda index: (results[index][1], index))
+    x, _, evals, converged = results[restart_index]
     pose = PoseSE3(rotation_xyz(x[0], x[1], x[2]), Point3.from_array(ctx.t0 + x[3:6]))
     obj, cost, reg_t, reg_r = _pose_terms(expr, ctx, pose, cfg)
     return SolveResult(
@@ -327,7 +314,7 @@ def solve(expr: TypedExpr, scene: Scene, cfg: SolveConfig | None = None) -> Solv
         iterations=evals,
         converged=converged,
         restart_index=restart_index,
-        total_evaluations=total_evals,
+        total_evaluations=sum(result[2] for result in results.values()),
     )
 
 

@@ -3,13 +3,16 @@ import json
 import socket
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from maniplang import fixtures
+from maniplang import cli, fixtures
 from maniplang.cli import main
 from maniplang.geometry import PointCloud
+from maniplang.pipeline import PipelineConfig
 from maniplang.scene import save_scene
+from maniplang.solver import SolveConfig
 
 from util import unwritable_path
 
@@ -219,20 +222,26 @@ _PROFILES = str(fixtures.shipped_profiles_dir())
 _TASKS = str(fixtures.shipped_tasks_path())
 
 
-def _profile(rule=None, task_ids=(1,)):
-    """A profile document, valid but for the given rule or task ids."""
+def _profile(rule=None, task_ids=range(1, 34), word=None, **fields):
+    """A profile document, valid but for the given rule, task ids, word or top-level fields."""
     doc = {
         "name": "p",
-        "words": [],
+        "words": [{"name": "w", "params": [{"name": "x", "sort": "point"}], "result_sort": "cost"}],
         "rules": [rule or {"lhs": "cost", "rhs": ["cost", "+", "cost"]}],
         "task_outcomes": [{"task_id": i, "verdict": "correct and sufficient"} for i in task_ids],
+        **fields,
     }
+    doc["words"].append({"name": "v", "result_sort": "cost", **(word or {})})
     return json.dumps(doc)
 
 
 def _metrics_on_profile(t, text):
     return ["metrics", "--profiles", _file(t, "p.json", text), "--tasks", _TASKS,
             "--csv", str(t / "m.csv"), "--svg", str(t / "m.svg")]
+
+
+def test_valid_profile_helper_passes(tmp_path):
+    assert main(_metrics_on_profile(tmp_path, _profile())) == 0
 
 
 @pytest.mark.parametrize(
@@ -249,6 +258,14 @@ def _metrics_on_profile(t, text):
         lambda t: _metrics_on_profile(t, _profile(task_ids=("one",))),
         lambda t: _metrics_on_profile(t, _profile(task_ids=(1, 1, 1, 1, 1, 99))),
         lambda t: _metrics_on_profile(t, _profile(task_ids=(1, 99))),
+        lambda t: _metrics_on_profile(t, _profile(task_ids=range(1, 11))),
+        lambda t: _metrics_on_profile(t, _profile(word={"name": ["v"]})),
+        lambda t: _metrics_on_profile(t, _profile(word={"alias_of": ["w"]})),
+        lambda t: _metrics_on_profile(t, _profile(word={"params": [{"name": 1, "sort": "point"}]})),
+        lambda t: _metrics_on_profile(
+            t, _profile(word={"params": [{"name": "x", "sort": "point", "required": "no"}]})
+        ),
+        lambda t: _metrics_on_profile(t, _profile(has_host_escape="no")),
         lambda t: _metrics_on_profile(t, _profile(rule={"rhs": ["cost"]})),
         lambda t: _metrics_on_profile(t, _profile(rule={"lhs": "cost", "rhs": 5})),
         lambda t: _metrics_on_profile(t, _profile(rule={"lhs": "cost", "rhs": "cost"})),
@@ -280,7 +297,10 @@ def _metrics_on_profile(t, text):
         "retrieve_db_missing", "retrieve_db_bad_utf8",
         "metrics_profiles_missing_dir", "metrics_profiles_bad_utf8",
         "metrics_profile_task_id_not_int", "metrics_profile_task_id_repeated",
-        "metrics_profile_task_id_not_a_task", "metrics_profile_rule_without_lhs",
+        "metrics_profile_task_id_not_a_task", "metrics_profile_tasks_missing",
+        "metrics_profile_word_name_a_list", "metrics_profile_alias_of_a_list",
+        "metrics_profile_param_name_not_a_string", "metrics_profile_required_not_a_boolean",
+        "metrics_profile_escape_not_a_boolean", "metrics_profile_rule_without_lhs",
         "metrics_profile_rhs_not_a_list", "metrics_profile_rhs_a_string",
         "metrics_tasks_missing", "metrics_tasks_empty_object", "metrics_tasks_not_a_list",
         "metrics_csv_unwritable",
@@ -292,3 +312,26 @@ def test_bad_file_input_or_output_is_validation_failure(tmp_path, capsys, make_a
     code = main(make_argv(tmp_path))
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+_SOLVE_FLAGS = ("--alpha", "0.3", "--beta", "0.07", "--max-iterations", "123",
+                "--restarts", "3", "--tolerance", "1e-05", "--seed", "42")
+_FLAGGED = SolveConfig(alpha=0.3, beta=0.07, max_iterations=123, restarts=3, tolerance=1e-5, seed=42)
+
+
+@pytest.mark.parametrize("flags, expected", [((), SolveConfig()), (_SOLVE_FLAGS, _FLAGGED)],
+                         ids=["defaults", "every_flag"])
+def test_solve_flags_reach_the_solve_config(monkeypatch, capsys, flags, expected):
+    assert all(getattr(_FLAGGED, f.name) != f.default for f in dataclasses.fields(SolveConfig))
+    seen = []
+
+    def record(cfg, **result):
+        seen.append(cfg)
+        return SimpleNamespace(dumps=lambda: "{}", **result)
+
+    monkeypatch.setattr(cli, "solve", lambda typed, scene, cfg: record(cfg))
+    monkeypatch.setattr(cli, "run_task", lambda text, scene, client, cfg: record(cfg, success=True, stages=()))
+    expr = "move_cost(get_centroid('cube'), get_centroid('target'))"
+    assert main(["solve", "--scene", _SCENE, "--expr", expr, *flags]) == 0
+    assert main(["run", "--scene", _SCENE, "--instruction", "x", *flags]) == 0
+    assert seen == [expected, PipelineConfig(solve=expected)]

@@ -154,7 +154,7 @@ class TestProfiles:
         outcomes = [{"task_id": 1, "verdict": "insufficient", "success": True}]
         profile = profile_from_json({"name": "x", "words": [], "task_outcomes": outcomes})
         assert vlm_comprehensibility(profile) == 0.0
-        assert compute_rows([profile], 33)[0].n_succ == 0
+        assert compute_rows([profile], 1)[0].n_succ == 0
 
     def test_missing_words_key(self):
         with pytest.raises(ProfileSchemaError) as err:
@@ -191,6 +191,12 @@ class TestOutputs:
         profile = RepresentationProfile("m", Vocabulary([]), (TaskOutcome(task_id, "correct"),))
         with pytest.raises(MetricsError, match=f"task {task_id} is not in 1..33"):
             compute_rows([profile], 33)
+
+    def test_task_without_an_outcome_is_rejected(self):
+        # VC is N_succ / T: ten correct outcomes out of 33 tasks is no 1.0.
+        with pytest.raises(MetricsError, match="task 11 has no outcome"):
+            compute_rows([_profile(1, successes=10)], 33)
+        assert compute_rows([_profile(1, successes=10, failures=23)], 33)[0].vc == 10 / 33
 
     def test_success_counts_match_rows(self):
         for row in self.rows():

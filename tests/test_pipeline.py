@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maniplang import fixtures
 from maniplang.language.typecheck import Accepted, validate_program
@@ -75,6 +77,34 @@ class TestStageSplitting:
 
     def test_blank_and_separator_only(self):
         assert split_stages("\n---\n\n") == []
+
+    @staticmethod
+    def reference_split(candidate: str) -> list[str]:
+        """The line-by-line loop split_stages once was."""
+        stages: list[str] = []
+        current: list[str] = []
+        for line in candidate.splitlines():
+            if line.strip() == "---":
+                if current:
+                    stages.append("\n".join(current).strip())
+                    current = []
+                continue
+            current.append(line)
+        if current and "\n".join(current).strip():
+            stages.append("\n".join(current).strip())
+        return [stage for stage in stages if stage]
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        lines=st.lists(
+            st.sampled_from(["---", " --- ", "\t---", "--", "----", "---x", "", "  ", "a()", "b() + c()"])
+            | st.text(alphabet=" -\tab()\r\x0b\x1c\u2028", max_size=6)
+        ),
+        newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    )
+    def test_matches_the_reference_loop(self, lines, newline):
+        candidate = newline.join(lines)
+        assert split_stages(candidate) == self.reference_split(candidate)
 
 
 class TestRunTask:

@@ -9,7 +9,6 @@ from maniplang.retrieval import (
     PartDatabase,
     PartEntry,
     RetrievalError,
-    SupportPair,
     database_from_json,
     database_to_json,
     levenshtein,
@@ -190,9 +189,8 @@ class TestDatabaseIO:
         [
             {"key_phrases": "cup"},
             {"key_phrases": [1, 2]},
-            {"key_phrases": ["cup"], "support_pairs": [{"image": 5, "mask": "cup.png"}]},
         ],
-        ids=["phrases_a_string", "phrases_not_strings", "support_ref_not_a_string"],
+        ids=["phrases_a_string", "phrases_not_strings"],
     )
     def test_entry_fields_must_be_strings(self, entry):
         with pytest.raises(RetrievalError):
@@ -202,9 +200,9 @@ class TestDatabaseIO:
         with pytest.raises(RetrievalError):
             PartEntry(())
 
-    def test_support_pair_refs_must_be_nonempty(self):
-        with pytest.raises(RetrievalError):
-            SupportPair("", "mask.png")
+    def test_extra_entry_keys_are_ignored(self):
+        entry = {"key_phrases": ["cup"], "support_pairs": [{"image": 5}], "note": None}
+        assert database_from_json({"entries": [entry]}) == PartDatabase((PartEntry(("cup",)),))
 
     def test_normalize(self):
         assert normalize_phrase("  Cup   Opening ") == "cup opening"

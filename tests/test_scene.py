@@ -61,6 +61,8 @@ class TestJson:
             {"parts": {}},
             {"parts": {"cup": {"points": []}}, "gripper": gripper},
             {"parts": {}, "gripper": {**gripper, "position": [float("nan"), 0, 0]}},
+            {"parts": {"cup": {"points": [[0, 0, 0]], "grasped": "false"}}, "gripper": gripper},
+            {"parts": {"cup": {"points": [[0, 0, 0]], "object": ["cup"]}}, "gripper": gripper},
         ):
             with pytest.raises(SceneError):
                 scene_from_json(doc)
