@@ -12,13 +12,15 @@ Values broadcast over leading axes: where a context places a stack of K poses,
 points are (K, 3), scalars and costs (K,), and each row is what a plain
 context holding that one pose would give.
 
-Evaluation is pure given an immutable context and may run concurrently.
+A context keeps each summary it computes, so its part resolver must be a
+function of the name. Evaluation may run concurrently: at worst a summary is
+computed twice, to the same value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -57,39 +59,42 @@ class EvalContext:
     """Scene plus an optional part-name resolver hook.
 
     The default resolver is exact map lookup; the retrieval module can
-    substitute a phrase-matching one. Summaries are computed on every read.
+    substitute a phrase-matching one. A summary (a part's cloud, centroid,
+    axis or an extent) is kept once computed; one that raises is not kept.
     """
 
     scene: Scene
     part_resolver: Callable[[str], PointCloud | None] | None = None
+    _summaries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _summary(self, kind: str, name: str, compute):
+        """`compute()`, kept under (kind, name) once it returns; None means no such part."""
+        if (kind, name) not in self._summaries:
+            value = compute()
+            if value is None:
+                raise MissingPartError(name)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)  # every later read shares it
+            self._summaries[kind, name] = value
+        return self._summaries[kind, name]
 
     def resolve_cloud(self, name: str) -> PointCloud:
         if name == GRIPPER_NAME:
             raise MissingPartError(name)
-        if self.part_resolver is not None:
-            cloud = self.part_resolver(name)
-        else:
-            cloud = self.scene.parts.get(name)
-        if cloud is None:
-            raise MissingPartError(name)
-        return cloud
+        resolver = self.scene.parts.get if self.part_resolver is None else self.part_resolver
+        return self._summary("cloud", name, lambda: resolver(name))
 
     def part_axis(self, name: str) -> np.ndarray:
-        return principal_axis(self.resolve_cloud(name)).as_array()
+        return self._summary("axis", name, lambda: principal_axis(self.resolve_cloud(name)).as_array())
 
     def part_extent(self, name: str, dimension: str) -> float:
-        return extent(self.resolve_cloud(name), dimension)
-
-    def part_line(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """(centroid, principal axis), resolving the part once."""
-        cloud = self.resolve_cloud(name)
-        return cloud.coords.mean(axis=0), principal_axis(cloud).as_array()
+        return self._summary(dimension, name, lambda: extent(self.resolve_cloud(name), dimension))
 
     def resolve_point(self, name: str) -> np.ndarray:
         """The gripper's position, or a part's centroid."""
         if name == GRIPPER_NAME:
             return self.scene.gripper_position.as_array()
-        return self.resolve_cloud(name).coords.mean(axis=0)
+        return self._summary("centroid", name, lambda: self.resolve_cloud(name).coords.mean(axis=0))
 
 
 def evaluate(expr: TypedExpr, ctx: EvalContext) -> float | np.ndarray:
@@ -243,7 +248,8 @@ def _rotate_cost(node, ctx):
 
 
 def _orbit_cost(node, ctx):
-    center, axis = ctx.part_line(_string_arg(node, "center_part"))
+    center_part = _string_arg(node, "center_part")
+    center, axis = ctx.resolve_point(center_part), ctx.part_axis(center_part)
     moving = ctx.resolve_point(_string_arg(node, "moving_part"))
     radius = _arg(node, "radius", ctx)
     rel = moving - center

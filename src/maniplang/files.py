@@ -36,15 +36,15 @@ def write_json(path, doc, error: type[ManiplangError]) -> None:
     write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n", error)
 
 
-def typed_value(value, kind: type, what: str, error: type[ManiplangError]):
-    """`value` if it is a `kind` (str or bool): JSON's "false" is no bool, its 1 no str."""
-    if not isinstance(value, kind):
-        raise error(f"{what} must be a JSON {kind.__name__}, got {value!r}")
+def typed_value(value, kind: type, what: str, error: type[ManiplangError], depth: int = 0):
+    """`value` if it is a `kind` inside `depth` nested lists. Types are exact, so
+    JSON's "false" is no bool, its 1 no str and its true no int or float; a
+    `kind` of float also takes an int."""
+    items = [value]
+    for wanted in [list] * depth + [kind]:
+        bad = set(map(type, items)) - ({int, float} if wanted is float else {wanted})
+        if bad:
+            got = next(v for v in items if type(v) in bad)
+            raise error(f"{what} must be a JSON {'list of ' * depth}{kind.__name__}, got {got!r}")
+        items = [item for v in items for item in v] if wanted is list else items
     return value
-
-
-def string_list(value, what: str, error: type[ManiplangError]) -> tuple[str, ...]:
-    """A JSON list of strings; a bare string is refused, not split into characters."""
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise error(f"{what} must be a list of strings, got {value!r}")
-    return tuple(value)

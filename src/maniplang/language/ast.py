@@ -59,9 +59,10 @@ class Neg(Expr):
 class TypedExpr:
     """A sort-annotated expression tree.
 
-    `children` follow source order. For calls, `word` is the resolved
-    (alias-canonical) vocabulary word name and `bound` maps declared
-    parameter names to their typed arguments.
+    `children` follow source order, except that a call's children follow
+    its parameters. For calls, `word` is the resolved (alias-canonical)
+    vocabulary word name and `bound` maps declared parameter names to their
+    typed arguments, in parameter order.
     """
 
     expr: Expr

@@ -148,7 +148,6 @@ def _infer_call(node: Call) -> TypedExpr:
             raise ArgumentError(f"{node.word}: argument {name!r} given twice")
         assigned[name] = value
     bound: list[tuple[str, TypedExpr]] = []
-    order: dict[int, TypedExpr] = {}
     for param in params:
         if param.name not in assigned:
             if param.required:
@@ -159,8 +158,7 @@ def _infer_call(node: Call) -> TypedExpr:
         if typed_arg.sort != param.sort:
             raise TypeCheckError(arg, param.sort, typed_arg.sort)
         bound.append((param.name, typed_arg))
-        order[id(arg)] = typed_arg
-    children = tuple(order[id(arg)] for arg in (*node.args, *(v for _, v in node.kwargs)))
+    children = tuple(typed_arg for _, typed_arg in bound)
     return TypedExpr(node, word.result_sort, children, word=word.name, bound=tuple(bound))
 
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ManiplangError
-from ..files import string_list, typed_value
+from ..files import typed_value
 from .ast import SORTS
 
 
 class VocabularyError(ManiplangError):
-    pass
+    field = "words"  # the top-level field of a vocabulary document at fault
 
 
 @dataclass(frozen=True)
@@ -172,17 +172,26 @@ def vocabulary_to_json(vocab: Vocabulary, rules: tuple[GrammarRule, ...] = ()) -
     return doc
 
 
-def _field(entry: dict, key: str, kind: type, *default):
-    """entry[key], which must be a `kind`; `default`, if one is given, for an absent key."""
+def _field(entry: dict, key: str, kind: type, *default, depth: int = 0):
+    """entry[key], a `kind` inside `depth` lists; `default`, if one is given, for an absent key."""
     if default and key not in entry:
         return default[0]
-    return typed_value(entry[key], kind, key, VocabularyError)
+    return typed_value(entry[key], kind, key, VocabularyError, depth)
 
 
 def vocabulary_from_json(doc: dict) -> tuple[Vocabulary, tuple[GrammarRule, ...]]:
     """Word and parameter names and `alias_of` must be strings, `required` and
-    `has_host_escape` booleans."""
+    `has_host_escape` booleans. An error's `field` names the top-level field
+    it is in."""
+    field = "has_host_escape"
     try:
+        has_host_escape = _field(doc, "has_host_escape", bool, False)
+        field = "rules"
+        rules = tuple(
+            GrammarRule(entry["lhs"], tuple(_field(entry, "rhs", str, depth=1)))
+            for entry in doc.get("rules", [])
+        )
+        field = "words"
         words = [
             Word(
                 _field(entry, "name", str),
@@ -195,11 +204,9 @@ def vocabulary_from_json(doc: dict) -> tuple[Vocabulary, tuple[GrammarRule, ...]
             )
             for entry in doc["words"]
         ]
-        rules = tuple(
-            GrammarRule(entry["lhs"], string_list(entry["rhs"], "rule rhs", VocabularyError))
-            for entry in doc.get("rules", [])
-        )
-        has_host_escape = _field(doc, "has_host_escape", bool, False)
-    except (KeyError, TypeError) as exc:
-        raise VocabularyError(f"malformed vocabulary document: {exc}") from exc
-    return Vocabulary(words, has_host_escape), rules
+        return Vocabulary(words, has_host_escape), rules
+    except (KeyError, TypeError, VocabularyError) as exc:
+        if not isinstance(exc, VocabularyError):
+            exc = VocabularyError(f"malformed vocabulary document: {exc}")
+        exc.field = field
+        raise exc

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ManiplangError
-from .files import read_json, write_text
+from .files import read_json, typed_value, write_text
 from .language.vocabulary import (
     Vocabulary,
     VocabularyError,
@@ -96,20 +96,16 @@ def profile_from_json(doc: dict, source: str = "profile") -> RepresentationProfi
     try:
         vocabulary, _ = vocabulary_from_json(doc)
     except VocabularyError as exc:
-        raise ProfileSchemaError(f"{source}.words: {exc}") from exc
+        raise ProfileSchemaError(f"{source}.{exc.field}: {exc}") from exc
+    entries = typed_value(doc.get("task_outcomes", []), list, f"{source}.task_outcomes", ProfileSchemaError)
     outcomes: dict[int, TaskOutcome] = {}
-    for i, entry in enumerate(doc.get("task_outcomes", [])):
+    for i, entry in enumerate(entries):
         path = f"{source}.task_outcomes[{i}]"
-        if not isinstance(entry, dict):
-            raise ProfileSchemaError(f"{path}: expected an object")
+        typed_value(entry, dict, path, ProfileSchemaError)
         if "task_id" not in entry or "verdict" not in entry:
             raise ProfileSchemaError(f"{path}: needs task_id and verdict")
-        verdict = entry["verdict"]
-        if not isinstance(verdict, str):
-            raise ProfileSchemaError(f"{path}.verdict: expected a string")
-        task_id = entry["task_id"]
-        if not isinstance(task_id, int) or isinstance(task_id, bool):
-            raise ProfileSchemaError(f"{path}.task_id: expected an integer, got {task_id!r}")
+        verdict = typed_value(entry["verdict"], str, f"{path}.verdict", ProfileSchemaError)
+        task_id = typed_value(entry["task_id"], int, f"{path}.task_id", ProfileSchemaError)
         if task_id in outcomes:
             raise ProfileSchemaError(f"{path}.task_id: task {task_id} already has an outcome")
         outcomes[task_id] = TaskOutcome(task_id, verdict)

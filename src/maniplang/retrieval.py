@@ -19,7 +19,7 @@ from typing import Callable
 
 from .costs import MissingPartError
 from .errors import ManiplangError
-from .files import read_json, string_list
+from .files import read_json, typed_value
 from .geometry import PointCloud
 from .scene import Scene
 
@@ -138,7 +138,7 @@ def database_to_json(db: PartDatabase) -> dict:
 def database_from_json(doc: dict) -> PartDatabase:
     try:
         entries = tuple(
-            PartEntry(string_list(entry["key_phrases"], "key_phrases", RetrievalError))
+            PartEntry(tuple(typed_value(entry["key_phrases"], str, "key_phrases", RetrievalError, depth=1)))
             for entry in doc["entries"]
         )
     except (KeyError, TypeError) as exc:

@@ -92,12 +92,15 @@ def scene_to_json(scene: Scene) -> dict:
 
 
 def scene_from_json(doc: dict) -> Scene:
+    def numbers(value, what: str, depth: int = 0):
+        return typed_value(value, float, what, SceneError, depth)
+
     try:
         parts = {}
         grasped = set()
         objects = {}
         for name, entry in doc["parts"].items():
-            parts[name] = PointCloud(entry["points"])
+            parts[name] = PointCloud(numbers(entry["points"], f"part {name!r} points", 2))
             if typed_value(entry.get("grasped", False), bool, f"part {name!r} grasped", SceneError):
                 grasped.add(name)
             if "object" in entry:
@@ -105,16 +108,18 @@ def scene_from_json(doc: dict) -> Scene:
         gripper = doc["gripper"]
         history = tuple(
             SceneSnapshot(
-                gripper_position=Point3(*snap["gripper"]),
-                part_centroids={n: Point3(*c) for n, c in snap.get("parts", {}).items()},
+                gripper_position=Point3(*numbers(snap["gripper"], "history gripper", 1)),
+                part_centroids={
+                    n: Point3(*numbers(c, f"history part {n!r}", 1)) for n, c in snap.get("parts", {}).items()
+                },
             )
             for snap in doc.get("history", [])
         )
         return Scene(
             parts=parts,
             grasped=frozenset(grasped),
-            gripper_position=Point3(*gripper["position"]),
-            gripper_open_fraction=float(gripper["open_fraction"]),
+            gripper_position=Point3(*numbers(gripper["position"], "gripper position", 1)),
+            gripper_open_fraction=float(numbers(gripper["open_fraction"], "gripper open_fraction")),
             history=history,
             objects=objects,
         )

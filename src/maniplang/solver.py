@@ -37,7 +37,7 @@ nothing depends on wall clock.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -106,24 +106,10 @@ class SolveResult:
     total_evaluations: int
 
     def to_json(self) -> dict:
-        return {
-            "pose": {
-                "rotation": [float(v) for v in self.pose.rotation.reshape(-1)],
-                "translation": [
-                    self.pose.translation.x,
-                    self.pose.translation.y,
-                    self.pose.translation.z,
-                ],
-            },
-            "objective": self.objective,
-            "cost_term": self.cost_term,
-            "reg_translation": self.reg_translation,
-            "reg_rotation": self.reg_rotation,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "restart_index": self.restart_index,
-            "total_evaluations": self.total_evaluations,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        t = self.pose.translation
+        doc["pose"] = {"rotation": self.pose.rotation.reshape(-1).tolist(), "translation": [t.x, t.y, t.z]}
+        return doc
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
@@ -189,36 +175,25 @@ class _PosedContext(EvalContext):
         super().__init__(replace(scene, history=scene.history + (scene.snapshot(),)))
         self.moving = moving
         self.t0 = scene.gripper_position.as_array()
-        self._at_start: dict = {}
 
     def place(self, rel: np.ndarray, t: np.ndarray) -> None:
         """Poses to read: rotations (K, 3, 3) and gripper positions (K, 3)."""
         self.rel, self.t = rel, t
 
-    def _start(self, summary, *args):
-        """`summary` at the start pose, computed on first read."""
-        key = (summary, *args)
-        if key not in self._at_start:
-            self._at_start[key] = summary(self, *args)
-        return self._at_start[key]
-
     def resolve_point(self, name: str) -> np.ndarray:
         if name == GRIPPER_NAME:
             return self.t
-        c = self._start(EvalContext.resolve_point, name)
+        c = super().resolve_point(name)
         return self.rel @ (c - self.t0) + self.t if name in self.moving else c
 
     def part_axis(self, name: str) -> np.ndarray:
-        a = self._start(EvalContext.part_axis, name)
+        a = super().part_axis(name)
         return fix_axis_sign(self.rel @ a) if name in self.moving else a
 
     def part_extent(self, name: str, dimension: str):
         if name in self.moving:
             return rotated_extent(self.resolve_cloud(name), self.rel, dimension)
-        return self._start(EvalContext.part_extent, name, dimension)
-
-    def part_line(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        return self.resolve_point(name), self.part_axis(name)
+        return super().part_extent(name, dimension)
 
 
 def objective(expr: TypedExpr, scene: Scene, pose: PoseSE3, cfg: SolveConfig) -> float:

@@ -100,8 +100,17 @@ class TestEvalCommand:
             json.dumps({"parts": 5}),
             json.dumps({"parts": {"a": {"points": []}}, "gripper": {"position": [0, 0, 0], "open_fraction": 0}}),
             json.dumps({"parts": {}, "gripper": {"position": [float("nan"), 0, 0], "open_fraction": 0}}),
+            json.dumps({"parts": {}, "gripper": {"position": [0, 0, 0], "open_fraction": "0.5"}}),
+            json.dumps({"parts": {}, "gripper": {"position": [0, 0, 0], "open_fraction": True}}),
+            json.dumps({"parts": {}, "gripper": {"position": [True, False, 0], "open_fraction": 0}}),
+            json.dumps({"parts": {"a": {"points": [[True, 0, 0]]}}, "gripper": {"position": [0, 0, 0], "open_fraction": 0}}),
+            json.dumps({"parts": {"a": {"points": [["1", "2", "3"]]}}, "gripper": {"position": [0, 0, 0], "open_fraction": 0}}),
+            json.dumps({"parts": {}, "gripper": {"position": [0, 0, 0], "open_fraction": 0},
+                        "history": [{"gripper": [0, True, 0], "parts": {}}]}),
         ],
-        ids=["missing_file", "not_json", "parts_not_a_map", "empty_points", "nan_gripper"],
+        ids=["missing_file", "not_json", "parts_not_a_map", "empty_points", "nan_gripper",
+             "open_fraction_a_string", "open_fraction_a_bool", "position_of_bools", "points_of_bools",
+             "points_of_strings", "history_gripper_of_bools"],
     )
     def test_unreadable_scene_is_validation_failure(self, tmp_path, capsys, content):
         path = tmp_path / "scene.json"
@@ -269,6 +278,9 @@ def test_valid_profile_helper_passes(tmp_path):
         lambda t: _metrics_on_profile(t, _profile(rule={"rhs": ["cost"]})),
         lambda t: _metrics_on_profile(t, _profile(rule={"lhs": "cost", "rhs": 5})),
         lambda t: _metrics_on_profile(t, _profile(rule={"lhs": "cost", "rhs": "cost"})),
+        lambda t: _metrics_on_profile(t, _profile(task_outcomes=5)),
+        lambda t: _metrics_on_profile(t, _profile(task_outcomes=None)),
+        lambda t: _metrics_on_profile(t, _profile(task_outcomes="abc")),
         lambda t: ["metrics", "--profiles", _PROFILES, "--tasks", _file(t, "t.json", None),
                    "--csv", str(t / "m.csv"), "--svg", str(t / "m.svg")],
         lambda t: ["metrics", "--profiles", _PROFILES, "--tasks", _file(t, "t.json", "{}"),
@@ -302,6 +314,7 @@ def test_valid_profile_helper_passes(tmp_path):
         "metrics_profile_param_name_not_a_string", "metrics_profile_required_not_a_boolean",
         "metrics_profile_escape_not_a_boolean", "metrics_profile_rule_without_lhs",
         "metrics_profile_rhs_not_a_list", "metrics_profile_rhs_a_string",
+        "metrics_profile_outcomes_a_number", "metrics_profile_outcomes_null", "metrics_profile_outcomes_a_string",
         "metrics_tasks_missing", "metrics_tasks_empty_object", "metrics_tasks_not_a_list",
         "metrics_csv_unwritable",
         "run_fixtures_missing", "run_fixtures_not_an_object", "run_fixtures_bad_utf8",

@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -235,6 +236,41 @@ class TestGetters:
             "move_cost(get_centroid('cup edge'), [1, 2, 3])", scene, part_resolver=resolver
         )
         assert value < 1e-12
+
+    def test_resolver_is_asked_once_per_name_per_context(self):
+        scene = two_part_scene(
+            "knife blade", line_cloud([1, 0, 0]), "carrot", line_cloud([0, 1, 0], center=(0, 1, 0))
+        )
+        calls = Counter()
+
+        def resolver(name):
+            calls[name] += 1
+            return scene.parts.get("knife blade" if name == "blade edge" else name)
+
+        program = typed(
+            "orbit_cost('blade edge', 0.5, 'carrot') + parallel_cost(get_axis('blade edge'), [1, 0, 0])"
+            " + move_cost(get_centroid('blade edge'), [0, 0, 0])"
+        )
+        ctx = EvalContext(scene, part_resolver=resolver)
+        first = evaluate(program, ctx)
+        assert evaluate(program, ctx) == first == pytest.approx(0.5, abs=1e-12)
+        assert calls == {"blade edge": 1, "carrot": 1}
+        assert not ctx.resolve_point("carrot").flags.writeable  # kept, so shared by every read
+
+    def test_a_failed_resolution_is_not_kept(self):
+        scene = single_part_scene("cup", line_cloud([0, 0, 1]))
+        calls = []
+
+        def resolver(name):
+            calls.append(name)
+            return None if len(calls) == 1 else scene.parts["cup"]
+
+        program = typed("move_cost(get_centroid('mug'), [0, 0, 0]) + parallel_cost(get_axis('mug'), [0, 0, 1])")
+        ctx = EvalContext(scene, part_resolver=resolver)
+        with pytest.raises(MissingPartError):
+            evaluate(program, ctx)
+        assert evaluate(program, ctx) < 1e-12
+        assert calls == ["mug", "mug"]
 
 
 class TestEvalStructure:

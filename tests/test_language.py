@@ -148,6 +148,11 @@ class TestTypeCheck:
         assert typed.sort == "cost"
         assert all(child.sort == "cost" for child in typed.children)
 
+    def test_call_children_follow_the_parameters(self):
+        typed = type_check(parse("orbit_cost(moving_part='a', radius=0.5, center_part='b')"))
+        assert [name for name, _ in typed.bound] == ["center_part", "radius", "moving_part"]
+        assert typed.children == tuple(value for _, value in typed.bound)
+
     def test_string_coerces_to_point_only_where_expected(self):
         typed = type_check(parse("move_cost('gripper', 'button')"))
         assert typed.sort == "cost"

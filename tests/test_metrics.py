@@ -156,6 +156,23 @@ class TestProfiles:
         assert vlm_comprehensibility(profile) == 0.0
         assert compute_rows([profile], 1)[0].n_succ == 0
 
+    @pytest.mark.parametrize(
+        "fields, path",
+        [
+            ({"has_host_escape": "no"}, "x.has_host_escape: "),
+            ({"rules": [{"rhs": ["cost"]}]}, "x.rules: "),
+            ({"rules": [{"lhs": "cost", "rhs": "cost"}]}, "x.rules: "),
+            ({"words": [{"name": ["w"], "result_sort": "cost"}]}, "x.words: "),
+            ({"task_outcomes": 5}, "x.task_outcomes "),
+            ({"task_outcomes": None}, "x.task_outcomes "),
+            ({"task_outcomes": "abc"}, "x.task_outcomes "),
+        ],
+    )
+    def test_schema_error_names_the_field_at_fault(self, fields, path):
+        with pytest.raises(ProfileSchemaError) as err:
+            profile_from_json({"name": "x", "words": [], **fields}, source="x")
+        assert str(err.value).startswith(path)
+
     def test_missing_words_key(self):
         with pytest.raises(ProfileSchemaError) as err:
             profile_from_json({"name": "x"}, source="x")

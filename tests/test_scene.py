@@ -63,6 +63,14 @@ class TestJson:
             {"parts": {}, "gripper": {**gripper, "position": [float("nan"), 0, 0]}},
             {"parts": {"cup": {"points": [[0, 0, 0]], "grasped": "false"}}, "gripper": gripper},
             {"parts": {"cup": {"points": [[0, 0, 0]], "object": ["cup"]}}, "gripper": gripper},
+            {"parts": {}, "gripper": {**gripper, "open_fraction": "0.5"}},
+            {"parts": {}, "gripper": {**gripper, "open_fraction": True}},
+            {"parts": {}, "gripper": {**gripper, "position": [True, False, 0]}},
+            {"parts": {"cup": {"points": [[True, 0, 0]]}}, "gripper": gripper},
+            {"parts": {"cup": {"points": [["0", "0", "0"]]}}, "gripper": gripper},
+            {"parts": {"cup": {"points": "abc"}}, "gripper": gripper},
+            {"parts": {}, "gripper": gripper, "history": [{"gripper": [True, 0, 0]}]},
+            {"parts": {}, "gripper": gripper, "history": [{"gripper": [0, 0, 0], "parts": {"cup": [0, False, 0]}}]},
         ):
             with pytest.raises(SceneError):
                 scene_from_json(doc)
