@@ -9,13 +9,14 @@ carrot axis at the known solved pose, and the pen axis sits exactly 30
 degrees off the holder axis. Sampling noise therefore never leaks into
 tolerances.
 
-The data tree regenerates byte-identically via `maniplang fixtures regen
---out DIR`; the shipped copies under `maniplang/data` were produced by
-exactly that code path. It holds `tasks_33.json` (the task corpus),
-`part_database.json`, `mock_translations.json`, `profiles/<stem>.json` (one
-representation profile per method, each task's verdict embedded) and
-`scenes/<kind>.json` (one per `SCENE_KINDS` entry); the prompt template is
-`default_prompt_template()`, in code only.
+The data tree under `maniplang/data` holds `scenes/<kind>.json` (one per
+`SCENE_KINDS` entry, generated from the seed) and the tables, which are
+edited as data and exist nowhere else: `tasks_33.json` (the task corpus),
+`part_database.json`, `mock_translations.json` and `profiles/<stem>.json`
+(one representation profile per method, each task's verdict embedded).
+`maniplang fixtures regen --out DIR` generates the scenes and copies the
+tables byte for byte, so its tree is byte-identical to the shipped one.
+The prompt template is `default_prompt_template()`, in code only.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ManiplangError
-from .files import read_json, write_json
+from .files import read_json, read_text, typed_value, write_json, write_text
 from .geometry import (
     Point3,
     PointCloud,
@@ -36,20 +37,13 @@ from .geometry import (
     rotation_about_axis,
     rotation_xyz,
 )
-from .language.vocabulary import (
-    Vocabulary,
-    default_grammar,
-    default_vocabulary,
-    make_word,
-    vocabulary_to_json,
-)
-from .retrieval import PartDatabase, PartEntry, database_to_json
+from .retrieval import PartDatabase, load_database
 from .scene import Scene, scene_to_json
 
 DEFAULT_SEED = 7
 POINTS_PER_PART = 1000
 
-GARBAGE_INSTRUCTION = "summon the kraken"  # deliberately invalid mock program
+GARBAGE_INSTRUCTION = "summon the kraken"  # keys the one invalid program in mock_translations.json
 
 
 class FixtureError(ManiplangError):
@@ -284,256 +278,6 @@ _SCENE_MAKERS = {
 SCENE_KINDS = tuple(_SCENE_MAKERS)
 
 
-# -- task corpus and judgment fixtures ----------------------------------------
-
-_TASKS: tuple[tuple[str, str], ...] = (
-    ("Sort the Red Cube", "Pick the red cube from a group and place it inside the red circle."),
-    ("Bin the Blue Cylinder", "Pick the blue cylinder and drop it into the bin marked with a blue square."),
-    ("Stack Cube on Cube", "Pick the green cube and stack it on top of the yellow cube."),
-    ("Move the Soda Can", "Pick the soda can from the left table and place it on the right table."),
-    ("Fill the Tray", "Pick the AA battery and place it into the empty slot in the plastic tray."),
-    ("Insert the USB Drive", "Pick the USB drive from the table and insert it into the laptop's USB port."),
-    ("Assemble the LEGO", "Pick the 2x4 LEGO brick and attach it to the red baseplate, connecting it to two other bricks."),
-    ("Place the Ring", "Pick the wooden ring and place it onto the vertical post."),
-    ("Put the Lid on the Jar", "Pick the plastic jar lid and place it on top of the jar."),
-    ("Hang the Key", "Pick the key and hang it on the keyhook by its hole."),
-    ("Push the Dice", "Push the white dice across the table until it crosses the black line."),
-    ("Flip the Pancake", "Use the spatula to flip the pancake in the frying pan."),
-    ("Close the Drawer", "Push the kitchen drawer closed using the flat of the gripper."),
-    ("Press the Doorbell", "Press the round, lit doorbell button on the wall."),
-    ("Align the Block", "Push the wooden block until it is flush against the corner of the table."),
-    ("Scoop the Rice", "Use the metal spoon to scoop rice from the pot into the bowl."),
-    ("Stir the Soup", "Use the spoon to stir the liquid in the pot three times clockwise."),
-    ("Hammer the Nail", "Use the toy hammer to tap the nail until its head is flush with the board."),
-    ("Screw in the Lightbulb", "Pick the lightbulb and screw it into the empty lamp socket."),
-    ("Pour the Water", "Pick the pitcher and pour water into the empty glass until it is half-full."),
-    ("Uncoil the Rope", "Manipulate the coiled rope until it forms a straight line from start to end."),
-    ("Fold the Washcloth", "Fold the small, square washcloth in half."),
-    ("Open the Bag", "Use two grippers to pull the handles of the plastic bag apart."),
-    ("Drape the Towel", "Drape the hand towel over the horizontal bar."),
-    ("Route the Cable", "Route the USB cable around the two posts in an S-shape."),
-    ("Grasp the Marble", "Pick the glass marble from a flat surface."),
-    ("Grasp the Coin", "Pick the single coin from the table."),
-    ("Re-grip the Screwdriver", "Pick the screwdriver by its handle, then place it down and re-grip it by its shaft."),
-    ("Pick the Book", "Pick the paperback book from the shelf by its spine."),
-    ("Hook the Mug", "Hook a gripper finger through the handle of the coffee mug and lift it."),
-    ("Place the T-Block", "Pick the T-shaped block and insert it into the matching T-shaped slot on the board."),
-    ("Assemble the Stack", "Pick the large square block and place it on the table, then place the medium block on it, and finally the small block on top."),
-    ("Plug in the Lamp", "Pick the power plug from the floor and insert it into the wall outlet."),
-)
-
-# One verdict code per task, in task order. Codes map to the judge's wording
-# per method below; `metrics.judge_verdict` decides which wording is success.
-_JUDGMENT_CODES = {
-    "seam": "ccccccicccciccciiiiiiiccicccccccc",
-    "omnimanip": "cccccppccccxcccxpxxpxxxcpcccccpcp",
-    "instruct2act": "ccccccccccicicixciccccccicccccccc",
-    "rekep": "sssssppsspssssspspsspssspssssspsp",
-}
-
-_VERDICT_TEXT = {
-    "seam": {"c": "correct", "i": "insufficient"},
-    "omnimanip": {
-        "c": "correct and sufficient",
-        "p": "partially correct but insufficient",
-        "x": "incorrect and insufficient",
-    },
-    "instruct2act": {"c": "correct and sufficient", "i": "insufficient", "x": "incorrect"},
-    "rekep": {"s": "success", "p": "partial success"},
-}
-
-
-def tasks() -> list[Task]:
-    return [Task(i + 1, title, text) for i, (title, text) in enumerate(_TASKS)]
-
-
-def judgments(method: str) -> list[dict]:
-    codes = _JUDGMENT_CODES[method]
-    text = _VERDICT_TEXT[method]
-    return [{"task_id": i + 1, "verdict": text[code]} for i, code in enumerate(codes)]
-
-
-# -- representation profiles ---------------------------------------------------
-
-_CORE_TABLE_WORDS = (
-    "get_axis",
-    "get_centroid",
-    "get_height",
-    "move_cost",
-    "parallel_cost",
-    "get_gripper_pos",
-    "perpendicular_cost",
-    "rotate_cost",
-    "orbit_cost",
-    "gripper_close",
-    "gripper_open",
-)
-
-
-def _core_vocabulary() -> Vocabulary:
-    """The 11-word core table, borrowing the full vocabulary's signatures."""
-    full = {w.name: w for w in default_vocabulary().words}
-    return Vocabulary([full[name] for name in _CORE_TABLE_WORDS])
-
-
-def _rekep_vocabulary() -> Vocabulary:
-    s, p = "string", "point"
-    return Vocabulary(
-        [
-            make_word("get_keypoint", [("part", s)], p),
-            make_word("gripper_close", [], "void"),
-            make_word("gripper_open", [], "void"),
-            make_word("move_to", [("target", p)], "void"),
-            make_word("get_gripper_pos", [], p),
-            make_word("get_gripper_pose", [], "vec"),
-        ],
-        has_host_escape=True,
-    )
-
-
-def _omnimanip_vocabulary() -> Vocabulary:
-    s, p = "string", "point"
-    return Vocabulary(
-        [
-            make_word("gripper_close", [], "void"),
-            make_word("gripper_open", [], "void"),
-            make_word("move_to", [("target", p)], "void"),
-            make_word("get_gripper_pos", [], p),
-            make_word("get_gripper_pose", [], "vec"),
-            make_word("get_keypoint", [("part", s)], p),
-            make_word("get_axis", [("part", s)], "vec"),
-        ]
-    )
-
-
-def _instruct2act_vocabulary() -> Vocabulary:
-    s = "string"
-    unary = [
-        "pick",
-        "place",
-        "pick_place",
-        "push",
-        "press",
-        "flip",
-        "tap",
-    ]
-    binary = [
-        "insert",
-        "move_parallel",
-        "move_perpendicular",
-        "scoop",
-        "stir",
-        "screw_rotation",
-        "controlled_pour",
-        "route_around",
-        "pull_apart",
-        "fold",
-        "straighten",
-    ]
-    words = [
-        make_word("gripper_close", [], "void"),
-        make_word("gripper_open", [], "void"),
-        make_word("get_gripper_pos", [], "point"),
-        make_word("get_gripper_pose", [], "vec"),
-        make_word("find", [("part", s)], "point"),
-        make_word("move_above", [("part", s), ("target", s), ("offset", "scalar")], "void"),
-    ]
-    words += [make_word(name, [("part", s)], "void") for name in unary]
-    words += [make_word(name, [("first", s), ("second", s)], "void") for name in binary]
-    return Vocabulary(words, has_host_escape=True)
-
-
-def build_profiles() -> dict[str, dict]:
-    """Profile documents keyed by file stem; judgment corpus embedded."""
-    table = (  # (stem, vocabulary, grammar rules, judged method, grammar notes)
-        ("seam", default_vocabulary(), default_grammar(), "seam", ()),
-        ("seam_core", _core_vocabulary(), default_grammar(), "seam", ()),
-        ("rekep", _rekep_vocabulary(), (), "rekep", (
-            "cost -> cost + cost",
-            "cost -> cost_fns, kpts",
-            "kpts -> kpts, keypoint",
-            "kpts -> get_keypoint",
-            "kpts -> get_end_effector",
-            "plus the host-language grammar",
-        )),
-        ("omnimanip", _omnimanip_vocabulary(), (), "omnimanip", (
-            "cost -> cost + cost",
-            "cost -> angular constraint, p, p",
-            "start -> distance constraint, p, p",
-            "p -> get_keypoint",
-            "p -> get_axis",
-        )),
-        ("instruct2act", _instruct2act_vocabulary(), (), "instruct2act", (
-            "action -> action + action",
-            "action -> verb, segment",
-            "segment -> find, object",
-            "plus the host-language grammar",
-        )),
-    )
-    profiles = {}
-    for stem, vocab, rules, method, notes in table:
-        doc = vocabulary_to_json(vocab, rules)
-        doc["name"] = stem
-        doc["task_outcomes"] = judgments(method)
-        if notes:
-            doc["grammar_notes"] = list(notes)
-        profiles[stem] = doc
-    return profiles
-
-
-# -- part database --------------------------------------------------------------
-
-
-def build_part_database() -> PartDatabase:
-    return PartDatabase(
-        entries=tuple(
-            PartEntry(phrases)
-            for phrases in (
-                ("cup opening", "cup rim", "cup edge"),
-                ("teapot opening", "teapot top rim"),
-                ("teapot spout", "teapot nozzle"),
-                ("pen cap", "cap of the pen"),
-                ("drawer handle", "drawer pull"),
-                ("button", "push button", "doorbell button"),
-                ("microwave hinge", "microwave door hinge"),
-                ("flower stem", "plant stem"),
-                ("bowl rim", "bowl edge"),
-                ("knife blade", "blade of the knife"),
-            )
-        )
-    )
-
-
-# -- mock translations -----------------------------------------------------------
-
-
-def build_mock_translations() -> dict[str, str]:
-    """Instruction -> candidate program text (stages separated by ---).
-
-    Every entry validates against the grammar except the one keyed by
-    GARBAGE_INSTRUCTION, which exists to exercise the reject/reprompt path.
-    """
-    return {
-        "put the pen into the penholder": (
-            "parallel_cost(get_axis('pen'), get_axis('pen holder')) + "
-            "move_cost(get_centroid('pen'), get_centroid('pen holder'), offset=[0, 0, 0.12])"
-        ),
-        "cut the carrot with the knife": (
-            "perpendicular_cost(get_axis('carrot'), get_axis('knife blade')) + "
-            "move_cost(get_centroid('knife'), get_centroid('knife blade'), offset=[0, 0, 0.1])"
-        ),
-        "move the cube above the target": (
-            "move_cost(get_centroid('cube'), get_centroid('target'), offset=[0, 0, 0.1])"
-        ),
-        "lift the cube and release it": (
-            "move_cost_with_offset('cube', offset=[0, 0, get_height('cube') + 0.1])\n"
-            "---\n"
-            "gripper_open()"
-        ),
-        GARBAGE_INSTRUCTION: "fly_to('moon')",
-    }
-
-
 # -- prompt templates ------------------------------------------------------------
 
 
@@ -603,7 +347,14 @@ def load_tasks(path=None) -> list[Task]:
     path = path or shipped_tasks_path()
     doc = read_json(path, FixtureError)
     try:
-        return [Task(t["task_id"], t["title"], t["instruction"]) for t in doc["tasks"]]
+        return [
+            Task(
+                typed_value(t["task_id"], int, f"{path}: task_id", FixtureError),
+                typed_value(t["title"], str, f"{path}: title", FixtureError),
+                typed_value(t["instruction"], str, f"{path}: instruction", FixtureError),
+            )
+            for t in doc["tasks"]
+        ]
     except (KeyError, TypeError) as exc:
         raise FixtureError(f"{path}: expected a tasks list of {{task_id, title, instruction}}") from exc
 
@@ -614,6 +365,10 @@ def load_mock_translations(path=None) -> dict[str, str]:
     if not isinstance(doc, dict) or not all(isinstance(v, str) for v in doc.values()):
         raise FixtureError(f"{path}: expected an object of instruction -> program text")
     return doc
+
+
+def build_part_database() -> PartDatabase:
+    return load_database(shipped_part_database_path())
 
 
 def shipped_part_database_path() -> Path:
@@ -633,28 +388,23 @@ def shipped_scene_path(kind: str) -> Path:
 
 
 def regen(out_dir, seed: int = DEFAULT_SEED) -> list[Path]:
-    """Write the whole fixture tree; byte-stable for a given seed."""
-    scenes = {kind: make_scene(kind, seed) for kind in SCENE_KINDS}  # a bad seed writes nothing
+    """Write the whole data tree, byte-stable for a given seed: the scenes
+    generated from `seed`, every other shipped file copied as it is."""
     out = Path(out_dir)
+    # A bad seed or an unreadable table writes nothing.
+    scenes = {out / "scenes" / f"{kind}.json": make_scene(kind, seed) for kind in SCENE_KINDS}
+    tables = {
+        out / path.relative_to(_DATA): read_text(path, FixtureError)
+        for path in sorted(_DATA.rglob("*"))
+        if path.is_file() and path.relative_to(_DATA).parts[0] != "scenes"
+    }
     try:
-        (out / "profiles").mkdir(parents=True, exist_ok=True)
-        (out / "scenes").mkdir(parents=True, exist_ok=True)
+        for path in [*tables, *scenes]:
+            path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise FixtureError(f"cannot create {out}: {exc}") from exc
-    written: list[Path] = []
-
-    def emit(relative: str, doc) -> None:
-        path = out / relative
-        write_json(path, doc, FixtureError)
-        written.append(path)
-
-    emit("tasks_33.json", {"tasks": [
-        {"task_id": t.task_id, "title": t.title, "instruction": t.instruction} for t in tasks()
-    ]})
-    emit("part_database.json", database_to_json(build_part_database()))
-    emit("mock_translations.json", build_mock_translations())
-    for stem, doc in build_profiles().items():
-        emit(f"profiles/{stem}.json", doc)
-    for kind, scene in scenes.items():
-        emit(f"scenes/{kind}.json", scene_to_json(scene))
-    return written
+    for path, text in tables.items():
+        write_text(path, text, FixtureError)
+    for path, scene in scenes.items():
+        write_json(path, scene_to_json(scene), FixtureError)
+    return [*tables, *scenes]

@@ -163,6 +163,8 @@ def principal_axis(cloud: PointCloud) -> Vector3:
     pts = cloud.coords
     centered = pts - pts.mean(axis=0)
     cov = centered.T @ centered / pts.shape[0]
+    if not np.isfinite(cov).all():
+        raise GeometryError("the covariance of the points overflows; no principal axis")
     eigvals, eigvecs = np.linalg.eigh(cov)
     if math.sqrt(max(eigvals[-1], 0.0)) < _DEGENERATE_SPREAD:
         raise DegenerateAxisError("all points coincide; no principal axis")

@@ -22,7 +22,6 @@ from .vocabulary import (
     default_vocabulary,
     vocabulary_from_json,
     vocabulary_size,
-    vocabulary_to_json,
 )
 
 __all__ = [
@@ -54,5 +53,4 @@ __all__ = [
     "validate_program",
     "vocabulary_from_json",
     "vocabulary_size",
-    "vocabulary_to_json",
 ]

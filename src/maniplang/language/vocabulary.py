@@ -3,8 +3,10 @@
 Words carry a parameter signature and a result sort; `centroid` is a second
 surface spelling of `get_centroid` (one word, two names). The grammar rules
 cover infix composition and the literal coercions; call typing comes from
-the word signatures. Both serialize to one JSON schema so competitor word
-lists load through the same code path.
+the word signatures. Both are defined here, in code. Profile documents, the
+rival word lists among them, are edited as JSON data and all load through
+`vocabulary_from_json`; the shipped `profiles/seam.json` must match these
+two, which a test checks.
 """
 
 from __future__ import annotations
@@ -150,26 +152,6 @@ def default_grammar() -> tuple[GrammarRule, ...]:
         r("vec", ("triple",)),
         r("cost", ("number",)),
     )
-
-
-def vocabulary_to_json(vocab: Vocabulary, rules: tuple[GrammarRule, ...] = ()) -> dict:
-    doc: dict = {
-        "has_host_escape": vocab.has_host_escape,
-        "words": [
-            {
-                "name": w.name,
-                "params": [
-                    {"name": p.name, "sort": p.sort, "required": p.required} for p in w.params
-                ],
-                "result_sort": w.result_sort,
-                **({"alias_of": w.alias_of} if w.alias_of else {}),
-            }
-            for w in vocab.words
-        ],
-    }
-    if rules:
-        doc["rules"] = [{"lhs": rule.lhs, "rhs": list(rule.rhs)} for rule in rules]
-    return doc
 
 
 def _field(entry: dict, key: str, kind: type, *default, depth: int = 0):

@@ -131,10 +131,6 @@ def make_part_resolver(scene: Scene, db: PartDatabase) -> Callable[[str], PointC
     return resolver
 
 
-def database_to_json(db: PartDatabase) -> dict:
-    return {"entries": [{"key_phrases": list(entry.key_phrases)} for entry in db.entries]}
-
-
 def database_from_json(doc: dict) -> PartDatabase:
     try:
         entries = tuple(

@@ -75,13 +75,17 @@ class TestEvalCommand:
             ("eval", "rotate_cost([0, 0, 0], 1, [0, 0, 1])"),
             ("eval", OVERFLOW),
             ("solve", OVERFLOW),
+            ("eval", "parallel_cost(get_axis('huge'), get_axis('cube'))"),
         ],
-        ids=["degenerate_axis", "coincident_direction", "zero_rotate_axis", "overflow", "solve_overflow"],
+        ids=["degenerate_axis", "coincident_direction", "zero_rotate_axis", "overflow", "solve_overflow",
+             "covariance_overflow"],
     )
     def test_degenerate_geometry_and_overflow_are_runtime_failures(self, tmp_path, capsys, command, expr):
         cube = fixtures.make_scene("cube_target")
         dot = PointCloud([(0.1, 0.1, 0.1)] * 5)  # every point coincides: no axis
-        save_scene(tmp_path / "scene.json", dataclasses.replace(cube, parts={**cube.parts, "dot": dot}))
+        huge = PointCloud([(1e200, 1e200, 1e200), (-1e200, -1e200, -1e200)])  # finite, squares are not
+        parts = {**cube.parts, "dot": dot, "huge": huge}
+        save_scene(tmp_path / "scene.json", dataclasses.replace(cube, parts=parts))
         assert main([command, "--scene", str(tmp_path / "scene.json"), "--expr", expr]) == 3
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")

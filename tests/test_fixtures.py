@@ -9,7 +9,14 @@ import pytest
 from maniplang import fixtures
 from maniplang.costs import EvalContext, evaluate
 from maniplang.geometry import angle_between, principal_axis
-from maniplang.language import parse, type_check, validate_program
+from maniplang.language import (
+    default_grammar,
+    default_vocabulary,
+    parse,
+    type_check,
+    validate_program,
+    vocabulary_from_json,
+)
 from maniplang.language.typecheck import Accepted
 from maniplang.metrics import load_profiles
 from maniplang.pipeline import split_stages
@@ -84,7 +91,6 @@ class TestScenes:
 
 class TestTaskCorpus:
     def test_exactly_thirty_three(self):
-        assert len(fixtures.tasks()) == 33
         assert len(fixtures.load_tasks()) == 33
 
     def test_titles_match_corpus(self):
@@ -98,9 +104,24 @@ class TestTaskCorpus:
         assert [t.task_id for t in fixtures.load_tasks()] == list(range(1, 34))
 
     def test_judgments_cover_all_tasks(self):
-        for method in ("seam", "omnimanip", "instruct2act", "rekep"):
-            outcomes = fixtures.judgments(method)
-            assert [o["task_id"] for o in outcomes] == list(range(1, 34))
+        for profile in load_profiles(fixtures.shipped_profiles_dir()):
+            assert [o.task_id for o in profile.task_outcomes] == list(range(1, 34)), profile.name
+
+    @pytest.mark.parametrize(
+        "task",
+        [
+            {"task_id": "one", "title": 1, "instruction": None},
+            {"task_id": True, "title": "t", "instruction": "i"},
+            {"task_id": 1, "title": 1, "instruction": "i"},
+            {"task_id": 1, "title": "t", "instruction": None},
+        ],
+        ids=["all_mistyped", "task_id_a_bool", "title_a_number", "instruction_null"],
+    )
+    def test_mistyped_task_field_is_fixture_error(self, tmp_path, task):
+        path = tmp_path / "tasks.json"
+        path.write_text(json.dumps({"tasks": [task]}), encoding="utf-8")
+        with pytest.raises(fixtures.FixtureError, match="task_id|title|instruction"):
+            fixtures.load_tasks(path)
 
 
 class TestShippedData:
@@ -122,6 +143,30 @@ class TestShippedData:
     def test_part_database_loads(self):
         db = load_database(fixtures.shipped_part_database_path())
         assert len(db.entries) >= 5
+
+    def test_seam_profiles_match_the_code_vocabulary(self):
+        seam, seam_core = (
+            json.loads((fixtures.shipped_profiles_dir() / f"{stem}.json").read_text(encoding="utf-8"))
+            for stem in ("seam", "seam_core")
+        )
+        full = default_vocabulary()
+        vocab, rules = vocabulary_from_json(seam)
+        assert vocab.words == full.words
+        assert rules == default_grammar()
+        core, core_rules = vocabulary_from_json(seam_core)
+        assert all(word == full.lookup(word.name) for word in core.words)
+        assert core_rules == default_grammar()
+        assert seam_core["task_outcomes"] == seam["task_outcomes"]
+        assert fixtures.GARBAGE_INSTRUCTION in fixtures.load_mock_translations()
+
+    def test_every_data_file_is_packaged(self):
+        tomllib = pytest.importorskip("tomllib")
+        package = Path(fixtures.__file__).parent
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        setuptools = tomllib.loads(pyproject.read_text(encoding="utf-8"))["tool"]["setuptools"]
+        packaged = {path for pattern in setuptools["package-data"]["maniplang"] for path in package.glob(pattern)}
+        data_files = {path for path in (package / "data").rglob("*") if path.is_file()}
+        assert data_files - packaged == set()
 
     def test_vocabulary_census_file(self):
         doc = json.loads((fixtures.shipped_profiles_dir() / "seam.json").read_text())

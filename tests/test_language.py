@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import time
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from maniplang import fixtures
 from maniplang.language import (
     Accepted,
     ArgumentError,
@@ -19,7 +21,6 @@ from maniplang.language import (
     Triple,
     TypeCheckError,
     UnknownWordError,
-    default_grammar,
     default_vocabulary,
     parse,
     to_source,
@@ -28,7 +29,6 @@ from maniplang.language import (
     validate_program,
     vocabulary_from_json,
     vocabulary_size,
-    vocabulary_to_json,
 )
 from maniplang.language import typecheck
 from maniplang.language.parser import MAX_DEPTH
@@ -55,13 +55,24 @@ class TestVocabulary:
         assert vocab.lookup("centroid").name == "get_centroid"
 
     def test_json_round_trip(self):
-        vocab = default_vocabulary()
-        rules = default_grammar()
-        doc = vocabulary_to_json(vocab, rules)
-        loaded_vocab, loaded_rules = vocabulary_from_json(doc)
-        assert loaded_vocab.words == vocab.words
-        assert loaded_rules == rules
-        assert vocabulary_to_json(loaded_vocab, loaded_rules) == doc
+        # Every field of every shipped profile's words and rules is read as written.
+        for path in sorted(fixtures.shipped_profiles_dir().glob("*.json")):
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            vocab, rules = vocabulary_from_json(doc)
+            assert vocab.has_host_escape == doc.get("has_host_escape", False)
+            assert [(r.lhs, list(r.rhs)) for r in rules] == [(r["lhs"], r["rhs"]) for r in doc.get("rules", [])]
+            assert [
+                (w.name, [(p.name, p.sort, p.required) for p in w.params], w.result_sort, w.alias_of)
+                for w in vocab.words
+            ] == [
+                (
+                    w["name"],
+                    [(p["name"], p["sort"], p.get("required", True)) for p in w.get("params", [])],
+                    w["result_sort"],
+                    w.get("alias_of"),
+                )
+                for w in doc["words"]
+            ], path.name
 
 
 class TestParse:

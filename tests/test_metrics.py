@@ -18,6 +18,7 @@ from maniplang.metrics import (
     profile_from_json,
     rows_to_csv,
     rows_to_svg,
+    success_count,
     vlm_comprehensibility,
 )
 
@@ -86,10 +87,10 @@ class TestVlmComprehensibility:
 
     def test_judgment_corpus_hand_counts(self):
         expected = {"seam": 23, "omnimanip": 19, "instruct2act": 27, "rekep": 24}
+        profiles = {p.name: p for p in load_profiles(fixtures.shipped_profiles_dir())}
         for method, count in expected.items():
-            outcomes = fixtures.judgments(method)
-            assert len(outcomes) == 33
-            assert sum(1 for o in outcomes if judge_verdict(o["verdict"])) == count
+            assert len(profiles[method].task_outcomes) == 33
+            assert success_count(profiles[method]) == count
 
     def test_only_full_verdicts_count(self):
         assert judge_verdict("Correct and sufficient")
@@ -132,11 +133,9 @@ class TestProfiles:
             profile_from_json({"name": "x", "words": [], "task_outcomes": [{}]}, source="x")
         assert "task_outcomes[0]" in str(err.value)
 
-    def test_round_trip_through_serialization(self, tmp_path):
-        docs = fixtures.build_profiles()
-        for stem, doc in docs.items():
-            path = tmp_path / f"{stem}.json"
-            path.write_text(json.dumps(doc), encoding="utf-8")
+    def test_round_trip_through_serialization(self):
+        for path in sorted(fixtures.shipped_profiles_dir().glob("*.json")):
+            doc = json.loads(path.read_text(encoding="utf-8"))
             loaded = load_profiles(path)[0]
             assert loaded.name == doc["name"]
             assert [w.name for w in loaded.vocabulary.words] == [
