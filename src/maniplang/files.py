@@ -1,6 +1,7 @@
 """The on-disk format: UTF-8 text, and JSON with indent=2, sorted keys and a
 trailing newline. A path that cannot be read or written, bad UTF-8 and bad
-JSON are raised as the caller's own ManiplangError subclass."""
+JSON are raised as the caller's own ManiplangError subclass. `DATA_ROOT` is
+the shipped data tree, `maniplang/data`, named here and nowhere else."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ import json
 from pathlib import Path
 
 from .errors import ManiplangError
+
+DATA_ROOT = Path(__file__).with_name("data")
 
 
 def read_text(path, error: type[ManiplangError]) -> str:
@@ -33,7 +36,11 @@ def write_text(path, text: str, error: type[ManiplangError]) -> None:
 
 
 def write_json(path, doc, error: type[ManiplangError]) -> None:
-    write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n", error)
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # NaN or inf: not JSON
+        raise error(f"cannot write {path}: {exc}") from exc
+    write_text(path, text + "\n", error)
 
 
 def typed_value(value, kind: type, what: str, error: type[ManiplangError], depth: int = 0):

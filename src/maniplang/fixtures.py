@@ -9,11 +9,13 @@ carrot axis at the known solved pose, and the pen axis sits exactly 30
 degrees off the holder axis. Sampling noise therefore never leaks into
 tolerances.
 
-The data tree under `maniplang/data` holds `scenes/<kind>.json` (one per
-`SCENE_KINDS` entry, generated from the seed) and the tables, which are
-edited as data and exist nowhere else: `tasks_33.json` (the task corpus),
-`part_database.json`, `mock_translations.json` and `profiles/<stem>.json`
-(one representation profile per method, each task's verdict embedded).
+The data tree at `files.DATA_ROOT` (`maniplang/data`) holds
+`scenes/<kind>.json` (one per `SCENE_KINDS` entry, generated from the seed)
+and the tables, which are edited as data and exist nowhere else:
+`tasks_33.json` (the task corpus), `part_database.json`,
+`mock_translations.json` and `profiles/<stem>.json` (one representation
+profile per method, each task's verdict embedded; `language` reads SEAM's
+vocabulary and grammar from `profiles/seam.json`).
 `maniplang fixtures regen --out DIR` generates the scenes and copies the
 tables byte for byte, so its tree is byte-identical to the shipped one.
 The prompt template is `default_prompt_template()`, in code only.
@@ -28,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ManiplangError
-from .files import read_json, read_text, typed_value, write_json, write_text
+from .files import DATA_ROOT, read_json, read_text, typed_value, write_json, write_text
 from .geometry import (
     Point3,
     PointCloud,
@@ -340,9 +342,6 @@ def default_prompt_template() -> PromptTemplate:
 # -- data files -------------------------------------------------------------------
 
 
-_DATA = Path(__file__).with_name("data")
-
-
 def load_tasks(path=None) -> list[Task]:
     path = path or shipped_tasks_path()
     doc = read_json(path, FixtureError)
@@ -360,7 +359,7 @@ def load_tasks(path=None) -> list[Task]:
 
 
 def load_mock_translations(path=None) -> dict[str, str]:
-    path = path or _DATA / "mock_translations.json"
+    path = path or DATA_ROOT / "mock_translations.json"
     doc = read_json(path, FixtureError)
     if not isinstance(doc, dict) or not all(isinstance(v, str) for v in doc.values()):
         raise FixtureError(f"{path}: expected an object of instruction -> program text")
@@ -372,19 +371,19 @@ def build_part_database() -> PartDatabase:
 
 
 def shipped_part_database_path() -> Path:
-    return _DATA / "part_database.json"
+    return DATA_ROOT / "part_database.json"
 
 
 def shipped_profiles_dir() -> Path:
-    return _DATA / "profiles"
+    return DATA_ROOT / "profiles"
 
 
 def shipped_tasks_path() -> Path:
-    return _DATA / "tasks_33.json"
+    return DATA_ROOT / "tasks_33.json"
 
 
 def shipped_scene_path(kind: str) -> Path:
-    return _DATA / "scenes" / f"{kind}.json"
+    return DATA_ROOT / "scenes" / f"{kind}.json"
 
 
 def regen(out_dir, seed: int = DEFAULT_SEED) -> list[Path]:
@@ -394,9 +393,9 @@ def regen(out_dir, seed: int = DEFAULT_SEED) -> list[Path]:
     # A bad seed or an unreadable table writes nothing.
     scenes = {out / "scenes" / f"{kind}.json": make_scene(kind, seed) for kind in SCENE_KINDS}
     tables = {
-        out / path.relative_to(_DATA): read_text(path, FixtureError)
-        for path in sorted(_DATA.rglob("*"))
-        if path.is_file() and path.relative_to(_DATA).parts[0] != "scenes"
+        out / path.relative_to(DATA_ROOT): read_text(path, FixtureError)
+        for path in sorted(DATA_ROOT.rglob("*"))
+        if path.is_file() and path.relative_to(DATA_ROOT).parts[0] != "scenes"
     }
     try:
         for path in [*tables, *scenes]:

@@ -1,12 +1,12 @@
-"""The fixed manipulation vocabulary and composition grammar.
+"""The manipulation vocabulary and composition grammar.
 
 Words carry a parameter signature and a result sort; `centroid` is a second
 surface spelling of `get_centroid` (one word, two names). The grammar rules
 cover infix composition and the literal coercions; call typing comes from
-the word signatures. Both are defined here, in code. Profile documents, the
-rival word lists among them, are edited as JSON data and all load through
-`vocabulary_from_json`; the shipped `profiles/seam.json` must match these
-two, which a test checks.
+the word signatures. Every profile document, SEAM's and the rival word lists
+alike, is edited as JSON data and loads through `vocabulary_from_json`.
+SEAM's words and rules are read once, at import, from the shipped
+`profiles/seam.json`, the profile the metrics score; they exist nowhere else.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ManiplangError
-from ..files import typed_value
+from ..files import DATA_ROOT, read_json, typed_value
 from .ast import SORTS
 
 
@@ -92,68 +92,6 @@ def vocabulary_size(vocab: Vocabulary) -> int:
     return len(vocab.words)
 
 
-def make_word(name, params, result, alias_of=None) -> Word:
-    """A word whose parameters are `Param`s or (name, sort) pairs."""
-    return Word(name, tuple(Param(*p) if isinstance(p, tuple) else p for p in params), result, alias_of)
-
-
-def default_vocabulary() -> Vocabulary:
-    """The full 20-word vocabulary: the core table plus the template words."""
-    s, p, v, c = "string", "point", "vec", "cost"
-    return Vocabulary(
-        [
-            make_word("get_axis", [("part", s)], v),
-            make_word("get_centroid", [("part", s)], p),
-            make_word("centroid", [("part", s)], p, alias_of="get_centroid"),
-            make_word("centroid_last", [("part", s)], p),
-            make_word("get_height", [("part", s)], "scalar"),
-            make_word("get_width", [("part", s)], "scalar"),
-            make_word("get_length", [("part", s)], "scalar"),
-            make_word("get_gripper_pos", [], p),
-            make_word("direction_of", [("start", s), ("end", s)], v),
-            make_word("move_cost", [("source", p), ("target", p), Param("offset", v, required=False)], c),
-            make_word("move_cost_with_offset", [("part", s), ("offset", v)], c),
-            make_word("parallel_cost", [("first", v), ("second", v)], c),
-            make_word("perpendicular_cost", [("first", v), ("second", v)], c),
-            make_word("rotate_cost", [("axis", v), ("angle", "scalar"), ("reference", v)], c),
-            make_word("orbit_cost", [("center_part", s), ("radius", "scalar"), ("moving_part", s)], c),
-            make_word("upright_cost", [("up_part", s), ("down_part", s)], c),
-            make_word("gripper_open_cost", [], c),
-            make_word("gripper_close_first_cost", [], c),
-            make_word("gripper_open", [], "void"),
-            make_word("gripper_close", [], "void"),
-        ]
-    )
-
-
-def default_grammar() -> tuple[GrammarRule, ...]:
-    """Composition and coercion rules consulted by the type checker.
-
-    Binary rules read lhs <- (left, op, right); unary negation is
-    ("scalar", ("-", "scalar")); single-element rules are coercions,
-    e.g. a part-name string may stand where a point is expected.
-    """
-    r = GrammarRule
-    return (
-        r("scalar", ("scalar", "+", "scalar")),
-        r("scalar", ("scalar", "-", "scalar")),
-        r("scalar", ("scalar", "*", "scalar")),
-        r("scalar", ("-", "scalar")),
-        r("point", ("point", "+", "point")),
-        r("point", ("point", "-", "point")),
-        r("point", ("point", "+", "vec")),
-        r("point", ("point", "-", "vec")),
-        r("vec", ("vec", "+", "vec")),
-        r("vec", ("vec", "-", "vec")),
-        r("vec", ("vec", "*", "scalar")),
-        r("cost", ("cost", "+", "cost")),
-        r("point", ("string",)),
-        r("point", ("triple",)),
-        r("vec", ("triple",)),
-        r("cost", ("number",)),
-    )
-
-
 def _field(entry: dict, key: str, kind: type, *default, depth: int = 0):
     """entry[key], a `kind` inside `depth` lists; `default`, if one is given, for an absent key."""
     if default and key not in entry:
@@ -192,3 +130,23 @@ def vocabulary_from_json(doc: dict) -> tuple[Vocabulary, tuple[GrammarRule, ...]
             exc = VocabularyError(f"malformed vocabulary document: {exc}")
         exc.field = field
         raise exc
+
+
+_SEAM_VOCABULARY, _SEAM_GRAMMAR = vocabulary_from_json(
+    read_json(DATA_ROOT / "profiles" / "seam.json", VocabularyError)
+)
+
+
+def default_vocabulary() -> Vocabulary:
+    """SEAM's 20 words; every caller shares this one instance."""
+    return _SEAM_VOCABULARY
+
+
+def default_grammar() -> tuple[GrammarRule, ...]:
+    """Composition and coercion rules consulted by the type checker.
+
+    Binary rules read lhs <- (left, op, right); unary negation is
+    ("scalar", ("-", "scalar")); single-element rules are coercions,
+    e.g. a part-name string may stand where a point is expected.
+    """
+    return _SEAM_GRAMMAR

@@ -22,6 +22,7 @@ from typing import Mapping, Protocol
 
 from . import fixtures
 from .errors import ManiplangError
+from .files import typed_value
 from .language.ast import TypedExpr
 from .language.typecheck import Accepted, validate_program
 from .scene import Scene
@@ -126,7 +127,7 @@ class RemoteClient:
             raise PipelineError(f"remote endpoint {self.endpoint} failed: {exc}") from exc
         if not isinstance(doc, dict) or "program" not in doc:
             raise PipelineError("remote response is missing the 'program' field")
-        return str(doc["program"])
+        return typed_value(doc["program"], str, "remote response field 'program'", PipelineError)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ManiplangError
 from .files import read_json, typed_value, write_json
 from .geometry import GeometryError, Point3, PointCloud, centroid
@@ -70,7 +72,10 @@ def scene_to_json(scene: Scene) -> dict:
 
     parts = {}
     for name in scene.parts:
-        rows = scene.parts[name].coords.round(9).tolist()
+        coords = scene.parts[name].coords
+        with np.errstate(over="ignore"):
+            rounded = coords.round(9)  # overflows to inf above ~1.8e299; those stay as they are
+        rows = np.where(np.isfinite(rounded), rounded, coords).tolist()
         entry = {"points": rows, "grasped": name in scene.grasped}
         if name in scene.objects:
             entry["object"] = scene.objects[name]

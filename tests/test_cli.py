@@ -1,8 +1,10 @@
 import dataclasses
+import io
 import json
 import socket
 import subprocess
 import sys
+import urllib.request
 from types import SimpleNamespace
 
 import pytest
@@ -202,6 +204,14 @@ class TestRunCommand:
                          "--client", "remote", "--endpoint", endpoint])
             assert code == 2, endpoint
             assert capsys.readouterr().err.startswith("error: "), endpoint
+
+    def test_remote_program_not_a_string_fails_cleanly(self, scene_path, monkeypatch, capsys):
+        body = json.dumps({"program": 5}).encode("utf-8")  # a stub endpoint: no network
+        monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout: io.BytesIO(body))
+        code = main(["run", "--scene", scene_path, "--instruction", "x",
+                     "--client", "remote", "--endpoint", "http://stub"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_custom_fixture_map(self, scene_path, tmp_path, capsys):
         fixture_map = tmp_path / "map.json"

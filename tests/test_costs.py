@@ -14,9 +14,9 @@ from maniplang.costs import (
     motion_subjects,
 )
 from maniplang.geometry import DegenerateAxisError, DegenerateDirectionError, Point3, PointCloud
-from maniplang.language import parse, type_check, validate_program
+from maniplang.language import default_vocabulary, parse, type_check, validate_program
 from maniplang.scene import Scene, SceneSnapshot
-from maniplang import fixtures
+from maniplang import costs, fixtures
 
 from util import CARROT_KNIFE_PROGRAM, random_rotation, single_part_scene
 
@@ -53,11 +53,11 @@ class TestMoveCost:
 
     def test_offset_form_vanishes_when_satisfied(self):
         scene = two_part_scene("cup", [(0, 0, 0.1)], "saucer", [(0, 0, 0)])
-        value = ev(
+        for source in (
             "move_cost(get_centroid('cup'), get_centroid('saucer'), offset=[0, 0, 0.1])",
-            scene,
-        )
-        assert value < 1e-12
+            "move_cost(get_centroid('cup'), get_centroid('saucer') - [0, 0, -0.1])",
+        ):
+            assert ev(source, scene) < 1e-12, source
 
     def test_three_four_five_triangle(self):
         scene = single_part_scene("cube", [(1, 1, 0)])
@@ -311,6 +311,15 @@ class TestEvalStructure:
                 warnings.simplefilter("error")  # and no numpy RuntimeWarning
                 with pytest.raises(EvalError, match="not finite"):
                     ev(source, scene)
+
+    def test_every_evaluable_word_has_an_evaluator(self):
+        # Signatures are read from profiles/seam.json, evaluators defined in code.
+        evaluable = {
+            word.name for word in default_vocabulary().words
+            if word.alias_of is None and word.result_sort != "void"
+        }
+        assert evaluable == set(costs._WORDS)
+        assert len(evaluable) == 17
 
     def test_void_action_is_not_evaluable(self):
         scene = single_part_scene("x", [(0, 0, 0)])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from maniplang import fixtures, metrics
+from maniplang import files, fixtures, metrics
 from maniplang.fixtures import FixtureError
 from maniplang.metrics import MetricsError, ProfileSchemaError, load_profiles
 from maniplang.retrieval import RetrievalError, load_database
@@ -41,3 +41,7 @@ def test_unwritable_outputs_raise_callers_error(tmp_path):
         metrics.write_outputs([], target, tmp_path / "m.svg")
     with pytest.raises(FixtureError):
         fixtures.regen(target)
+    for value in (float("inf"), float("nan")):  # not JSON
+        with pytest.raises(SceneError, match="cannot write"):
+            files.write_json(tmp_path / "doc.json", {"x": value}, SceneError)
+    assert not (tmp_path / "doc.json").exists()

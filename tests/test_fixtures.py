@@ -10,8 +10,6 @@ from maniplang import fixtures
 from maniplang.costs import EvalContext, evaluate
 from maniplang.geometry import angle_between, principal_axis
 from maniplang.language import (
-    default_grammar,
-    default_vocabulary,
     parse,
     type_check,
     validate_program,
@@ -144,18 +142,16 @@ class TestShippedData:
         db = load_database(fixtures.shipped_part_database_path())
         assert len(db.entries) >= 5
 
-    def test_seam_profiles_match_the_code_vocabulary(self):
+    def test_seam_core_agrees_with_seam(self):
         seam, seam_core = (
             json.loads((fixtures.shipped_profiles_dir() / f"{stem}.json").read_text(encoding="utf-8"))
             for stem in ("seam", "seam_core")
         )
-        full = default_vocabulary()
-        vocab, rules = vocabulary_from_json(seam)
-        assert vocab.words == full.words
-        assert rules == default_grammar()
+        full, rules = vocabulary_from_json(seam)
         core, core_rules = vocabulary_from_json(seam_core)
-        assert all(word == full.lookup(word.name) for word in core.words)
-        assert core_rules == default_grammar()
+        by_name = {word.name: word for word in full.words}
+        assert all(word == by_name[word.name] for word in core.words)
+        assert core_rules == rules
         assert seam_core["task_outcomes"] == seam["task_outcomes"]
         assert fixtures.GARBAGE_INSTRUCTION in fixtures.load_mock_translations()
 

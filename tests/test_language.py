@@ -190,6 +190,22 @@ class TestTypeCheck:
         with pytest.raises(TypeCheckError):
             type_check(parse("gripper_open_cost() + gripper_open_cost()"))
 
+    @pytest.mark.parametrize(
+        "source, error, message",
+        [
+            ("parallel_cost(get_axis('a'), get_axis('b'), get_axis('c'))", ArgumentError, "at most 2"),
+            ("parallel_cost(get_axis('a'), first=get_axis('b'))", ArgumentError, "'first' given twice"),
+            ("move_cost('a', [0, 1])", TypeCheckError, "2-element list"),
+            ("move_cost('a', [0, 1, get_axis('b')])", TypeCheckError, "expected scalar, got vec"),
+            ("move_cost('a', 'b', offset=[0, 0, -get_axis('b')])", TypeCheckError, "expected scalar, got vec"),
+            ("move_cost('a', np.zeros([0, 0, 1]))", ParseError, "unknown dotted name"),
+            ("move_cost(source='a', 'b')", ParseError, "positional argument after named"),
+        ],
+    )
+    def test_malformed_calls_rejected(self, source, error, message):
+        with pytest.raises(error, match=message):
+            type_check(parse(source))
+
     def test_alias_resolves_to_canonical_word(self):
         typed = type_check(parse("centroid('cup')"), expected_sort="point")
         assert typed.word == "get_centroid"

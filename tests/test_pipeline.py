@@ -1,4 +1,6 @@
+import io
 import json
+import urllib.request
 
 import pytest
 from hypothesis import given, settings
@@ -127,6 +129,13 @@ class TestRunTask:
         assert trace.stages == ()  # a rejected candidate never reaches the solver
         assert not trace.success
 
+    def test_empty_candidates_are_reprompted(self):
+        scene = single_part_scene("cube", [(0, 0, 0)])
+        for answer in ("", "---\n---"):
+            with pytest.raises(TranslationFailedError) as err:
+                run_task("x", scene, MockClient({"x": answer}))
+            assert [(a.accepted, a.reason) for a in err.value.trace.attempts] == [(False, "empty candidate")] * 3
+
     def test_carrot_knife_residual(self):
         scene = fixtures.make_scene("carrot_knife")
         cfg = PipelineConfig(solve=SolveConfig(beta=0.01), success_threshold=1e-2)
@@ -198,3 +207,17 @@ class TestRemoteClient:
     def test_explicit_endpoint_wins(self, monkeypatch):
         monkeypatch.setenv("MANIPLANG_REMOTE_URL", "http://env")
         assert RemoteClient(endpoint="http://arg").endpoint == "http://arg"
+
+    def test_program_must_be_a_string(self, monkeypatch):
+        # A stub endpoint: no network.
+        def reply(program):
+            body = json.dumps({"program": program}).encode("utf-8")
+            monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout: io.BytesIO(body))
+
+        client = RemoteClient(endpoint="http://stub")
+        reply("gripper_open_cost()")
+        assert client.translate("x", "", "") == "gripper_open_cost()"
+        for program in (5, None):
+            reply(program)
+            with pytest.raises(PipelineError, match="program"):
+                client.translate("x", "", "")

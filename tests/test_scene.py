@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from maniplang.geometry import Point3, PointCloud
-from maniplang.scene import Scene, SceneError, scene_from_json, scene_to_json
+from maniplang.scene import Scene, SceneError, load_scene, save_scene, scene_from_json, scene_to_json
 
 
 def minimal(**overrides):
@@ -88,3 +88,10 @@ class TestJson:
         loaded = scene_from_json(doc)
         assert len(loaded.history) == 1
         assert loaded.history[0].part_centroids["cup"] == Point3(0.0, 0.0, 0.5)
+
+    def test_huge_finite_coordinates_round_trip(self, tmp_path):
+        # Rounding to 9 places overflows above ~1.8e299; such values are written as they are.
+        scene = minimal(parts={"cup": PointCloud([(1e308, 1 / 3, 0), (-1e308, 0, 0)])})
+        save_scene(tmp_path / "scene.json", scene)
+        loaded = load_scene(tmp_path / "scene.json")
+        assert loaded.parts["cup"].coords.tolist() == [[1e308, 0.333333333, 0.0], [-1e308, 0.0, 0.0]]
