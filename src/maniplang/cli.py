@@ -130,12 +130,18 @@ def _cmd_parse(args) -> int:
     return EXIT_OK
 
 
+def _cost_program(source: str, use: str):
+    """The typed program if it is a cost expression; else None, with the reason printed."""
+    typed = _validated(source)
+    if typed is not None and typed.sort != "cost":
+        print(f"rejected: only cost expressions {use}", file=sys.stderr)
+        return None
+    return typed
+
+
 def _cmd_eval(args) -> int:
-    typed = _validated(args.expr)
+    typed = _cost_program(args.expr, "evaluate to a number")
     if typed is None:
-        return EXIT_INVALID
-    if typed.sort != "cost":
-        print("rejected: only cost expressions evaluate to a number", file=sys.stderr)
         return EXIT_INVALID
     scene = load_scene(args.scene)
     value = evaluate(typed, EvalContext(scene))
@@ -144,11 +150,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    typed = _validated(args.expr)
+    typed = _cost_program(args.expr, "are solvable")
     if typed is None:
-        return EXIT_INVALID
-    if typed.sort != "cost":
-        print("rejected: only cost expressions are solvable", file=sys.stderr)
         return EXIT_INVALID
     scene = load_scene(args.scene)
     result = solve(typed, scene, _solve_config(args))

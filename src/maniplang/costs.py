@@ -30,6 +30,7 @@ from .geometry import (
     DegenerateAxisError,
     PointCloud,
     angle_between,
+    centroid,
     dot,
     extent,
     norm,
@@ -94,7 +95,7 @@ class EvalContext:
         """The gripper's position, or a part's centroid."""
         if name == GRIPPER_NAME:
             return self.scene.gripper_position.as_array()
-        return self._summary("centroid", name, lambda: self.resolve_cloud(name).coords.mean(axis=0))
+        return self._summary("centroid", name, lambda: centroid(self.resolve_cloud(name)).as_array())
 
 
 def evaluate(expr: TypedExpr, ctx: EvalContext) -> float | np.ndarray:
@@ -137,7 +138,10 @@ def _eval(node: TypedExpr, ctx: EvalContext):
             right = np.expand_dims(right, -1)
         return left * right
     if isinstance(expr, Call):
-        return _eval_call(node, ctx)
+        word = _WORDS.get(node.word)
+        if word is None:
+            raise EvalError(f"word {node.word!r} is not evaluable (void actions run in the pipeline)")
+        return word(node, ctx)
     raise EvalError(f"cannot evaluate node {expr!r}")
 
 
@@ -150,13 +154,6 @@ def _string_arg(node: TypedExpr, name: str) -> str:
     bound = node.binding(name)
     assert bound is not None and isinstance(bound.expr, Literal)
     return str(bound.expr.value)
-
-
-def _eval_call(node: TypedExpr, ctx: EvalContext):
-    word = _WORDS.get(node.word)
-    if word is None:
-        raise EvalError(f"word {node.word!r} is not evaluable (void actions run in the pipeline)")
-    return word(node, ctx)
 
 
 # -- getters -----------------------------------------------------------------

@@ -35,9 +35,14 @@ def write_text(path, text: str, error: type[ManiplangError]) -> None:
         raise error(f"cannot write {path}: {exc}") from exc
 
 
+def dumps(doc) -> str:
+    """The JSON text of `doc`, without the trailing newline; NaN or inf raise ValueError."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+
+
 def write_json(path, doc, error: type[ManiplangError]) -> None:
     try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        text = dumps(doc)
     except ValueError as exc:  # NaN or inf: not JSON
         raise error(f"cannot write {path}: {exc}") from exc
     write_text(path, text + "\n", error)

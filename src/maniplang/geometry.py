@@ -149,8 +149,15 @@ class PoseSE3:
 
 
 def centroid(cloud: PointCloud) -> Point3:
-    """Arithmetic mean of the cloud's points."""
-    return Point3.from_array(cloud.coords.mean(axis=0))
+    """Arithmetic mean of the cloud's points: `coords.mean(axis=0)` unless its
+    sum overflows. Then the points are divided before they are summed, and the
+    sum is clipped to their range, which holds the mean, against rounding."""
+    coords = cloud.coords
+    with np.errstate(over="ignore"):
+        mean = coords.mean(axis=0)
+        if not np.isfinite(mean).all():
+            mean = np.clip((coords / len(coords)).sum(axis=0), coords.min(axis=0), coords.max(axis=0))
+    return Point3.from_array(mean)
 
 
 def principal_axis(cloud: PointCloud) -> Vector3:
@@ -161,7 +168,7 @@ def principal_axis(cloud: PointCloud) -> Vector3:
     take |cos| anyway.
     """
     pts = cloud.coords
-    centered = pts - pts.mean(axis=0)
+    centered = pts - centroid(cloud).as_array()
     cov = centered.T @ centered / pts.shape[0]
     if not np.isfinite(cov).all():
         raise GeometryError("the covariance of the points overflows; no principal axis")

@@ -2,7 +2,7 @@
 
 A task run asks a translation client for a candidate program (reference
 prompt attached), validates it against the grammar, reprompts with the
-rejection reason up to three times, then solves accepted stages one by one,
+rejection reason up to twice, then solves accepted stages one by one,
 moving the grasped parts after each solve. Gripper open/close stages skip
 the continuous solve and set the open fraction directly.
 
@@ -20,11 +20,9 @@ from dataclasses import dataclass, replace
 from itertools import groupby
 from typing import Mapping, Protocol
 
-from . import fixtures
+from . import files, fixtures
 from .errors import ManiplangError
-from .files import typed_value
-from .language.ast import TypedExpr
-from .language.typecheck import Accepted, validate_program
+from .language.typecheck import validate_program
 from .scene import Scene
 from .solver import SolveConfig, SolveResult, partition_moving_static, solve, transform_scene
 
@@ -127,7 +125,7 @@ class RemoteClient:
             raise PipelineError(f"remote endpoint {self.endpoint} failed: {exc}") from exc
         if not isinstance(doc, dict) or "program" not in doc:
             raise PipelineError("remote response is missing the 'program' field")
-        return typed_value(doc["program"], str, "remote response field 'program'", PipelineError)
+        return files.typed_value(doc["program"], str, "remote response field 'program'", PipelineError)
 
 
 @dataclass(frozen=True)
@@ -188,7 +186,7 @@ class TaskTrace:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
+        return files.dumps(self.to_json())
 
 
 def split_stages(candidate: str) -> list[str]:
@@ -226,39 +224,23 @@ def run_task(
     summary = scene_summary(scene)
 
     attempts: list[AttemptRecord] = []
-    accepted_stages: list[tuple[str, TypedExpr]] | None = None
     for _ in range(MAX_ATTEMPTS):
         raw = client.translate(instruction, summary, prompt)
-        stage_texts = split_stages(raw)
-        if not stage_texts:
-            attempts.append(AttemptRecord(raw, False, "empty candidate"))
-            prompt += "\nThe previous answer was empty. Reply with one cost expression.\n"
-            continue
-        verdicts = [validate_program(text) for text in stage_texts]
-        rejection = next((v for v in verdicts if not isinstance(v, Accepted)), None)
-        if rejection is None:
-            accepted_stages = [(text, verdict.typed) for text, verdict in zip(stage_texts, verdicts)]
-            attempts.append(AttemptRecord(raw, True))
+        candidate = [(text, validate_program(text)) for text in split_stages(raw)]
+        reason = next((v.reason for _, v in candidate if not v), None) if candidate else "empty candidate"
+        attempts.append(AttemptRecord(raw, reason is None, reason))
+        if reason is None:
             break
-        attempts.append(AttemptRecord(raw, False, rejection.reason))
-        prompt += f"\nThe previous answer was rejected: {rejection.reason}\nPlease fix it.\n"
-
-    if accepted_stages is None:
-        trace = TaskTrace(
-            instruction=instruction,
-            attempts=tuple(attempts),
-            stages=(),
-            final_state=_final_state(scene),
-            success=False,
-        )
-        raise TranslationFailedError(
-            f"no valid candidate after {MAX_ATTEMPTS} attempts", trace
-        )
+        note = f"rejected: {reason}\nPlease fix it." if candidate else "empty. Reply with one cost expression."
+        prompt += f"\nThe previous answer was {note}\n"
+    else:
+        trace = TaskTrace(instruction, tuple(attempts), (), _final_state(scene), success=False)
+        raise TranslationFailedError(f"no valid candidate after {MAX_ATTEMPTS} attempts", trace)
 
     stages: list[StageRecord] = []
     current = scene
-    failed = False
-    for text, typed in accepted_stages:
+    for text, verdict in candidate:
+        typed = verdict.typed
         if typed.sort == "void":
             fraction = 1.0 if typed.word == "gripper_open" else 0.0
             current = replace(current, gripper_open_fraction=fraction)
@@ -266,23 +248,18 @@ def run_task(
             continue
         try:
             result = solve(typed, current, cfg.solve)
-        except ManiplangError as exc:
+        except ManiplangError as exc:  # its inf residual fails the run
             stages.append(StageRecord(text, "solve", float("inf"), error=str(exc)))
-            failed = True
             break
         moving, _ = partition_moving_static(current)
         current = transform_scene(current, result.pose, moving)
         stages.append(StageRecord(text, "solve", result.cost_term, solve=result))
 
-    cost_residuals = [s.residual for s in stages if s.kind == "solve"]
-    success = (
-        not failed
-        and (not cost_residuals or cost_residuals[-1] < cfg.success_threshold)
-    )
+    residuals = [s.residual for s in stages if s.kind == "solve"]
     return TaskTrace(
         instruction=instruction,
         attempts=tuple(attempts),
         stages=tuple(stages),
         final_state=_final_state(current),
-        success=success,
+        success=not residuals or residuals[-1] < cfg.success_threshold,
     )

@@ -87,17 +87,12 @@ def retrieve(db: PartDatabase, desc: str) -> RetrievalMatch:
     """Entry holding the globally minimum-distance key phrase for `desc`."""
     if not db.entries:
         raise EmptyDatabaseError("cannot retrieve from an empty database")
-    best: tuple[int, int, str] | None = None
-    best_entry = None
-    for index, entry in enumerate(db.entries):
-        for phrase in entry.key_phrases:
-            key = (levenshtein(desc, phrase), index, phrase)
-            if best is None or key < best:
-                best = key
-                best_entry = entry
-    assert best is not None and best_entry is not None
-    distance, index, phrase = best
-    return RetrievalMatch(best_entry, index, phrase, distance)
+    distance, index, phrase = min(
+        (levenshtein(desc, phrase), index, phrase)
+        for index, entry in enumerate(db.entries)
+        for phrase in entry.key_phrases
+    )
+    return RetrievalMatch(db.entries[index], index, phrase, distance)
 
 
 def oracle_segment(scene: Scene, part_desc: str, db: PartDatabase) -> PointCloud:

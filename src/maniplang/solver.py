@@ -36,11 +36,11 @@ nothing depends on wall clock.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from . import files
 from .costs import EvalContext, EvalError, evaluate, motion_subjects
 from .errors import ManiplangError
 from .geometry import (  # noqa: F401 (perfbench/tracing.py patches euler_from_rotation and PointCloud here)
@@ -112,7 +112,7 @@ class SolveResult:
         return doc
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
+        return files.dumps(self.to_json())
 
 
 def initial_pose(scene: Scene) -> PoseSE3:
@@ -124,30 +124,21 @@ def initial_pose(scene: Scene) -> PoseSE3:
 def partition_moving_static(scene: Scene) -> tuple[frozenset[str], frozenset[str]]:
     """Split part names into gripper-attached and stationary.
 
-    A part moves when it is grasped, shares an explicit object label with a
-    grasped part, or (label fallback) its space-tokenized name starts with
-    the grasped part's full token sequence, so "knife blade" rides with a
-    grasped "knife". The gripper itself always moves and is not a part.
+    A part moves when it rides with a grasped part, itself included: equal
+    object labels decide when both parts have one; otherwise its whitespace-
+    tokenized name must start with the grasped name's tokens, so "knife blade"
+    rides with a grasped "knife". The gripper always moves and is not a part.
     """
-    grasped_info = [
-        (g, scene.objects.get(g), tuple(g.split())) for g in sorted(scene.grasped)
-    ]
-    moving: set[str] = set()
-    for name in scene.parts:
-        if name in scene.grasped:
-            moving.add(name)
-            continue
-        obj = scene.objects.get(name)
-        tokens = tuple(name.split())
-        for _, g_obj, g_tokens in grasped_info:
-            if obj is not None and g_obj is not None:
-                if obj == g_obj:
-                    moving.add(name)
-                    break
-            elif tokens[: len(g_tokens)] == g_tokens:
-                moving.add(name)
-                break
-    return frozenset(moving), frozenset(scene.parts) - moving
+
+    def rides_with(name: str, grasped: str) -> bool:
+        label, grasped_label = scene.objects.get(name), scene.objects.get(grasped)
+        if label is not None and grasped_label is not None:
+            return label == grasped_label
+        prefix = grasped.split()
+        return name.split()[: len(prefix)] == prefix
+
+    moving = frozenset(name for name in scene.parts if any(rides_with(name, g) for g in scene.grasped))
+    return moving, frozenset(scene.parts) - moving
 
 
 def transform_scene(scene: Scene, pose: PoseSE3, moving: frozenset[str] | None = None) -> Scene:
@@ -171,9 +162,9 @@ class _PosedContext(EvalContext):
     sets, read through part summaries. A summary that fails (missing part,
     degenerate axis) raises each time a word reads it, like on the moved scene."""
 
-    def __init__(self, scene: Scene, moving: frozenset[str]):
+    def __init__(self, scene: Scene):
         super().__init__(replace(scene, history=scene.history + (scene.snapshot(),)))
-        self.moving = moving
+        self.moving, _ = partition_moving_static(scene)
         self.t0 = scene.gripper_position.as_array()
 
     def place(self, rel: np.ndarray, t: np.ndarray) -> None:
@@ -205,7 +196,7 @@ def objective_terms(
     expr: TypedExpr, scene: Scene, pose: PoseSE3, cfg: SolveConfig
 ) -> tuple[float, float, float, float]:
     """(objective, cost term, translation regularizer, rotation regularizer)."""
-    return _pose_terms(expr, _PosedContext(scene, partition_moving_static(scene)[0]), pose, cfg)
+    return _pose_terms(expr, _PosedContext(scene), pose, cfg)
 
 
 def _pose_terms(
@@ -250,22 +241,17 @@ def solve(expr: TypedExpr, scene: Scene, cfg: SolveConfig | None = None) -> Solv
     cfg = cfg or SolveConfig()
     if expr.sort != "cost":
         raise EvalError(f"solve needs a cost-sorted expression, got {expr.sort!r}")
-    moving, _ = partition_moving_static(scene)
+    ctx = _PosedContext(scene)
     subjects = motion_subjects(expr)
-    movable = set(moving) | {GRIPPER_NAME}
-    if subjects and subjects.isdisjoint(movable):
-        raise NoMovingPartsError(
-            f"expression constrains {sorted(subjects)} but nothing grasped moves"
-        )
+    if subjects and subjects.isdisjoint(ctx.moving | {GRIPPER_NAME}):
+        raise NoMovingPartsError(f"expression constrains {sorted(subjects)} but nothing grasped moves")
 
-    ctx = _PosedContext(scene, moving)
     seed = cfg.seed & 0xFFFFFFFFFFFFFFFF  # SeedSequence wants unsigned 64-bit
     rng = np.random.default_rng(seed)
-    starts = [np.zeros(6)]
-    for _ in range(cfg.restarts - 1):
-        euler = rng.uniform(-np.pi / 2, np.pi / 2, size=3)
-        trans = rng.uniform(-0.2, 0.2, size=3)
-        starts.append(np.concatenate([euler, trans]))
+    starts = [np.zeros(6)] + [
+        np.concatenate([rng.uniform(-np.pi / 2, np.pi / 2, size=3), rng.uniform(-0.2, 0.2, size=3)])
+        for _ in range(cfg.restarts - 1)
+    ]
 
     results = {}
     for first in range(0, cfg.restarts, _LOCKSTEP):

@@ -95,8 +95,10 @@ class TestEvalCommand:
     def test_bad_expression_is_validation_failure(self, scene_path):
         assert main(["eval", "--scene", scene_path, "--expr", "nonsense("]) == 2
 
-    def test_void_action_not_evaluable(self, scene_path):
-        assert main(["eval", "--scene", scene_path, "--expr", "gripper_open()"]) == 2
+    def test_void_action_not_evaluable(self, scene_path, capsys):
+        for command in ("eval", "solve"):
+            assert main([command, "--scene", scene_path, "--expr", "gripper_open()"]) == 2
+            assert capsys.readouterr().err.startswith("rejected: ")
 
     @pytest.mark.parametrize(
         "content",

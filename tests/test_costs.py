@@ -68,6 +68,13 @@ class TestMoveCost:
         scene = two_part_scene("a", [(0.2, 0.3, 0.4)], "b", [(0.2, 0.3, 0.4)])
         assert ev("move_cost(get_centroid('a'), get_centroid('b'))", scene) == 0.0
 
+    def test_huge_part_centroid_is_finite(self):
+        # The points' sum overflows; their mean does not.
+        scene = single_part_scene("a", [(1e308, 0, 0)] * 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ev("move_cost(get_centroid('a'), [1e308, 0, 0])", scene) == 0.0
+
     def test_offset_move_on_fresh_scene_errors(self):
         scene = single_part_scene("cube", [(0, 0, 0)])
         with pytest.raises(EmptyHistoryError):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from maniplang.geometry import (
     transform_cloud,
     unit_direction,
 )
+from maniplang.scene import Scene
 
 from util import pca_axis_oracle, random_rotation
 
@@ -58,6 +60,20 @@ class TestCentroid:
     def test_empty_cloud_rejected(self):
         with pytest.raises(EmptyCloudError):
             PointCloud(np.zeros((0, 3)))
+
+    def test_mean_of_huge_points_does_not_overflow(self):
+        # Summing first overflows to inf although the mean is finite.
+        huge = PointCloud([(1e308, 0, 0)] * 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert centroid(huge) == Point3(1e308, 0.0, 0.0)
+        scene = Scene({"a": huge}, frozenset(), Point3(0, 0, 0), 1.0)
+        assert scene.snapshot().part_centroids["a"] == Point3(1e308, 0.0, 0.0)
+
+    def test_mean_at_the_float_limit_stays_finite(self):
+        # Dividing first, three copies of the largest float sum past it.
+        top = np.finfo(float).max
+        assert centroid(PointCloud([(top, -top, 0)] * 3)) == Point3(top, -top, 0.0)
 
 
 class TestPrincipalAxis:

@@ -29,6 +29,18 @@ def mock_client():
     return MockClient(fixtures.load_mock_translations())
 
 
+class SequenceClient:
+    """Answers the n-th translate call with the n-th answer; keeps each prompt."""
+
+    def __init__(self, answers):
+        self.answers = iter(answers)
+        self.prompts = []
+
+    def translate(self, instruction, scene_summary, prompt):
+        self.prompts.append(prompt)
+        return next(self.answers)
+
+
 class TestPrompt:
     def test_contains_all_six_template_headers(self):
         template = fixtures.default_prompt_template()
@@ -135,6 +147,29 @@ class TestRunTask:
             with pytest.raises(TranslationFailedError) as err:
                 run_task("x", scene, MockClient({"x": answer}))
             assert [(a.accepted, a.reason) for a in err.value.trace.attempts] == [(False, "empty candidate")] * 3
+
+    def test_each_attempt_and_reprompt_recorded(self):
+        client = SequenceClient(["nonsense(", "", "gripper_open()"])
+        trace = run_task("x", fixtures.make_scene("cube_target"), client)
+        attempts = [(a.accepted, a.reason) for a in trace.attempts]
+        assert attempts[0][0] is False and attempts[0][1].startswith("ParseError: ")
+        assert attempts[1:] == [(False, "empty candidate"), (True, None)]
+        assert client.prompts[1].endswith(f"\nThe previous answer was rejected: {attempts[0][1]}\nPlease fix it.\n")
+        assert client.prompts[2].endswith("\nThe previous answer was empty. Reply with one cost expression.\n")
+        assert trace.success
+
+    def test_stage_that_raises_ends_and_fails_the_run(self):
+        scene = fixtures.make_scene("cube_target")
+        program = (
+            "move_cost(get_centroid('cube'), get_centroid('target'), offset=[0, 0, 0.1])\n---\n"
+            "parallel_cost(get_axis('target'), [0, 0, 1])\n---\ngripper_open()"
+        )
+        trace = run_task("x", scene, MockClient({"x": program}))
+        assert [s.kind for s in trace.stages] == ["solve", "solve"]  # the gripper stage never runs
+        assert trace.stages[0].residual < 1e-2 and trace.stages[1].error is not None
+        assert json.loads(trace.dumps())["stages"][1]["residual"] is None
+        assert trace.final_state["gripper"]["open_fraction"] == scene.gripper_open_fraction
+        assert not trace.success
 
     def test_carrot_knife_residual(self):
         scene = fixtures.make_scene("carrot_knife")

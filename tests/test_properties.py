@@ -1,8 +1,10 @@
 """Property tests: parse/print round trips, rigid invariance of the cost
 words, an alignment identity, the solver's objective against plain
-evaluation of the moved scene, and the solver's never-worse guarantee."""
+evaluation of the moved scene, the solver's never-worse guarantee, and
+the centroid against numpy's mean."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +13,9 @@ from hypothesis import strategies as st
 
 from maniplang import solver
 from maniplang.costs import EvalContext, EvalError, evaluate
-from maniplang.geometry import GeometryError, Point3, PointCloud, PoseSE3, euler_from_rotation, rotation_xyz
+from maniplang.geometry import (
+    GeometryError, Point3, PointCloud, PoseSE3, centroid, euler_from_rotation, rotation_xyz,
+)
 from maniplang.language import BinOp, Call, Literal, Neg, Triple, parse, to_source, type_check
 from maniplang.scene import Scene, SceneSnapshot
 from maniplang.solver import (
@@ -19,7 +23,6 @@ from maniplang.solver import (
     initial_pose,
     objective,
     objective_terms,
-    partition_moving_static,
     solve,
     transform_scene,
 )
@@ -172,6 +175,26 @@ def test_parallel_plus_perpendicular_is_one(first, second):
     assert parallel + perpendicular == pytest.approx(1.0, abs=1e-12)
 
 
+# -- centroid is numpy's mean wherever that mean is finite -------------------------
+
+_coordinates = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_coordinates, _coordinates, _coordinates), min_size=1, max_size=12))
+def test_centroid_is_the_mean_bit_for_bit_where_finite(points):
+    coords = np.array(points, dtype=float)
+    with np.errstate(over="ignore"):
+        mean = coords.mean(axis=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning fails the test
+        got = centroid(PointCloud(points)).as_array()
+    if np.isfinite(mean).all():
+        assert got.tobytes() == mean.tobytes()
+    else:
+        assert (coords.min(axis=0) <= got).all() and (got <= coords.max(axis=0)).all()
+
+
 # -- objective_terms agrees with evaluating the moved scene ------------------------
 
 # 'a' is grasped and moves, 'b' and 'c' stay put. Every cost word, and every
@@ -220,7 +243,7 @@ def _plain_terms(expr, scene: Scene, pose: PoseSE3, cfg: SolveConfig) -> tuple[f
 def _batch_terms(expr, scene: Scene, poses, cfg: SolveConfig) -> list[tuple[float, float]]:
     """(objective, cost) at each pose, from one call of the solver's objective
     on the stack of poses."""
-    ctx = solver._PosedContext(scene, partition_moving_static(scene)[0])
+    ctx = solver._PosedContext(scene)
     rel = np.stack([pose.rotation for pose in poses])
     t = np.stack([pose.translation.as_array() for pose in poses])
     obj, cost, _, _ = np.broadcast_arrays(*solver._terms(expr, ctx, rel, t, t - ctx.t0, cfg))
@@ -366,7 +389,7 @@ def test_solve_takes_the_sequential_search(seed, program, restarts):
     scene = _random_scene(seed)
     expr = type_check(parse(program))
     cfg = SolveConfig(restarts=restarts, max_iterations=150, seed=seed)
-    ctx = solver._PosedContext(scene, partition_moving_static(scene)[0])
+    ctx = solver._PosedContext(scene)
 
     def f(x):
         (value,) = solver._objective_rows(expr, ctx, x[None], cfg)

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -102,8 +103,21 @@ class TestPartition:
     def test_word_boundary_tokenization_oracle(self):
         # Independent oracle: with explicit object labels, membership is label
         # equality; without labels, token-prefix on whitespace word boundaries.
-        for kind in ("pen_holder", "carrot_knife", "teapot_lid", "cube_target"):
-            scene = fixtures.make_scene(kind)
+        # The shipped scenes label every part; the seeded ones mix in unlabeled
+        # parts and names like "", "knife  blade" and "knifeblade".
+        rng = random.Random(13)
+        words = ("knife", "blade", "knifeblade", "cup")
+        scenes = [fixtures.make_scene(kind) for kind in ("pen_holder", "carrot_knife", "teapot_lid", "cube_target")]
+        for _ in range(300):
+            names = sorted({rng.choice((" ", "  ")).join(rng.choices(words, k=rng.randint(0, 3))) for _ in range(5)})
+            scenes.append(Scene(
+                parts={name: PointCloud([(0, 0, 0)]) for name in names},
+                grasped=frozenset(name for name in names if rng.random() < 0.3),
+                gripper_position=Point3(0, 0, 0),
+                gripper_open_fraction=0.0,
+                objects={name: rng.choice("ab") for name in names if rng.random() < 0.5},
+            ))
+        for scene in scenes:
             expected = set()
             for name in scene.parts:
                 for g in scene.grasped:
@@ -426,7 +440,7 @@ class TestLockstepSearch:
         # Turned 45 degrees the cube is taller, and its target angle overflows.
         scene = load_scene(fixtures.shipped_scene_path("cube_target"))
         expr = typed("rotate_cost(get_axis('cube'), get_height('cube') * 1e308 * 40, [0, 0, 1])")
-        ctx = solver._PosedContext(scene, partition_moving_static(scene)[0])
+        ctx = solver._PosedContext(scene)
         xs = np.array([[0.0] * 6, [math.pi / 4, 0, 0, 0, 0, 0]])
         start, turned = solver._objective_rows(expr, ctx, xs, SolveConfig())
         assert math.isfinite(start)
