@@ -2,7 +2,15 @@
 
 Exit codes: 0 success, 2 validation failure (syntax/type/translation, or
 an unreadable or malformed input file), 3 solver or evaluation failure
-(including degenerate geometry).
+(including degenerate geometry). Each error class carries its code as
+`exit_code`.
+
+Each command loads only the modules it uses: the parser adds a
+subcommand's arguments only when argv names it (every subcommand's for -h
+or an unknown command), and each handler imports its modules when it runs.
+These function-level imports are for start-up time, not to break an import
+cycle: `parse`, `retrieve` and `metrics` never load numpy, and only a
+remote `run` loads the HTTP client.
 """
 
 from __future__ import annotations
@@ -13,106 +21,48 @@ import json
 import sys
 from typing import get_type_hints
 
-from . import fixtures, metrics
-from .costs import EvalContext, EvalError, evaluate
-from .errors import ManiplangError
+from .errors import EXIT_INVALID, EXIT_SOLVER, ManiplangError
 from .files import read_text, write_text
-from .geometry import GeometryError
-from .language.ast import to_source
-from .language.typecheck import Accepted, validate_program
-from .pipeline import (
-    MockClient,
-    PipelineConfig,
-    RemoteClient,
-    TranslationFailedError,
-    run_task,
-)
-from .retrieval import load_database, retrieve
-from .scene import load_scene
-from .solver import SolveConfig, SolverError, solve
 
 EXIT_OK = 0
-EXIT_INVALID = 2
-EXIT_SOLVER = 3
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.handler(args)
-    except (EvalError, GeometryError, SolverError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except ManiplangError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return exc.exit_code
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(prog="maniplang")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", help="validate a program file against the grammar")
-    p.add_argument("file", help="program file, or - for stdin")
-    p.set_defaults(handler=_cmd_parse)
-
-    p = sub.add_parser("eval", help="evaluate a cost expression against a scene")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--expr", required=True, help="expression text")
-    p.set_defaults(handler=_cmd_eval)
-
-    p = sub.add_parser("solve", help="solve the gripper pose for an expression")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--expr", required=True)
-    _add_solve_options(p)
-    p.set_defaults(handler=_cmd_solve)
-
-    p = sub.add_parser("retrieve", help="look up a part description in a database")
-    p.add_argument("--db", required=True)
-    p.add_argument("--desc", required=True)
-    p.set_defaults(handler=_cmd_retrieve)
-
-    p = sub.add_parser("metrics", help="emit the representation-metrics CSV and SVG")
-    p.add_argument("--profiles", required=True, help="profile file or directory")
-    p.add_argument("--tasks", required=True, help="task list file")
-    p.add_argument("--csv", default="metrics.csv")
-    p.add_argument("--svg", default="metrics.svg")
-    p.set_defaults(handler=_cmd_metrics)
-
-    p = sub.add_parser("run", help="run one instruction end to end")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--instruction", required=True)
-    p.add_argument("--client", choices=("mock", "remote"), default="mock")
-    p.add_argument("--fixtures", help="mock translation map (defaults to the shipped one)")
-    p.add_argument("--endpoint", help="remote endpoint URL (or MANIPLANG_REMOTE_URL)")
-    p.add_argument("--out", help="write the task trace JSON here instead of stdout")
-    p.add_argument("--threshold", type=float, default=PipelineConfig.success_threshold)
-    _add_solve_options(p)
-    p.set_defaults(handler=_cmd_run)
-
-    p = sub.add_parser("fixtures", help="fixture utilities")
-    fix_sub = p.add_subparsers(dest="fixtures_command", required=True)
-    regen = fix_sub.add_parser("regen", help="regenerate the fixture tree")
-    regen.add_argument("--out", required=True)
-    regen.add_argument("--seed", type=int, default=fixtures.DEFAULT_SEED)
-    regen.set_defaults(handler=_cmd_fixtures_regen)
-
-    return parser
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if named in (None, name):
+            add_arguments(p)
+            p.set_defaults(handler=handler)
+    return parser.parse_args(argv)
 
 
 def _add_solve_options(p: argparse.ArgumentParser) -> None:
     """One flag per SolveConfig field (`max_iterations` as --max-iterations)."""
+    from .solver import SolveConfig
     types = get_type_hints(SolveConfig)
     for field in dataclasses.fields(SolveConfig):
         p.add_argument(f"--{field.name.replace('_', '-')}", type=types[field.name], default=field.default)
 
 
-def _solve_config(args) -> SolveConfig:
+def _solve_config(args):
+    from .solver import SolveConfig
     return SolveConfig(**{field.name: getattr(args, field.name) for field in dataclasses.fields(SolveConfig)})
 
 
 def _validated(source: str):
+    from .language.typecheck import Accepted, validate_program
     verdict = validate_program(source)
     if not isinstance(verdict, Accepted):
         print(f"rejected: {verdict.reason}", file=sys.stderr)
@@ -120,8 +70,16 @@ def _validated(source: str):
     return verdict.typed
 
 
+def _parse_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("file", help="program file, or - for stdin")
+
+
 def _cmd_parse(args) -> int:
-    source = sys.stdin.read() if args.file == "-" else read_text(args.file, ManiplangError)
+    from .language.ast import to_source
+    if args.file == "-":
+        source = read_text("stdin", ManiplangError, stream=sys.stdin.buffer)
+    else:
+        source = read_text(args.file, ManiplangError)
     typed = _validated(source)
     if typed is None:
         return EXIT_INVALID
@@ -139,7 +97,14 @@ def _cost_program(source: str, use: str):
     return typed
 
 
+def _eval_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--scene", required=True)
+    p.add_argument("--expr", required=True, help="expression text")
+
+
 def _cmd_eval(args) -> int:
+    from .costs import EvalContext, evaluate
+    from .scene import load_scene
     typed = _cost_program(args.expr, "evaluate to a number")
     if typed is None:
         return EXIT_INVALID
@@ -149,7 +114,15 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _solve_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--scene", required=True)
+    p.add_argument("--expr", required=True)
+    _add_solve_options(p)
+
+
 def _cmd_solve(args) -> int:
+    from .scene import load_scene
+    from .solver import solve
     typed = _cost_program(args.expr, "are solvable")
     if typed is None:
         return EXIT_INVALID
@@ -159,7 +132,13 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _retrieve_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--db", required=True)
+    p.add_argument("--desc", required=True)
+
+
 def _cmd_retrieve(args) -> int:
+    from .retrieval import load_database, retrieve
     db = load_database(args.db)
     match = retrieve(db, args.desc)
     print(
@@ -174,13 +153,33 @@ def _cmd_retrieve(args) -> int:
     return EXIT_OK
 
 
+def _metrics_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--profiles", required=True, help="profile file or directory")
+    p.add_argument("--tasks", required=True, help="task list file")
+    p.add_argument("--csv", default="metrics.csv")
+    p.add_argument("--svg", default="metrics.svg")
+
+
 def _cmd_metrics(args) -> int:
+    from . import metrics
     profiles = metrics.load_profiles(args.profiles)
-    task_count = len(fixtures.load_tasks(args.tasks))
+    task_count = len(metrics.load_tasks(args.tasks))
     rows = metrics.compute_rows(profiles, task_count)
     metrics.write_outputs(rows, args.csv, args.svg)
     print(metrics.rows_to_csv(rows), end="")
     return EXIT_OK
+
+
+def _run_arguments(p: argparse.ArgumentParser) -> None:
+    from .pipeline import PipelineConfig
+    p.add_argument("--scene", required=True)
+    p.add_argument("--instruction", required=True)
+    p.add_argument("--client", choices=("mock", "remote"), default="mock")
+    p.add_argument("--fixtures", help="mock translation map (defaults to the shipped one)")
+    p.add_argument("--endpoint", help="remote endpoint URL (or MANIPLANG_REMOTE_URL)")
+    p.add_argument("--out", help="write the task trace JSON here instead of stdout")
+    p.add_argument("--threshold", type=float, default=PipelineConfig.success_threshold)
+    _add_solve_options(p)
 
 
 def _emit_trace(trace, out_path) -> None:
@@ -192,9 +191,12 @@ def _emit_trace(trace, out_path) -> None:
 
 
 def _cmd_run(args) -> int:
+    from .fixtures import load_mock_translations
+    from .pipeline import MockClient, PipelineConfig, RemoteClient, TranslationFailedError, run_task
+    from .scene import load_scene
     scene = load_scene(args.scene)
     if args.client == "mock":
-        client = MockClient(fixtures.load_mock_translations(args.fixtures))
+        client = MockClient(load_mock_translations(args.fixtures))
     else:
         client = RemoteClient(endpoint=args.endpoint)
     cfg = PipelineConfig(solve=_solve_config(args), success_threshold=args.threshold)
@@ -207,11 +209,32 @@ def _cmd_run(args) -> int:
     return EXIT_OK if trace.success else EXIT_SOLVER
 
 
+def _fixtures_arguments(p: argparse.ArgumentParser) -> None:
+    from .fixtures import DEFAULT_SEED
+    fix_sub = p.add_subparsers(dest="fixtures_command", required=True)
+    regen = fix_sub.add_parser("regen", help="regenerate the fixture tree")
+    regen.add_argument("--out", required=True)
+    regen.add_argument("--seed", type=int, default=DEFAULT_SEED)
+
+
 def _cmd_fixtures_regen(args) -> int:
-    written = fixtures.regen(args.out, seed=args.seed)
+    from .fixtures import regen
+    written = regen(args.out, seed=args.seed)
     for path in written:
         print(path)
     return EXIT_OK
+
+
+# name -> (help, the function that adds its arguments, handler), in -h order
+_COMMANDS = {
+    "parse": ("validate a program file against the grammar", _parse_arguments, _cmd_parse),
+    "eval": ("evaluate a cost expression against a scene", _eval_arguments, _cmd_eval),
+    "solve": ("solve the gripper pose for an expression", _solve_arguments, _cmd_solve),
+    "retrieve": ("look up a part description in a database", _retrieve_arguments, _cmd_retrieve),
+    "metrics": ("emit the representation-metrics CSV and SVG", _metrics_arguments, _cmd_metrics),
+    "run": ("run one instruction end to end", _run_arguments, _cmd_run),
+    "fixtures": ("fixture utilities", _fixtures_arguments, _cmd_fixtures_regen),
+}
 
 
 if __name__ == "__main__":

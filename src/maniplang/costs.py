@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ManiplangError
+from .errors import EvalError, MissingPartError
 from .geometry import (
     DegenerateAxisError,
     PointCloud,
@@ -39,16 +39,6 @@ from .geometry import (
 )
 from .language.ast import BinOp, Call, Literal, Neg, Triple, TypedExpr
 from .scene import GRIPPER_NAME, Scene
-
-
-class EvalError(ManiplangError):
-    pass
-
-
-class MissingPartError(EvalError):
-    def __init__(self, name: str):
-        self.part = name
-        super().__init__(f"no part named {name!r} in scene")
 
 
 class EmptyHistoryError(EvalError):

@@ -1,10 +1,12 @@
 """The on-disk format: UTF-8 text, and JSON with indent=2, sorted keys and a
-trailing newline. A path that cannot be read or written, bad UTF-8 and bad
-JSON are raised as the caller's own ManiplangError subclass. `DATA_ROOT` is
-the shipped data tree, `maniplang/data`, named here and nowhere else."""
+trailing newline. A path that cannot be read or written, bad UTF-8 (in a
+file or on stdin) and bad JSON are raised as the caller's own
+ManiplangError subclass. `DATA_ROOT` is the shipped data tree,
+`maniplang/data`, named here and nowhere else."""
 
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
 
@@ -13,9 +15,12 @@ from .errors import ManiplangError
 DATA_ROOT = Path(__file__).with_name("data")
 
 
-def read_text(path, error: type[ManiplangError]) -> str:
+def read_text(path, error: type[ManiplangError], stream=None) -> str:
+    """The UTF-8 text of the file at `path`, or of the binary `stream` (stdin,
+    say) when given, then named `path`; newlines translated as in text mode."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes() if stream is None else stream.read()
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {path}: {exc}") from exc
 

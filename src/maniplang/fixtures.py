@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ManiplangError
-from .files import DATA_ROOT, read_json, read_text, typed_value, write_json, write_text
+from .files import DATA_ROOT, read_json, read_text, write_json, write_text
 from .geometry import (
     Point3,
     PointCloud,
@@ -50,13 +50,6 @@ GARBAGE_INSTRUCTION = "summon the kraken"  # keys the one invalid program in moc
 
 class FixtureError(ManiplangError):
     pass
-
-
-@dataclass(frozen=True)
-class Task:
-    task_id: int
-    title: str
-    instruction: str
 
 
 @dataclass(frozen=True)
@@ -340,22 +333,6 @@ def default_prompt_template() -> PromptTemplate:
 
 
 # -- data files -------------------------------------------------------------------
-
-
-def load_tasks(path=None) -> list[Task]:
-    path = path or shipped_tasks_path()
-    doc = read_json(path, FixtureError)
-    try:
-        return [
-            Task(
-                typed_value(t["task_id"], int, f"{path}: task_id", FixtureError),
-                typed_value(t["title"], str, f"{path}: title", FixtureError),
-                typed_value(t["instruction"], str, f"{path}: instruction", FixtureError),
-            )
-            for t in doc["tasks"]
-        ]
-    except (KeyError, TypeError) as exc:
-        raise FixtureError(f"{path}: expected a tasks list of {{task_id, title, instruction}}") from exc
 
 
 def load_mock_translations(path=None) -> dict[str, str]:

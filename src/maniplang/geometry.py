@@ -20,14 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ManiplangError
+from .errors import EXIT_SOLVER, ManiplangError
 
 _GIMBAL_EPS = 1e-9
 _DEGENERATE_SPREAD = 1e-9  # spatial std-dev below which a cloud has no axis
 
 
 class GeometryError(ManiplangError):
-    pass
+    exit_code = EXIT_SOLVER
 
 
 class EmptyCloudError(GeometryError):

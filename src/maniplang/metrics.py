@@ -41,6 +41,28 @@ class ProfileSchemaError(MetricsError):
 
 
 @dataclass(frozen=True)
+class Task:
+    task_id: int
+    title: str
+    instruction: str
+
+
+def load_tasks(path) -> list[Task]:
+    doc = read_json(path, MetricsError)
+    try:
+        return [
+            Task(
+                typed_value(t["task_id"], int, f"{path}: task_id", MetricsError),
+                typed_value(t["title"], str, f"{path}: title", MetricsError),
+                typed_value(t["instruction"], str, f"{path}: instruction", MetricsError),
+            )
+            for t in doc["tasks"]
+        ]
+    except (KeyError, TypeError) as exc:
+        raise MetricsError(f"{path}: expected a tasks list of {{task_id, title, instruction}}") from exc
+
+
+@dataclass(frozen=True)
 class TaskOutcome:
     task_id: int
     verdict: str

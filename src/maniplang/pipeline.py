@@ -4,7 +4,8 @@ A task run asks a translation client for a candidate program (reference
 prompt attached), validates it against the grammar, reprompts with the
 rejection reason up to twice, then solves accepted stages one by one,
 moving the grasped parts after each solve. Gripper open/close stages skip
-the continuous solve and set the open fraction directly.
+the continuous solve and set the open fraction directly; opening also
+releases the grasped parts, so later stages no longer carry them.
 
 Runs are deterministic with the mock client and a fixed seed: the trace
 serializes byte-identically across repeats.
@@ -12,10 +13,8 @@ serializes byte-identically across repeats.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
-import urllib.request
 from dataclasses import dataclass, replace
 from itertools import groupby
 from typing import Mapping, Protocol
@@ -111,6 +110,8 @@ class RemoteClient:
             )
 
     def translate(self, instruction: str, scene_summary: str, prompt: str) -> str:
+        import http.client  # here, not at the top: only a remote run pays for them
+        import urllib.request
         payload = json.dumps(
             {"instruction": instruction, "scene_summary": scene_summary, "prompt": prompt}
         ).encode("utf-8")
@@ -242,8 +243,10 @@ def run_task(
     for text, verdict in candidate:
         typed = verdict.typed
         if typed.sort == "void":
-            fraction = 1.0 if typed.word == "gripper_open" else 0.0
-            current = replace(current, gripper_open_fraction=fraction)
+            if typed.word == "gripper_open":
+                current = replace(current, gripper_open_fraction=1.0, grasped=frozenset())
+            else:
+                current = replace(current, gripper_open_fraction=0.0)
             stages.append(StageRecord(text, "gripper", 0.0))
             continue
         try:

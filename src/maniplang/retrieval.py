@@ -15,13 +15,14 @@ reads labeled scene parts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .costs import MissingPartError
-from .errors import ManiplangError
+from .errors import ManiplangError, MissingPartError
 from .files import read_json, typed_value
-from .geometry import PointCloud
-from .scene import Scene
+
+if TYPE_CHECKING:
+    from .geometry import PointCloud
+    from .scene import Scene
 
 MATCH_RATIO = 0.6  # of the matched phrase's length
 

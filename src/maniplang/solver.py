@@ -42,7 +42,7 @@ import numpy as np
 
 from . import files
 from .costs import EvalContext, EvalError, evaluate, motion_subjects
-from .errors import ManiplangError
+from .errors import EXIT_SOLVER, ManiplangError
 from .geometry import (  # noqa: F401 (perfbench/tracing.py patches euler_from_rotation and PointCloud here)
     Point3,
     PointCloud,
@@ -64,7 +64,7 @@ _STEP_FLOOR = 1e-7
 
 
 class SolverError(ManiplangError):
-    pass
+    exit_code = EXIT_SOLVER
 
 
 class NoMovingPartsError(SolverError):

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import os
 import socket
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from maniplang import cli, fixtures
+from maniplang import fixtures, pipeline, solver
 from maniplang.cli import main
 from maniplang.geometry import PointCloud
 from maniplang.pipeline import PipelineConfig
@@ -53,6 +54,29 @@ class TestParseCommand:
         )
         assert result.returncode == 0
         assert "accepted" in result.stdout
+
+    def test_bad_utf8_on_stdin_fails_as_in_a_file(self, tmp_path):
+        path = tmp_path / "program.txt"
+        path.write_bytes(b"\xff")
+        from_file = subprocess.run([sys.executable, "-m", "maniplang", "parse", str(path)], capture_output=True)
+        from_stdin = subprocess.run([sys.executable, "-m", "maniplang", "parse", "-"], input=b"\xff", capture_output=True)
+        assert from_file.returncode == from_stdin.returncode == 2
+        assert from_stdin.stderr.startswith(b"error: cannot read stdin: 'utf-8' codec can't decode byte 0xff")
+        assert from_file.stderr == from_stdin.stderr.replace(b"stdin", str(path).encode(), 1)
+
+    def test_non_ascii_part_name_reads_the_same_from_stdin_and_a_file(self, tmp_path):
+        # Latin-1 standard streams: stdin is still read as UTF-8, like a file.
+        program = "move_cost(get_centroid('tasse à café'), get_centroid('target'))\n".encode("utf-8")
+        path = tmp_path / "program.txt"
+        path.write_bytes(program)
+        env = {**os.environ, "PYTHONIOENCODING": "latin-1"}
+        from_file = subprocess.run([sys.executable, "-m", "maniplang", "parse", str(path)], capture_output=True, env=env)
+        from_stdin = subprocess.run(
+            [sys.executable, "-m", "maniplang", "parse", "-"], input=program, capture_output=True, env=env
+        )
+        assert from_file.returncode == from_stdin.returncode == 0
+        assert from_stdin.stdout == from_file.stdout
+        assert "tasse à café".encode("latin-1") in from_stdin.stdout
 
 
 class TestEvalCommand:
@@ -358,9 +382,69 @@ def test_solve_flags_reach_the_solve_config(monkeypatch, capsys, flags, expected
         seen.append(cfg)
         return SimpleNamespace(dumps=lambda: "{}", **result)
 
-    monkeypatch.setattr(cli, "solve", lambda typed, scene, cfg: record(cfg))
-    monkeypatch.setattr(cli, "run_task", lambda text, scene, client, cfg: record(cfg, success=True, stages=()))
+    monkeypatch.setattr(solver, "solve", lambda typed, scene, cfg: record(cfg))
+    monkeypatch.setattr(pipeline, "run_task", lambda text, scene, client, cfg: record(cfg, success=True, stages=()))
     expr = "move_cost(get_centroid('cube'), get_centroid('target'))"
     assert main(["solve", "--scene", _SCENE, "--expr", expr, *flags]) == 0
     assert main(["run", "--scene", _SCENE, "--instruction", "x", *flags]) == 0
     assert seen == [expected, PipelineConfig(solve=expected)]
+
+
+def test_fixtures_regen_seed_defaults_to_the_fixture_seed(monkeypatch, tmp_path):
+    seeds = []
+    monkeypatch.setattr(fixtures, "regen", lambda out, seed: seeds.append(seed) or [])
+    assert main(["fixtures", "regen", "--out", str(tmp_path)]) == 0
+    assert seeds == [fixtures.DEFAULT_SEED] == [7]
+
+
+@pytest.mark.parametrize("command", ["solve", "run"])
+def test_help_lists_every_solve_flag(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "-h"])
+    text = capsys.readouterr().out
+    for field in dataclasses.fields(SolveConfig):
+        assert f"--{field.name.replace('_', '-')} {field.name.upper()}" in text
+
+
+def _in_one_process(argvs: list, modules: list) -> list:
+    """[exit codes, the `modules` loaded] after `main` runs each argv in one fresh interpreter."""
+    code = (
+        "import json, sys\n"
+        "from maniplang.cli import main\n"
+        f"codes = [main(argv) for argv in {argvs!r}]\n"
+        f"print(json.dumps([codes, sorted(set({modules!r}) & set(sys.modules))]))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+class TestColdStart:
+    def test_parse_retrieve_and_metrics_load_no_numpy(self, tmp_path):
+        program = tmp_path / "program.txt"
+        program.write_text("move_cost(get_centroid('cube'), get_centroid('target'))\n", encoding="utf-8")
+        argvs = [
+            ["parse", str(program)],
+            ["retrieve", "--db", str(fixtures.shipped_part_database_path()), "--desc", "cup rim"],
+            ["metrics", "--profiles", str(fixtures.shipped_profiles_dir()), "--tasks",
+             str(fixtures.shipped_tasks_path()), "--csv", str(tmp_path / "m.csv"), "--svg", str(tmp_path / "m.svg")],
+        ]
+        assert _in_one_process(argvs, ["numpy"]) == [[0, 0, 0], []]
+
+    def test_eval_solve_and_regen_load_no_http_client(self, tmp_path):
+        expr = "move_cost(get_centroid('cube'), get_centroid('target'))"
+        argvs = [
+            ["eval", "--scene", _SCENE, "--expr", expr],
+            ["solve", "--scene", _SCENE, "--expr", expr, "--restarts", "1", "--max-iterations", "50"],
+            ["fixtures", "regen", "--out", str(tmp_path / "data")],
+        ]
+        assert _in_one_process(argvs, ["http.client", "urllib.request"]) == [[0, 0, 0], []]
+
+    def test_every_public_name_resolves_and_is_listed(self):
+        import maniplang
+
+        for name in maniplang.__all__:
+            assert getattr(maniplang, name) is not None, name
+        assert set(maniplang.__all__) <= set(dir(maniplang))
+        assert maniplang.evaluate is maniplang.costs.evaluate
+        assert maniplang.parse is maniplang.language.parse

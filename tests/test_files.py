@@ -17,7 +17,7 @@ from util import unwritable_path
         (load_scene, SceneError),
         (load_database, RetrievalError),
         (load_profiles, ProfileSchemaError),
-        (fixtures.load_tasks, FixtureError),
+        (metrics.load_tasks, MetricsError),
         (fixtures.load_mock_translations, FixtureError),
     ],
     ids=["scene", "database", "profiles", "tasks", "mock_translations"],

@@ -184,7 +184,18 @@ class TestRunTask:
         kinds = [s.kind for s in trace.stages]
         assert kinds == ["solve", "gripper"]
         assert trace.final_state["gripper"]["open_fraction"] == 1.0
+        assert trace.final_state["grasped"] == []
         assert trace.success
+
+    def test_gripper_open_releases_the_grasped_part(self):
+        # The released cube no longer rides with the gripper, so nothing can move it.
+        scene = fixtures.make_scene("cube_target")
+        program = "gripper_open()\n---\nmove_cost(get_centroid('cube'), get_centroid('target'))"
+        trace = run_task("x", scene, MockClient({"x": program}))
+        assert [s.kind for s in trace.stages] == ["gripper", "solve"]
+        assert "nothing grasped moves" in trace.stages[1].error
+        assert trace.final_state["grasped"] == []
+        assert not trace.success
 
     def test_replays_are_byte_identical(self):
         scene = fixtures.make_scene("pen_holder")
