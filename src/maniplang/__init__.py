@@ -16,30 +16,40 @@ import importlib
 
 __version__ = "0.1.0"
 
-_EXPORTS = {  # module -> the public names it supplies
+
+def _lazy_exports(package: str, exports: dict[str, tuple[str, ...]], submodules: tuple[str, ...] = ()):
+    """PEP 562 hooks for `package`: (__getattr__, __dir__, sorted public names).
+
+    `exports` maps each submodule to the public names it supplies; those
+    submodules and `submodules` resolve as attributes too. Each is imported
+    on first access and stored in the package, so later lookups are plain
+    attribute reads."""
+    source = {name: module for module, names in exports.items() for name in names}
+    modules = {*exports, *submodules}
+    namespace = vars(importlib.import_module(package))  # the package being initialised
+
+    def __getattr__(name: str):
+        if name in source:
+            value = getattr(importlib.import_module(f".{source[name]}", package), name)
+        elif name in modules:
+            value = importlib.import_module(f".{name}", package)
+        else:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *source, *modules})
+
+    return __getattr__, __dir__, sorted(source)
+
+
+_PUBLIC_MODULES = ("costs", "fixtures", "geometry", "metrics", "pipeline", "retrieval", "scene", "solver")
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "costs": ("EvalContext", "evaluate"),
     "errors": ("ManiplangError",),
     "language": ("default_grammar", "default_vocabulary", "parse", "type_check", "validate_program", "vocabulary_size"),
     "scene": ("Scene", "load_scene", "save_scene"),
     "solver": ("SolveConfig", "SolveResult", "solve"),
-}
-_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
-_PUBLIC_MODULES = ("costs", "fixtures", "geometry", "metrics", "pipeline", "retrieval", "scene", "solver")
-_SUBMODULES = {*_PUBLIC_MODULES, "errors", "files", "language"}
-
-__all__ = sorted([*_SOURCE, *_PUBLIC_MODULES])
-
-
-def __getattr__(name: str):
-    if name in _SOURCE:
-        value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
-    elif name in _SUBMODULES:
-        value = importlib.import_module(f".{name}", __name__)
-    else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value  # later lookups are plain attribute reads
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__, *_SUBMODULES})
+}, (*_PUBLIC_MODULES, "files"))
+__all__ = sorted([*__all__, *_PUBLIC_MODULES])

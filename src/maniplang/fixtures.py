@@ -320,12 +320,13 @@ def default_prompt_template() -> PromptTemplate:
             ),
             AtomicAction(
                 "push to close something after grasped",
-                "gripper_open_cost()",
-                ("opens the gripper and releases the grasped item",),
+                "move_cost('gripper', centroid_last('gripper') + "
+                "direction_of(start='gripper', end='<target object part>') * <offset distance>)",
+                ("offset distance is in meters and should exceed 0.1",),
             ),
             AtomicAction(
                 "release something only",
-                "gripper_open_cost()",
+                "gripper_open()",
                 ("opens the gripper and releases the grasped item",),
             ),
         )

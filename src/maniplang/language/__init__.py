@@ -1,56 +1,16 @@
-"""Expression language: lexer, parser, vocabulary, and type checker."""
+"""Expression language: lexer, parser, vocabulary, and type checker.
 
-from .ast import BinOp, Call, Expr, Literal, Neg, Triple, TypedExpr, to_source
-from .lexer import ParseError, Token, tokenize
-from .parser import parse
-from .typecheck import (
-    Accepted,
-    ArgumentError,
-    Rejected,
-    TypeCheckError,
-    UnknownWordError,
-    type_check,
-    validate_program,
-)
-from .vocabulary import (
-    GrammarRule,
-    Param,
-    Vocabulary,
-    VocabularyError,
-    Word,
-    default_grammar,
-    default_vocabulary,
-    vocabulary_from_json,
-    vocabulary_size,
-)
+The public names and submodules are imported on first use (PEP 562), so a
+caller that needs only the vocabulary does not load the parser."""
 
-__all__ = [
-    "Accepted",
-    "ArgumentError",
-    "BinOp",
-    "Call",
-    "Expr",
-    "GrammarRule",
-    "Literal",
-    "Neg",
-    "ParseError",
-    "Param",
-    "Rejected",
-    "Token",
-    "Triple",
-    "TypeCheckError",
-    "TypedExpr",
-    "UnknownWordError",
-    "Vocabulary",
-    "VocabularyError",
-    "Word",
-    "default_grammar",
-    "default_vocabulary",
-    "parse",
-    "to_source",
-    "tokenize",
-    "type_check",
-    "validate_program",
-    "vocabulary_from_json",
-    "vocabulary_size",
-]
+from .. import _lazy_exports
+
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "ast": ("BinOp", "Call", "Expr", "Literal", "Neg", "Triple", "TypedExpr", "to_source"),
+    "lexer": ("ParseError", "Token", "tokenize"),
+    "parser": ("parse",),
+    "typecheck": ("Accepted", "ArgumentError", "Rejected", "TypeCheckError", "UnknownWordError", "type_check",
+                  "validate_program"),
+    "vocabulary": ("GrammarRule", "Param", "Vocabulary", "VocabularyError", "Word", "default_grammar",
+                   "default_vocabulary", "vocabulary_from_json", "vocabulary_size"),
+})

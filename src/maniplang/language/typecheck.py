@@ -3,6 +3,7 @@
 Inference is bottom-up with one twist: literals are sort-ambiguous (a quoted
 part name can stand for the part's centroid, a bracket triple can be a point
 or a displacement, a non-negative number can be a constant cost term), and
+so can be an operation on one (`[0, 0, 1] + get_axis('a')`: a point or a vec);
 the expected sort from the enclosing context picks the reading. All
 composition and coercion possibilities come from `default_grammar()`, built
 once as `_GRAMMAR`, so the checker accepts exactly what that grammar says.
@@ -116,12 +117,31 @@ def _infer_binop(node: BinOp, expected: str | None) -> TypedExpr:
     return TypedExpr(node, lhs, (left, right))
 
 
-def _operand(node: Expr, expected: str | None):
-    """(possible sorts, typed tree or None) for one side of a binary node: a
-    literal is typed once the rule is picked; any other operand has one sort
-    in every context, so it is typed once, here (not once more per rule)."""
+def _sorts(node: Expr) -> tuple[str, ...]:
+    """Every sort `node` can take in some context, in rule order; () where it
+    can take none or names an unknown word (typing it reports why)."""
     if isinstance(node, (Literal, Triple)):
-        opts = _literal_sorts(node)
+        return _literal_sorts(node)
+    if isinstance(node, BinOp):
+        left, right = _sorts(node.left), _sorts(node.right)
+        return tuple(dict.fromkeys(
+            lhs for lhs, rhs in _GRAMMAR
+            if len(rhs) == 3 and rhs[1] == node.op and rhs[0] in left and rhs[2] in right
+        ))
+    if isinstance(node, Call):
+        word = _VOCAB.lookup(node.word)
+        return (word.result_sort,) if word is not None else ()
+    return ("scalar",)  # Neg
+
+
+def _operand(node: Expr, expected: str | None):
+    """(possible sorts, typed tree or None) for one side of a binary node. An
+    operand that can take more than one sort (a literal, or an operation on
+    one such as `[0, 0, 1] + get_axis('a')`, a point or a vec) is typed
+    once the rule is picked; any other operand has one sort in every context,
+    so it is typed once, here (not once more per rule)."""
+    opts = _sorts(node)
+    if len(opts) > 1 or isinstance(node, (Literal, Triple)):
         if expected in opts:
             # Prefer the contextual reading so `0 + 0` sums as cost at the top.
             return (expected,) + tuple(o for o in opts if o != expected), None

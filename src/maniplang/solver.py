@@ -244,7 +244,8 @@ def solve(expr: TypedExpr, scene: Scene, cfg: SolveConfig | None = None) -> Solv
     ctx = _PosedContext(scene)
     subjects = motion_subjects(expr)
     if subjects and subjects.isdisjoint(ctx.moving | {GRIPPER_NAME}):
-        raise NoMovingPartsError(f"expression constrains {sorted(subjects)} but nothing grasped moves")
+        moves = f"only {sorted(ctx.moving)} can move" if ctx.moving else "nothing grasped moves"
+        raise NoMovingPartsError(f"expression constrains {sorted(subjects)} but {moves}")
 
     seed = cfg.seed & 0xFFFFFFFFFFFFFFFF  # SeedSequence wants unsigned 64-bit
     rng = np.random.default_rng(seed)

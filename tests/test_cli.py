@@ -406,6 +406,11 @@ def test_help_lists_every_solve_flag(capsys, command):
         assert f"--{field.name.replace('_', '-')} {field.name.upper()}" in text
 
 
+def _metrics_argv(tmp_path) -> list:
+    return ["metrics", "--profiles", str(fixtures.shipped_profiles_dir()), "--tasks",
+            str(fixtures.shipped_tasks_path()), "--csv", str(tmp_path / "m.csv"), "--svg", str(tmp_path / "m.svg")]
+
+
 def _in_one_process(argvs: list, modules: list) -> list:
     """[exit codes, the `modules` loaded] after `main` runs each argv in one fresh interpreter."""
     code = (
@@ -426,10 +431,13 @@ class TestColdStart:
         argvs = [
             ["parse", str(program)],
             ["retrieve", "--db", str(fixtures.shipped_part_database_path()), "--desc", "cup rim"],
-            ["metrics", "--profiles", str(fixtures.shipped_profiles_dir()), "--tasks",
-             str(fixtures.shipped_tasks_path()), "--csv", str(tmp_path / "m.csv"), "--svg", str(tmp_path / "m.svg")],
+            _metrics_argv(tmp_path),
         ]
         assert _in_one_process(argvs, ["numpy"]) == [[0, 0, 0], []]
+
+    def test_metrics_loads_no_lexer_parser_or_checker(self, tmp_path):
+        unused = [f"maniplang.language.{name}" for name in ("lexer", "parser", "typecheck")]
+        assert _in_one_process([_metrics_argv(tmp_path)], unused) == [[0], []]
 
     def test_eval_solve_and_regen_load_no_http_client(self, tmp_path):
         expr = "move_cost(get_centroid('cube'), get_centroid('target'))"
@@ -442,9 +450,11 @@ class TestColdStart:
 
     def test_every_public_name_resolves_and_is_listed(self):
         import maniplang
+        import maniplang.language
 
-        for name in maniplang.__all__:
-            assert getattr(maniplang, name) is not None, name
-        assert set(maniplang.__all__) <= set(dir(maniplang))
+        for package in (maniplang, maniplang.language):
+            for name in package.__all__:
+                assert getattr(package, name) is not None, name
+            assert set(package.__all__) <= set(dir(package))
         assert maniplang.evaluate is maniplang.costs.evaluate
         assert maniplang.parse is maniplang.language.parse

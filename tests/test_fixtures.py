@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maniplang import fixtures, metrics
+from maniplang import fixtures
 from maniplang.costs import EvalContext, evaluate
 from maniplang.geometry import angle_between, principal_axis
 from maniplang.language import (
@@ -85,41 +85,6 @@ class TestScenes:
         for kind in fixtures.SCENE_KINDS:
             scene = load_scene(fixtures.shipped_scene_path(kind))
             assert scene.parts
-
-
-class TestTaskCorpus:
-    def test_exactly_thirty_three(self):
-        assert len(metrics.load_tasks(fixtures.shipped_tasks_path())) == 33
-
-    def test_titles_match_corpus(self):
-        titles = [t.title for t in metrics.load_tasks(fixtures.shipped_tasks_path())]
-        assert titles[0] == "Sort the Red Cube"
-        assert titles[10] == "Push the Dice"
-        assert titles[32] == "Plug in the Lamp"
-        assert len(set(titles)) == 33
-
-    def test_ids_are_sequential(self):
-        assert [t.task_id for t in metrics.load_tasks(fixtures.shipped_tasks_path())] == list(range(1, 34))
-
-    def test_judgments_cover_all_tasks(self):
-        for profile in load_profiles(fixtures.shipped_profiles_dir()):
-            assert [o.task_id for o in profile.task_outcomes] == list(range(1, 34)), profile.name
-
-    @pytest.mark.parametrize(
-        "task",
-        [
-            {"task_id": "one", "title": 1, "instruction": None},
-            {"task_id": True, "title": "t", "instruction": "i"},
-            {"task_id": 1, "title": 1, "instruction": "i"},
-            {"task_id": 1, "title": "t", "instruction": None},
-        ],
-        ids=["all_mistyped", "task_id_a_bool", "title_a_number", "instruction_null"],
-    )
-    def test_mistyped_task_field_is_fixture_error(self, tmp_path, task):
-        path = tmp_path / "tasks.json"
-        path.write_text(json.dumps({"tasks": [task]}), encoding="utf-8")
-        with pytest.raises(metrics.MetricsError, match="task_id|title|instruction"):
-            metrics.load_tasks(path)
 
 
 class TestShippedData:

@@ -1,0 +1,63 @@
+"""maniplang's modules import each other without cycles.
+
+Only imports that run when a module loads count: those in its body, not in a
+function or under `if TYPE_CHECKING:`. A cycle among them makes the result
+depend on which module is imported first."""
+
+import ast
+import graphlib
+from pathlib import Path
+
+import maniplang
+
+_ROOT = Path(maniplang.__file__).resolve().parent
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(_ROOT.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _load_time_statements(body):
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test):
+            yield from _load_time_statements(node.orelse)
+            continue
+        yield node
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            yield from _load_time_statements(getattr(node, field, []))
+
+
+def _relative_imports(path: Path, modules: set) -> set:
+    """The maniplang modules that `path` imports relatively when it loads."""
+    name = _module_name(path)
+    package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+    found = set()
+    for node in _load_time_statements(ast.parse(path.read_text(encoding="utf-8")).body):
+        if not isinstance(node, ast.ImportFrom) or not node.level:
+            continue
+        base = package.rsplit(".", node.level - 1)[0] if node.level > 1 else package
+        target = f"{base}.{node.module}" if node.module else base
+        for alias in node.names:  # `from . import x` imports submodule x when there is one
+            found.add(f"{target}.{alias.name}" if f"{target}.{alias.name}" in modules else target)
+    return found
+
+
+def import_graph(root: Path = _ROOT) -> dict:
+    paths = sorted(root.rglob("*.py"))
+    modules = {_module_name(path) for path in paths}
+    return {_module_name(path): _relative_imports(path, modules) for path in paths}
+
+
+def test_module_level_imports_form_no_cycle():
+    graph = import_graph()
+    assert graph["maniplang.costs"] >= {"maniplang.language.ast", "maniplang.geometry"}
+    assert graph["maniplang.language"] == {"maniplang"}
+    assert graph["maniplang.cli"] == {"maniplang.errors", "maniplang.files"}  # the rest in its handlers
+    assert "maniplang.scene" not in graph["maniplang.retrieval"]  # under TYPE_CHECKING only
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        raise AssertionError(f"import cycle: {' -> '.join(exc.args[1])}") from None

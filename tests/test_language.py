@@ -183,6 +183,18 @@ class TestTypeCheck:
         )
         assert typed.sort == "cost"
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "(1 + 2) + gripper_open_cost()",
+            "move_cost('a', 'b', offset=([1, 2, 3] + [0, 0, 1]) * 2)",
+            "parallel_cost([0, 0, 1] + get_axis('a') + get_axis('b'), [0, 0, 1])",
+        ],
+    )
+    def test_operation_on_literals_takes_the_sort_its_context_needs(self, source):
+        # `1 + 2` is a scalar or a cost, `[0, 0, 1] + get_axis('a')` a point or a vec.
+        assert type_check(parse(source)).sort == "cost"
+
     def test_rules_are_consulted(self, monkeypatch):
         # Without the cost sum rule, composition must fail.
         rules = {pair: None for pair in typecheck._GRAMMAR if pair != ("cost", ("cost", "+", "cost"))}

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from maniplang import fixtures
+from maniplang import fixtures, metrics
 from maniplang.language.vocabulary import Vocabulary, Word
 from maniplang.metrics import (
     MetricsError,
@@ -219,3 +219,38 @@ class TestOutputs:
             assert isinstance(row, MetricsRow)
             assert 0.0 <= row.vc <= 1.0
             assert row.n_succ <= 33
+
+
+class TestTaskCorpus:
+    def test_exactly_thirty_three(self):
+        assert len(metrics.load_tasks(fixtures.shipped_tasks_path())) == 33
+
+    def test_titles_match_corpus(self):
+        titles = [t.title for t in metrics.load_tasks(fixtures.shipped_tasks_path())]
+        assert titles[0] == "Sort the Red Cube"
+        assert titles[10] == "Push the Dice"
+        assert titles[32] == "Plug in the Lamp"
+        assert len(set(titles)) == 33
+
+    def test_ids_are_sequential(self):
+        assert [t.task_id for t in metrics.load_tasks(fixtures.shipped_tasks_path())] == list(range(1, 34))
+
+    def test_judgments_cover_all_tasks(self):
+        for profile in load_profiles(fixtures.shipped_profiles_dir()):
+            assert [o.task_id for o in profile.task_outcomes] == list(range(1, 34)), profile.name
+
+    @pytest.mark.parametrize(
+        "task",
+        [
+            {"task_id": "one", "title": 1, "instruction": None},
+            {"task_id": True, "title": "t", "instruction": "i"},
+            {"task_id": 1, "title": 1, "instruction": "i"},
+            {"task_id": 1, "title": "t", "instruction": None},
+        ],
+        ids=["all_mistyped", "task_id_a_bool", "title_a_number", "instruction_null"],
+    )
+    def test_mistyped_task_field_is_metrics_error(self, tmp_path, task):
+        path = tmp_path / "tasks.json"
+        path.write_text(json.dumps({"tasks": [task]}), encoding="utf-8")
+        with pytest.raises(metrics.MetricsError, match="task_id|title|instruction"):
+            metrics.load_tasks(path)

@@ -29,6 +29,10 @@ def mock_client():
     return MockClient(fixtures.load_mock_translations())
 
 
+def _template(description):
+    return next(a.template for a in fixtures.default_prompt_template().atomic_actions if a.description == description)
+
+
 class SequenceClient:
     """Answers the n-th translate call with the n-th answer; keeps each prompt."""
 
@@ -196,6 +200,20 @@ class TestRunTask:
         assert "nothing grasped moves" in trace.stages[1].error
         assert trace.final_state["grasped"] == []
         assert not trace.success
+
+    def test_release_template_releases_the_cube(self):
+        trace = run_task("x", fixtures.make_scene("cube_target"), MockClient({"x": _template("release something only")}))
+        assert [s.kind for s in trace.stages] == ["gripper"]
+        assert trace.success
+        assert trace.final_state["grasped"] == []
+
+    def test_push_template_solves_under_the_threshold(self):
+        program = instantiate_template(_template("push to close something after grasped"),
+                                       {"target object part": "target", "offset distance": "0.15"})
+        trace = run_task("x", fixtures.make_scene("cube_target"), MockClient({"x": program}))
+        assert [s.kind for s in trace.stages] == ["solve"]
+        assert trace.stages[0].residual < PipelineConfig().success_threshold
+        assert trace.success
 
     def test_replays_are_byte_identical(self):
         scene = fixtures.make_scene("pen_holder")

@@ -1,8 +1,10 @@
-"""Property tests: parse/print round trips, rigid invariance of the cost
-words, an alignment identity, the solver's objective against plain
-evaluation of the moved scene, the solver's never-worse guarantee, and
-the centroid against numpy's mean."""
+"""Property tests: parse/print round trips, well-typed programs drawn from
+the vocabulary and the grammar (accepted, and evaluated or refused with a
+typed error), rigid invariance of the cost words, an alignment identity,
+the solver's objective against plain evaluation of the moved scene, the
+solver's never-worse guarantee, and the centroid against numpy's mean."""
 
+import functools
 import math
 import warnings
 
@@ -11,13 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maniplang import solver
+from maniplang import fixtures, solver
 from maniplang.costs import EvalContext, EvalError, evaluate
+from maniplang.errors import ManiplangError
 from maniplang.geometry import (
     GeometryError, Point3, PointCloud, PoseSE3, centroid, euler_from_rotation, rotation_xyz,
 )
-from maniplang.language import BinOp, Call, Literal, Neg, Triple, parse, to_source, type_check
-from maniplang.scene import Scene, SceneSnapshot
+from maniplang.language import (
+    Accepted, BinOp, Call, Literal, Neg, Triple, default_grammar, default_vocabulary, parse, to_source, type_check,
+    validate_program,
+)
+from maniplang.scene import Scene, SceneSnapshot, load_scene
 from maniplang.solver import (
     SolveConfig,
     initial_pose,
@@ -59,6 +65,81 @@ def _compound(children):
 @given(st.recursive(_leaves, _compound, max_leaves=16))
 def test_print_then_parse_is_identity(expr):
     assert parse(to_source(expr)) == expr
+
+
+# -- well-typed programs drawn from the vocabulary and the grammar -----------------
+
+# A program of a sort is a word call with that result sort, or a grammar rule
+# with that left-hand side; part names come from one shipped scene, so that
+# most programs evaluate to a number there.
+_SCENE = load_scene(fixtures.shipped_scene_path("carrot_knife"))
+_PART_NAMES = st.sampled_from(sorted(_SCENE.parts) + ["gripper"])
+_NUMBERS = st.floats(min_value=0.0, max_value=2.0).map(lambda x: round(x, 3))
+_LEAVES = {  # a number lexes unsigned
+    "number": _NUMBERS.map(Literal),
+    "string": _PART_NAMES.map(Literal),
+    "triple": st.lists(_NUMBERS.map(Literal), min_size=3, max_size=3).map(lambda items: Triple(tuple(items))),
+}
+_MAX_DEPTH = 3
+
+
+@st.composite
+def _call(draw, word, depth):
+    params = [p for p in word.params if p.required or draw(st.booleans())]
+    # Positional arguments bind the signature's leading parameters.
+    prefix = next((i for i, (p, q) in enumerate(zip(params, word.params)) if p != q), len(params))
+    positional = draw(st.integers(0, prefix))
+    args = [draw(_typed(p.sort, depth - 1)) for p in params]
+    kwargs = tuple((p.name, arg) for p, arg in zip(params[positional:], args[positional:]))
+    return Call(word.name, tuple(args[:positional]), kwargs)
+
+
+@functools.cache
+def _typed(sort, depth=_MAX_DEPTH):
+    """Expressions of `sort`, nested at most `depth` calls and operators deep."""
+    if sort == "string":
+        return _LEAVES["string"]
+    options = [_LEAVES["number"]] if sort == "scalar" else []
+    for word in default_vocabulary().words:
+        if word.result_sort == sort and (depth > 0 or all(p.sort == "string" for p in word.params)):
+            options.append(_call(word, depth))
+    for rule in default_grammar():
+        if rule.lhs != sort:
+            continue
+        if len(rule.rhs) == 1:
+            options.append(_LEAVES[rule.rhs[0]])
+        elif depth > 0 and len(rule.rhs) == 2:
+            options.append(st.builds(Neg, _typed(rule.rhs[1], depth - 1)))
+        elif depth > 0:
+            left, op, right = rule.rhs
+            options.append(st.builds(BinOp, st.just(op), _typed(left, depth - 1), _typed(right, depth - 1)))
+    return st.one_of(options)
+
+
+# (sort, program): a cost expression, or a void gripper action standing alone
+_programs = st.one_of([_typed(sort).map(lambda expr, sort=sort: (sort, expr)) for sort in ("cost", "void")])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_programs)
+def test_drawn_program_is_accepted_and_round_trips(program):
+    sort, expr = program
+    source = to_source(expr)
+    verdict = validate_program(source)
+    assert isinstance(verdict, Accepted), (source, verdict.reason)
+    assert verdict.typed.sort == sort
+    assert parse(source) == expr
+
+
+@settings(max_examples=100, deadline=None)
+@given(_typed("cost"))
+def test_drawn_cost_evaluates_to_a_finite_non_negative_float_or_raises(expr):
+    typed = validate_program(to_source(expr)).typed
+    try:
+        value = evaluate(typed, EvalContext(_SCENE))
+    except ManiplangError:
+        return
+    assert isinstance(value, float) and math.isfinite(value) and value >= 0.0
 
 
 # -- rigid invariance -------------------------------------------------------------

@@ -275,6 +275,12 @@ class TestSolve:
         with pytest.raises(NoMovingPartsError):
             solve(typed("parallel_cost(get_axis('pen'), get_axis('pen holder'))"), scene)
 
+    def test_no_moving_parts_error_names_what_moves(self):
+        # The cube is grasped and moves, but the expression asks the static target to.
+        scene = fixtures.make_scene("cube_target")
+        with pytest.raises(NoMovingPartsError, match=r"constrains \['target'\] but only \['cube'\] can move"):
+            solve(typed("move_cost(get_centroid('target'), get_centroid('cube'))"), scene)
+
     def test_gripper_only_program_solves_without_grasp(self):
         scene = Scene(
             parts={"button": PointCloud(grid_box((0.3, 0.1, 0.1), (0.02, 0.02, 0.01)))},
