@@ -15,6 +15,7 @@ Conventions fixed once and relied on everywhere else:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -209,6 +210,56 @@ def rotated_extent(cloud: PointCloud, rotation: np.ndarray, dimension: str):
     rows = rotation[..., _extent_axis(dimension), :]
     col = (cloud.coords @ rows[..., None])[..., 0]
     return col.max(-1) - col.min(-1)
+
+
+@functools.cache  # built on first use, so importing geometry stays cheap
+def _support_directions() -> tuple[np.ndarray, np.ndarray]:
+    """The 42 unit vertices of a once-subdivided icosahedron (its 12 vertices
+    and 30 edge midpoints) and its 80 faces, as (80, 3) vertex indices."""
+    phi = (1 + 5**0.5) / 2
+    ico = np.array([p for a in (-1, 1) for b in (-phi, phi) for p in ((0, a, b), (a, b, 0), (b, 0, a))])
+    i, j = np.nonzero(np.triu(np.linalg.norm(ico[:, None] - ico, axis=-1) < 2.5, 1))  # edges: length 2
+    dirs = np.concatenate([ico, ico[i] + ico[j]])
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    near = np.linalg.norm(dirs[:, None] - dirs, axis=-1) < 0.75  # subdivided edges: 0.55 and 0.62
+    a, b, c = np.nonzero(near[:, :, None] & near[:, None, :] & near[None, :, :])
+    ordered = (a < b) & (b < c)
+    return dirs, np.stack((a[ordered], b[ordered], c[ordered]), axis=-1)
+
+
+_EXTREME_MARGIN = 1e-9  # of the coordinates' magnitude; a projection rounds by ~1e-16 of it
+_EXTREME_CHUNK = 256  # points tested at once: at most a (256, 320) array, 0.66 MB
+
+
+def extreme_points(cloud: PointCloud) -> PointCloud:
+    """The cloud without points that cannot be extreme along any direction
+    (Akl and Toussaint's interior-point elimination, in 3-D). A point is dropped
+    only when a ball of radius margin around it lies in the tetrahedron of the
+    centroid and the extreme points along one support face's directions; the
+    cloud then reaches further than the point by the margin, far more than
+    rounding, so every `rotated_extent` of the kept points is the same float."""
+    coords = cloud.coords
+    # Scaled by a power of two (exact) to magnitudes below 1, so nothing overflows.
+    pts = np.ldexp(coords, -np.frexp(np.abs(coords).max())[1])
+    dirs, faces = _support_directions()
+    support = pts[(dirs @ pts.T).argmax(1)][faces]
+    tetra = np.concatenate([np.broadcast_to(pts.mean(0), (len(support), 1, 3)), support], axis=1)
+    # Face k of a tetrahedron is the plane through its vertices other than k.
+    others = tetra[:, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]]
+    normal = np.cross(others[..., 1, :] - others[..., 0, :], others[..., 2, :] - others[..., 0, :])
+    height = ((tetra - others[..., 0, :]) * normal).sum(-1)
+    length = np.sqrt((normal * normal).sum(-1))
+    # A flat tetrahedron holds no such ball, and rounding picks its faces' sides.
+    solid = (np.abs(height) > 2 * _EXTREME_MARGIN * length).all(-1)
+    inward = normal[solid] * (np.sign(height[solid]) / length[solid])[..., None]
+    offset = (inward * others[solid][..., 0, :]).sum(-1) + _EXTREME_MARGIN
+    # Face-major columns, so the four tests of a tetrahedron reduce over a middle axis.
+    planes, offset = inward.transpose(1, 0, 2).reshape(-1, 3).T, offset.T.reshape(-1)
+    keep = np.ones(len(pts), dtype=bool)
+    for start in range(0, len(pts), _EXTREME_CHUNK):
+        inside = pts[start : start + _EXTREME_CHUNK] @ planes > offset
+        keep[start : start + _EXTREME_CHUNK] = ~inside.reshape(len(inside), 4, -1).all(1).any(-1)
+    return PointCloud(coords[keep])
 
 
 def transform_cloud(cloud: PointCloud, pose_from: PoseSE3, pose_to: PoseSE3) -> PointCloud:

@@ -50,6 +50,10 @@ class Scene:
     def __post_init__(self):
         if GRIPPER_NAME in self.parts:
             raise SceneError(f"{GRIPPER_NAME!r} is reserved and cannot name a part")
+        # A blank name has no tokens, so every part would ride with it when grasped.
+        blank = sorted(name for name in self.parts if not name.strip())
+        if blank:
+            raise SceneError(f"part names must not be empty or whitespace: {blank}")
         unknown = self.grasped - set(self.parts)
         if unknown:
             raise SceneError(f"grasped names not in parts: {sorted(unknown)}")

@@ -11,7 +11,7 @@ centroid, principal axis and extent, which a posed context maps in closed
 form. Static summaries are computed once per solve, on first read; a moving
 centroid maps as c -> R(c - t0) + t, a moving axis as a -> R a (sign-fixed
 again), not by a PCA rerun that tied eigenvalues could turn; a moving extent
-projects the points on the one row of R it needs.
+projects the part's extreme points (the same floats) on the one row of R it needs.
 
 The optimizer is a derivative-free pattern search over the 6-vector
 (EulerXYZ angles of R, translation deltas from t0): coordinate polls
@@ -28,8 +28,9 @@ run in lockstep groups of `_LOCKSTEP`; each round scores every live
 restart's request in one call. A poll asks for all its probes still ahead
 at once and consumes their values in order up to the first improvement;
 the rest were speculative and are neither counted nor allowed to fail the
-solve. Every restart therefore takes exactly the steps, and reports the
-evaluation count, of a one-probe-at-a-time run. Identical inputs
+solve. An acceleration ray is scored ahead under the same rule. Every restart
+therefore takes exactly the steps, and reports the evaluation count, of a
+one-probe-at-a-time run. Identical inputs
 (expression, scene, config including seed) produce identical results;
 nothing depends on wall clock.
 """
@@ -49,6 +50,7 @@ from .geometry import (  # noqa: F401 (perfbench/tracing.py patches euler_from_r
     PoseSE3,
     euler_angles,
     euler_from_rotation,
+    extreme_points,
     fix_axis_sign,
     norm,
     rotated_extent,
@@ -183,7 +185,8 @@ class _PosedContext(EvalContext):
 
     def part_extent(self, name: str, dimension: str):
         if name in self.moving:
-            return rotated_extent(self.resolve_cloud(name), self.rel, dimension)
+            kept = self._summary("extreme points", name, lambda: extreme_points(self.resolve_cloud(name)))
+            return rotated_extent(kept, self.rel, dimension)
         return super().part_extent(name, dimension)
 
 
@@ -312,6 +315,9 @@ _INIT_STEPS = np.array([_ROT_STEP] * 3 + [_TRANS_STEP] * 3)
 _SIGNS = np.array([[1.0], [-1.0]])
 # Restarts searched in lockstep; fixed, so memory stays flat as restarts grow.
 _LOCKSTEP = 8
+# Most points a ray asks for at once. A ray starts at one and doubles: most rays
+# stop after one step, and points built ahead but never used cost more than a round.
+_RAY_AHEAD = 8
 
 
 def _consume(value) -> float:
@@ -346,6 +352,30 @@ def _poll(x, fx, scale, directions, evals, budget):
     return x, fx, evals, improved
 
 
+def _accelerate(x, x1, fx1, evals, budget):
+    """Steps (x, x1) -> (x1, x1 + (x1 - x)) while that improves. Each request
+    computes the ray's next points with that recurrence, one at first and then
+    twice as many as before, up to `_RAY_AHEAD`; only values consumed up to the
+    first that does not improve count. Returns (point, value, evaluations)."""
+    ahead = 1
+    while evals < budget:
+        a, b, ray = x, x1, []
+        while len(ray) < min(ahead, budget - evals) and np.any(b - a):
+            a, b = b, b + (b - a)
+            ray.append(b)
+        if not ray:
+            break
+        values = yield np.array(ray)
+        for trial, value in zip(ray, values):
+            ft = _consume(value)
+            evals += 1
+            if not ft < fx1:
+                return x1, fx1, evals
+            x, x1, fx1 = x1, trial, ft
+        ahead = min(2 * ahead, _RAY_AHEAD)
+    return x1, fx1, evals
+
+
 def _pattern_search(x0: np.ndarray, cfg: SolveConfig, rng):
     """Pattern search with shrink: each cycle polls the coordinate directions,
     falls back to seeded random directions when those stall, then accelerates
@@ -370,18 +400,7 @@ def _pattern_search(x0: np.ndarray, cfg: SolveConfig, rng):
             directions /= np.linalg.norm(directions, axis=1, keepdims=True)
             x1, fx1, evals, improved = yield from _poll(x1, fx1, scale, directions, evals, budget)
         if improved:
-            while evals < budget:
-                direction = x1 - x
-                if not np.any(direction):
-                    break
-                trial = x1 + direction
-                ft = _consume((yield trial[None])[0])
-                evals += 1
-                if ft < fx1:
-                    x, fx = x1, fx1
-                    x1, fx1 = trial, ft
-                else:
-                    break
+            x1, fx1, evals = yield from _accelerate(x, x1, fx1, evals, budget)
         x, fx = x1, fx1
         if cycle_start - fx < cfg.tolerance:
             if shrink * float(_INIT_STEPS.max()) <= _STEP_FLOOR:

@@ -2,7 +2,8 @@
 the vocabulary and the grammar (accepted, and evaluated or refused with a
 typed error), rigid invariance of the cost words, an alignment identity,
 the solver's objective against plain evaluation of the moved scene, the
-solver's never-worse guarantee, and the centroid against numpy's mean."""
+solver's never-worse guarantee, the centroid against numpy's mean, and extents
+over the kept extreme points against the whole cloud's."""
 
 import functools
 import math
@@ -17,7 +18,8 @@ from maniplang import fixtures, solver
 from maniplang.costs import EvalContext, EvalError, evaluate
 from maniplang.errors import ManiplangError
 from maniplang.geometry import (
-    GeometryError, Point3, PointCloud, PoseSE3, centroid, euler_from_rotation, rotation_xyz,
+    GeometryError, Point3, PointCloud, PoseSE3, centroid, euler_from_rotation, extreme_points, rotated_extent,
+    rotation_xyz,
 )
 from maniplang.language import (
     Accepted, BinOp, Call, Literal, Neg, Triple, default_grammar, default_vocabulary, parse, to_source, type_check,
@@ -274,6 +276,44 @@ def test_centroid_is_the_mean_bit_for_bit_where_finite(points):
         assert got.tobytes() == mean.tobytes()
     else:
         assert (coords.min(axis=0) <= got).all() and (got <= coords.max(axis=0)).all()
+
+
+# -- extents over the kept extreme points are the full cloud's, bit for bit --------
+
+
+def _cloud(shape, rng, n):
+    """n points (a 6 x 6 x 6 grid for "grid") of the given shape, in a unit box."""
+    if shape == "grid":
+        axis = np.linspace(-0.5, 0.5, 6)
+        return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    if shape == "duplicated":
+        return np.repeat(rng.uniform(-0.5, 0.5, size=(max(n // 4, 1), 3)), 4, axis=0)
+    if shape in ("collinear", "planar"):
+        span = rng.normal(size=(2 if shape == "planar" else 1, 3))
+        return rng.uniform(-0.5, 0.5, size=(n, len(span))) @ span
+    return rng.uniform(-0.5, 0.5, size=(1 if shape == "single" else n, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.sampled_from(("random", "single", "duplicated", "collinear", "planar", "grid")),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 600),
+    scale_exponent=st.floats(-6, 3),
+    offset=st.floats(-10, 10),
+)
+def test_extents_over_extreme_points_are_the_clouds(shape, seed, n, scale_exponent, offset):
+    rng = np.random.default_rng(seed)
+    scale = 10.0**scale_exponent
+    cloud = PointCloud(_cloud(shape, rng, n) * scale + offset * scale * rng.normal(size=3))
+    kept = extreme_points(cloud)
+    rows = {tuple(p) for p in cloud.coords.tolist()}
+    assert len(kept) <= len(cloud) and all(tuple(p) in rows for p in kept.coords.tolist())
+    if shape == "grid":
+        assert len(kept) < len(cloud)
+    rotations = np.stack([random_rotation(rng) for _ in range(64)])
+    for dimension in ("length", "width", "height"):
+        assert np.array_equal(rotated_extent(kept, rotations, dimension), rotated_extent(cloud, rotations, dimension))
 
 
 # -- objective_terms agrees with evaluating the moved scene ------------------------

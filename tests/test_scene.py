@@ -21,6 +21,21 @@ class TestInvariants:
         with pytest.raises(SceneError):
             minimal(parts={"gripper": PointCloud([(0, 0, 0)])})
 
+    @pytest.mark.parametrize("name", ["", " ", "\t\n"])
+    def test_part_name_is_not_blank(self, name):
+        with pytest.raises(SceneError, match="empty or whitespace"):
+            minimal(parts={name: PointCloud([(0, 0, 0)])})
+
+    def test_blank_grasped_name_is_rejected_on_load(self):
+        # " ".split() is the empty token prefix, which every name starts with.
+        parts = {" ": True, "table": False, "mug handle": False}
+        doc = {
+            "parts": {name: {"points": [[0, 0, 0]], "grasped": grasped} for name, grasped in parts.items()},
+            "gripper": {"position": [0, 0, 0], "open_fraction": 0.0},
+        }
+        with pytest.raises(SceneError, match=r"empty or whitespace: \[' '\]"):
+            scene_from_json(doc)
+
     def test_grasped_must_name_parts(self):
         with pytest.raises(SceneError):
             minimal(grasped=frozenset({"ghost"}))

@@ -104,12 +104,13 @@ class TestPartition:
         # Independent oracle: with explicit object labels, membership is label
         # equality; without labels, token-prefix on whitespace word boundaries.
         # The shipped scenes label every part; the seeded ones mix in unlabeled
-        # parts and names like "", "knife  blade" and "knifeblade".
+        # parts and names like "knife  blade" and "knifeblade" (a Scene
+        # rejects the empty name that no word makes).
         rng = random.Random(13)
         words = ("knife", "blade", "knifeblade", "cup")
         scenes = [fixtures.make_scene(kind) for kind in ("pen_holder", "carrot_knife", "teapot_lid", "cube_target")]
         for _ in range(300):
-            names = sorted({rng.choice((" ", "  ")).join(rng.choices(words, k=rng.randint(0, 3))) for _ in range(5)})
+            names = sorted({rng.choice((" ", "  ")).join(rng.choices(words, k=rng.randint(0, 3))) for _ in range(5)} - {""})
             scenes.append(Scene(
                 parts={name: PointCloud([(0, 0, 0)]) for name in names},
                 grasped=frozenset(name for name in names if rng.random() < 0.3),
@@ -376,6 +377,14 @@ MOCK_SEARCHES = {
     "put the pen into the penholder": ("pen_holder", (14612, 1777, 2)),
     "cut the carrot with the knife": ("carrot_knife", (15505, 1899, 0)),
 }
+# Lockstep rounds (`_objective_rows` calls) of each mock task's solve stage;
+# 287, 282, 313 and 911 before acceleration rays were scored ahead.
+MOCK_ROUNDS = {
+    "move the cube above the target": 287,
+    "lift the cube and release it": 281,
+    "put the pen into the penholder": 312,
+    "cut the carrot with the knife": 452,
+}
 
 
 def degenerate_probe_scene(c_at):
@@ -397,14 +406,73 @@ def degenerate_probe_scene(c_at):
 DIRECTION_PROGRAM = "parallel_cost(get_axis('a'), [0, 0, 1]) + perpendicular_cost(direction_of('a', 'c'), [1, 0, 0])"
 
 
+RAY_PROGRAM = (
+    "parallel_cost(get_axis('a'), [0, 0, 1])"
+    " + (parallel_cost(direction_of('a', 'c'), [1, 0, 0]) + perpendicular_cost(direction_of('a', 'c'), [1, 0, 0]))"
+)
+
+
+def ray_requests(monkeypatch, expr, cfg):
+    """The points of the first acceleration ray of a solve on the
+    degenerate_probe_scene with 'c' far away, each with the request it came
+    in, and how many of them the search consumed."""
+    rays = []
+    accelerate = solver._accelerate
+
+    def recorded(x, x1, fx1, evals, budget):
+        requests = []
+        search = accelerate(x, x1, fx1, evals, budget)
+        try:
+            request = next(search)
+            while True:
+                requests.append(request)
+                request = search.send((yield request))
+        except StopIteration as done:
+            rays.append((requests, done.value[2] - evals))
+            return done.value
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_accelerate", recorded)
+        solve(expr, degenerate_probe_scene((5.0, 5.0, 5.0)), cfg)
+    requests, consumed = rays[0]
+    return [(point, request) for request in requests for point in request], consumed
+
+
+def watch_direction_failures(monkeypatch):
+    """The DegenerateDirectionErrors that `solver.evaluate` raises from now on."""
+    failures = []
+    original = solver.evaluate
+
+    def watched(expr, ctx):
+        try:
+            return original(expr, ctx)
+        except DegenerateDirectionError as exc:
+            failures.append(exc)
+            raise
+
+    monkeypatch.setattr(solver, "evaluate", watched)
+    return failures
+
+
+def centroid_of_a_at(x):
+    """Where search point x moves the centroid of 'a' in degenerate_probe_scene."""
+    ctx = solver._PosedContext(degenerate_probe_scene((5.0, 5.0, 5.0)))
+    ctx.place(rotation_xyz(x[0], x[1], x[2])[None], (ctx.t0 + x[3:])[None])
+    return tuple(ctx.resolve_point("a")[0].tolist())
+
+
 class TestLockstepSearch:
     @pytest.mark.parametrize("instruction", sorted(MOCK_SEARCHES))
-    def test_mock_solves_take_the_recorded_search(self, instruction):
+    def test_mock_solves_take_the_recorded_search(self, instruction, monkeypatch):
         kind, recorded = MOCK_SEARCHES[instruction]
+        rounds = []
+        objective_rows = solver._objective_rows
+        monkeypatch.setattr(solver, "_objective_rows", lambda *args: rounds.append(1) or objective_rows(*args))
         client = pipeline.MockClient(fixtures.load_mock_translations())
         trace = pipeline.run_task(instruction, load_scene(fixtures.shipped_scene_path(kind)), client)
         (result,) = [stage.solve for stage in trace.stages if stage.solve is not None]
         assert (result.total_evaluations, result.iterations, result.restart_index) == recorded
+        assert len(rounds) == MOCK_ROUNDS[instruction]
 
     def test_restarts_run_in_fixed_groups(self, monkeypatch):
         groups = []
@@ -426,17 +494,7 @@ class TestLockstepSearch:
         # The first poll's last probe (-tz from the start) puts 'a' on 'c'. It
         # is scored with the rest of that poll, but +rx improves first, so a
         # one-probe-at-a-time search never evaluates it.
-        failures = []
-        original = solver.evaluate
-
-        def watched(expr, ctx):
-            try:
-                return original(expr, ctx)
-            except DegenerateDirectionError as exc:
-                failures.append(exc)
-                raise
-
-        monkeypatch.setattr(solver, "evaluate", watched)
+        failures = watch_direction_failures(monkeypatch)
         scene = degenerate_probe_scene((0.0, 0.0, -0.1))
         result = solve(typed(DIRECTION_PROGRAM), scene, SolveConfig(restarts=1, max_iterations=300))
         assert failures, "the speculative probe was never scored"
@@ -451,6 +509,23 @@ class TestLockstepSearch:
         start, turned = solver._objective_rows(expr, ctx, xs, SolveConfig())
         assert math.isfinite(start)
         assert isinstance(turned, EvalError)
+
+    def test_unconsumed_ray_point_does_not_end_the_solve(self, monkeypatch):
+        # The second term of RAY_PROGRAM is exactly 1 wherever 'c' is, so every
+        # placement of 'c' gives one search, unless a point it consumes puts
+        # the moved centroid of 'a' on 'c'.
+        expr = typed(RAY_PROGRAM)
+        cfg = SolveConfig(restarts=1, max_iterations=300)
+        reference = solve(expr, degenerate_probe_scene((5.0, 5.0, 5.0)), cfg)
+        requests, consumed = ray_requests(monkeypatch, expr, cfg)
+        lookahead = next(k for k, (_, request) in enumerate(requests) if len(request) > 1)
+        assert lookahead < consumed < len(requests), "the first ray's lookahead is neither consumed nor left"
+        failures = watch_direction_failures(monkeypatch)
+        left_over = solve(expr, degenerate_probe_scene(centroid_of_a_at(requests[consumed][0])), cfg)
+        assert failures, "the unconsumed ray point was never scored"
+        assert left_over.dumps() == reference.dumps()
+        with pytest.raises(DegenerateDirectionError):
+            solve(expr, degenerate_probe_scene(centroid_of_a_at(requests[consumed - 1][0])), cfg)
 
     def test_consumed_degenerate_probe_raises(self):
         # Here the first probe itself (+rx) puts 'a' on 'c'.
