@@ -13,6 +13,7 @@ new values) in CHANGES.md:
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import sys
 from pathlib import Path
@@ -54,7 +55,7 @@ def cube_solve_stdout() -> str:
 
 # golden file name -> producer of its text
 GOLDENS = {
-    **{f"{stem}.trace.json": (lambda stem=stem: mock_trace(stem)) for stem in MOCK_TASKS},
+    **{f"{stem}.trace.json": functools.partial(mock_trace, stem) for stem in MOCK_TASKS},
     "cube_move.solve.json": cube_solve_stdout,
 }
 
