@@ -198,19 +198,19 @@ def _unit(vec: np.ndarray) -> np.ndarray:
     return vec / length[..., None]
 
 
+def move_residual(node: TypedExpr, ctx: EvalContext):
+    """The vector whose length a move word costs: where its subject is, less
+    where it should be (the goal plus any offset)."""
+    if node.word == "move_cost":
+        subject, goal, offset = _arg(node, "source", ctx), _arg(node, "target", ctx), _arg(node, "offset", ctx)
+    else:
+        offset, goal = _arg(node, "offset", ctx), _centroid_last(node, ctx)
+        subject = ctx.resolve_point(_string_arg(node, "part"))
+    return subject - (goal if offset is None else goal + offset)
+
+
 def _move_cost(node, ctx):
-    source = _arg(node, "source", ctx)
-    target = _arg(node, "target", ctx)
-    offset = _arg(node, "offset", ctx)
-    if offset is not None:
-        target = target + offset
-    return norm(source - target)
-
-
-def _move_cost_with_offset(node, ctx):
-    offset = _arg(node, "offset", ctx)
-    anchor = _centroid_last(node, ctx)
-    return norm(ctx.resolve_point(_string_arg(node, "part")) - (anchor + offset))
+    return norm(move_residual(node, ctx))
 
 
 def _alignment(node, ctx):
@@ -270,7 +270,7 @@ _WORDS = {
     "get_length": _make_extent("length"),
     "direction_of": _direction_of,
     "move_cost": _move_cost,
-    "move_cost_with_offset": _move_cost_with_offset,
+    "move_cost_with_offset": _move_cost,
     "parallel_cost": _parallel_cost,
     "perpendicular_cost": _perpendicular_cost,
     "rotate_cost": _rotate_cost,
@@ -321,3 +321,58 @@ def motion_subjects(expr: TypedExpr) -> frozenset[str]:
 
     visit(expr, False)
     return frozenset(subjects)
+
+
+# Words that read the points they name only through their differences.
+_NAMED_POINTS = {
+    "direction_of": ("start", "end"),
+    "orbit_cost": ("center_part", "moving_part"),
+    "upright_cost": ("up_part", "down_part"),
+}
+
+
+def translation_term(expr: TypedExpr, moving: frozenset[str]) -> tuple[TypedExpr | None, int] | None:
+    """How the cost reads the gripper translation t when `moving` ride with it.
+
+    Every point is k*t + f(R) for an integer k: 1 for the gripper and a moving
+    centroid, 0 for a static one, history and a triple, summed through +, -
+    and negation. No scalar reads t; a vec reads it only through direction_of
+    between ends of unequal k, nonlinearly. So each term of the cost sum reads
+    no t, reads it nonlinearly, or is a move word with residual d*t + b(R).
+    Returns (None, 0) when no term reads t; (term, d) when only that move word
+    does, d != 0; None otherwise.
+    """
+
+    def named(name) -> int:
+        return int(name == GRIPPER_NAME or name in moving)
+
+    def shift(node: TypedExpr) -> int | None:
+        """k of a point, or d of a move word's residual; 0 for what reads no
+        t, None for what reads it nonlinearly."""
+        if isinstance(node.expr, Literal):
+            return named(node.expr.value) if node.sort == "point" else 0
+        ks = [shift(child) for child in node.children]
+        if None in ks:
+            return None
+        if isinstance(node.expr, Neg):
+            return -ks[0]
+        if isinstance(node.expr, BinOp) and node.expr.op != "*":
+            return ks[0] + ks[1] if node.expr.op == "+" else ks[0] - ks[1]
+        if node.word == "move_cost":
+            return ks[0] - ks[1]  # an offset is a vec, so its k is 0
+        if node.word in ("get_centroid", "move_cost_with_offset"):
+            return named(_string_arg(node, "part"))
+        if node.word == "get_gripper_pos":
+            return 1
+        ends = {named(_string_arg(node, name)) for name in _NAMED_POINTS.get(node.word, ())}
+        return 0 if not any(ks) and len(ends) <= 1 else None
+
+    def terms(node: TypedExpr) -> list[TypedExpr]:
+        if isinstance(node.expr, BinOp):  # cost + cost, the one cost rule
+            return terms(node.children[0]) + terms(node.children[1])
+        return [node]
+
+    reading = [(term, k) for term in terms(expr) if (k := shift(term)) != 0]
+    if len(reading) > 1 or any(k is None for _, k in reading):
+        return None
+    return reading[0] if reading else (None, 0)

@@ -13,19 +13,27 @@ centroid maps as c -> R(c - t0) + t, a moving axis as a -> R a (sign-fixed
 again), not by a PCA rerun that tied eigenvalues could turn; a moving extent
 projects the part's extreme points (the same floats) on the one row of R it needs.
 
+Where no term of the cost sum reads t (`costs.translation_term`), t0 is best;
+where one move term |d*t + b(R)| alone reads it and alpha <= |d|, the t* that
+zeroes it is: |d*t + b| + alpha*|t - t0| >= alpha*|t* - t0|, equal at t*. Each
+rotation is then scored at its own t*, so the search is over three angles
+(variable projection, Golub & Pereyra 1973). Other programs search all six.
+
 The optimizer is a derivative-free pattern search over the 6-vector
-(EulerXYZ angles of R, translation deltas from t0): coordinate polls
-first, seeded random poll directions when a coordinate cycle stalls (the
-descent cone of a kinked objective can exclude every coordinate axis), and
-an acceleration step along each cycle's net movement. Polls are
-opportunistic (Hooke & Jeeves): a probe that improves is taken before the
-next direction is tried. Deterministic multi-start on top: restart #0 is
-the initial pose, the rest are drawn from the seed.
+(EulerXYZ angles of R, translation deltas from t0), or over its three angles
+where t has that closed form: coordinate polls first, seeded random poll
+directions when a coordinate cycle stalls (the descent cone of a kinked
+objective can exclude every coordinate axis), and an acceleration step along
+each cycle's net movement. Polls are opportunistic (Hooke & Jeeves): a probe
+that improves is taken before the next direction is tried. Deterministic
+multi-start on top: restart #0 is the initial pose, the rest are drawn from
+the seed (the same draws in both searches).
 
 The objective scores a stack of poses in one numpy pass, so the search runs
 as generators that ask for points instead of calling a function. Restarts
 run in lockstep groups of `_LOCKSTEP`; each round scores every live
-restart's request in one call. A poll asks for all its probes still ahead
+restart's request in one call; a round with a failing row is scored again in
+halves, down to the rows that fail. A poll asks for all its probes still ahead
 at once and consumes their values in order up to the first improvement;
 the rest were speculative and are neither counted nor allowed to fail the
 solve. An acceleration ray is scored ahead under the same rule. Every restart
@@ -42,7 +50,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import files
-from .costs import EvalContext, EvalError, evaluate, motion_subjects
+from .costs import EvalContext, EvalError, evaluate, motion_subjects, move_residual, translation_term
 from .errors import EXIT_SOLVER, ManiplangError
 from .geometry import (  # noqa: F401 (perfbench/tracing.py patches euler_from_rotation and PointCloud here)
     Point3,
@@ -225,18 +233,44 @@ def _terms(
     return cost + cfg.alpha * reg_t + cfg.beta * reg_r, cost, reg_t, reg_r
 
 
-def _objective_rows(expr: TypedExpr, ctx: _PosedContext, xs: np.ndarray, cfg: SolveConfig) -> list:
-    """The objective at each search point, a row (EulerXYZ angles, translation
-    delta) of xs. A row whose evaluation fails holds its typed error instead,
-    so only a search that consumes it raises."""
+def _closed_form_translation(expr: TypedExpr, ctx: _PosedContext, cfg: SolveConfig):
+    """Where the module docstring's closed form holds, a function giving the
+    best translation delta t* - t0 for each of a stack of rotations (t* = t0 -
+    r/d, r the move term's residual at t0); else None."""
+    form = translation_term(expr, ctx.moving)
+    if form is None or (form[0] is not None and cfg.alpha > abs(form[1])):
+        return None
+    term, d = form
+
+    def delta(rel: np.ndarray) -> np.ndarray:
+        if term is None:
+            return np.zeros((len(rel), 3))
+        ctx.place(rel, ctx.t0[None].repeat(len(rel), 0))
+        with np.errstate(all="ignore"):
+            dt = -move_residual(term, ctx) / d
+            finite = np.isfinite(np.sum(dt * dt))  # so |dt| is finite too
+        if not finite:
+            raise EvalError("closed-form gripper translation is not finite")
+        return dt
+
+    return delta
+
+
+def _objective_rows(expr: TypedExpr, ctx: _PosedContext, xs: np.ndarray, cfg: SolveConfig, translation=None) -> list:
+    """The objective at each search point, a row of xs: EulerXYZ angles then
+    the translation delta, or the angles alone where `translation` (from
+    `_closed_form_translation`) gives the delta. A row whose evaluation fails
+    holds its typed error instead, so only a search that consumes it raises."""
     rel = rotation_xyz(xs[:, 0], xs[:, 1], xs[:, 2])
     try:
-        return _terms(expr, ctx, rel, ctx.t0 + xs[:, 3:], xs[:, 3:], cfg)[0].tolist()
+        dt = xs[:, 3:] if translation is None else translation(rel)
+        return _terms(expr, ctx, rel, ctx.t0 + dt, dt, cfg)[0].tolist()
     except ManiplangError as exc:
         if len(xs) == 1:
             return [exc]
-    # Some row failed: score each on its own, so that it fails alone.
-    return [v for k in range(len(xs)) for v in _objective_rows(expr, ctx, xs[k : k + 1], cfg)]
+    # Some row failed: score each half on its own, down to the rows that fail.
+    half = len(xs) // 2
+    return [v for part in (xs[:half], xs[half:]) for v in _objective_rows(expr, ctx, part, cfg, translation)]
 
 
 def solve(expr: TypedExpr, scene: Scene, cfg: SolveConfig | None = None) -> SolveResult:
@@ -250,10 +284,13 @@ def solve(expr: TypedExpr, scene: Scene, cfg: SolveConfig | None = None) -> Solv
         moves = f"only {sorted(ctx.moving)} can move" if ctx.moving else "nothing grasped moves"
         raise NoMovingPartsError(f"expression constrains {sorted(subjects)} but {moves}")
 
+    translation = _closed_form_translation(expr, ctx, cfg)
+    n = 6 if translation is None else 3  # the search's coordinates
+
     seed = cfg.seed & 0xFFFFFFFFFFFFFFFF  # SeedSequence wants unsigned 64-bit
     rng = np.random.default_rng(seed)
-    starts = [np.zeros(6)] + [
-        np.concatenate([rng.uniform(-np.pi / 2, np.pi / 2, size=3), rng.uniform(-0.2, 0.2, size=3)])
+    starts = [np.zeros(n)] + [
+        np.concatenate([rng.uniform(-np.pi / 2, np.pi / 2, size=3), rng.uniform(-0.2, 0.2, size=3)])[:n]
         for _ in range(cfg.restarts - 1)
     ]
 
@@ -264,11 +301,13 @@ def solve(expr: TypedExpr, scene: Scene, cfg: SolveConfig | None = None) -> Solv
             index: _pattern_search(starts[index], cfg, np.random.default_rng((seed, index)))
             for index in group
         }
-        results.update(_lockstep(searches, lambda xs: _objective_rows(expr, ctx, xs, cfg)))
+        results.update(_lockstep(searches, lambda xs: _objective_rows(expr, ctx, xs, cfg, translation)))
 
     restart_index = min(results, key=lambda index: (results[index][1], index))
     x, _, evals, converged = results[restart_index]
-    pose = PoseSE3(rotation_xyz(x[0], x[1], x[2]), Point3.from_array(ctx.t0 + x[3:6]))
+    rel = rotation_xyz(x[0], x[1], x[2])
+    dt = x[3:6] if translation is None else translation(rel[None])[0]
+    pose = PoseSE3(rel, Point3.from_array(ctx.t0 + dt))
     obj, cost, reg_t, reg_r = _pose_terms(expr, ctx, pose, cfg)
     return SolveResult(
         pose=pose,
@@ -333,7 +372,7 @@ def _poll(x, fx, scale, directions, evals, budget):
     probe still ahead from the current point (as many as the budget allows);
     values are consumed in order up to the first improvement, and only the
     consumed ones count. Returns (point, value, evaluations, improved)."""
-    steps = ((scale * directions)[:, None] * _SIGNS).reshape(-1, 6)
+    steps = ((scale * directions)[:, None] * _SIGNS).reshape(-1, len(x))
     improved = False
     probe = 0
     while probe < len(steps) and evals < budget:
@@ -382,28 +421,30 @@ def _pattern_search(x0: np.ndarray, cfg: SolveConfig, rng):
     along the cycle's net movement. Steps halve when a full cycle improves by
     less than the tolerance; converged once they bottom out.
 
-    A generator: it yields each batch of points it needs scored, (m, 6), is
+    Its dimension n is x0's: the leading n of the six coordinates. A
+    generator: it yields each batch of points it needs scored, (m, n), is
     sent their values, and returns (x, fx, evaluations, converged)."""
     budget = cfg.max_iterations
     x = np.array(x0, dtype=float)
     fx = _consume((yield x[None])[0])
     evals = 1
     shrink = 1.0
-    eye = np.eye(6)
+    n = len(x)
+    init_steps, eye = _INIT_STEPS[:n], np.eye(n)
     converged = False
     while evals < budget:
         cycle_start = fx
-        scale = _INIT_STEPS * shrink
+        scale = init_steps * shrink
         x1, fx1, evals, improved = yield from _poll(x, fx, scale, eye, evals, budget)
         if not improved and evals < budget:
-            directions = rng.normal(size=(_RANDOM_POLLS, 6))
+            directions = rng.normal(size=(_RANDOM_POLLS, n))
             directions /= np.linalg.norm(directions, axis=1, keepdims=True)
             x1, fx1, evals, improved = yield from _poll(x1, fx1, scale, directions, evals, budget)
         if improved:
             x1, fx1, evals = yield from _accelerate(x, x1, fx1, evals, budget)
         x, fx = x1, fx1
         if cycle_start - fx < cfg.tolerance:
-            if shrink * float(_INIT_STEPS.max()) <= _STEP_FLOOR:
+            if shrink * float(init_steps.max()) <= _STEP_FLOOR:
                 converged = True
                 break
             shrink *= 0.5

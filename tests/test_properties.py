@@ -1,7 +1,8 @@
 """Property tests: parse/print round trips, well-typed programs drawn from
 the vocabulary and the grammar (accepted, and evaluated or refused with a
 typed error), rigid invariance of the cost words, an alignment identity,
-the solver's objective against plain evaluation of the moved scene, the
+the solver's objective against plain evaluation of the moved scene (also for
+drawn programs), the translation analysis and its closed-form optimum, the
 solver's never-worse guarantee, the centroid against numpy's mean, and extents
 over the kept extreme points against the whole cloud's."""
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maniplang import fixtures, solver
-from maniplang.costs import EvalContext, EvalError, evaluate
+from maniplang.costs import EvalContext, EvalError, evaluate, translation_term
 from maniplang.errors import ManiplangError
 from maniplang.geometry import (
     GeometryError, Point3, PointCloud, PoseSE3, centroid, euler_from_rotation, extreme_points, rotated_extent,
@@ -427,6 +428,112 @@ def test_objective_terms_fail_like_the_moved_scene(case, seed, angles, shift):
         assert raised.type is posed
 
 
+# -- drawn programs on drawn scenes --------------------------------------------------
+
+
+def _named_scene(seed: int) -> Scene:
+    """Random elongated clouds under _SCENE's part names, so that drawn
+    programs name them; as there, 'knife' and 'knife blade' ride with the
+    grasped knife and 'carrot' stays put."""
+    rng = np.random.default_rng(seed)
+    names = sorted(_SCENE.parts)
+    return Scene(
+        parts={name: PointCloud(_elongated_cloud(rng)) for name in names},
+        grasped=_SCENE.grasped,
+        gripper_position=Point3(*rng.uniform(-0.5, 0.5, size=3)),
+        gripper_open_fraction=float(rng.uniform(0.0, 1.0)),
+        objects=_SCENE.objects,
+        history=(
+            SceneSnapshot(
+                Point3(*rng.uniform(-0.5, 0.5, size=3)),
+                {name: Point3(*rng.uniform(-0.5, 0.5, size=3)) for name in names},
+            ),
+        ),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(expr=_typed("cost"), seed=_seeds, drawn=st.lists(_poses, min_size=1, max_size=4))
+def test_batched_rows_of_drawn_programs_equal_plain_evaluation(expr, seed, drawn):
+    scene = _named_scene(seed)
+    typed = validate_program(to_source(expr)).typed
+    poses = [_pose(scene, angles, shift) for angles, shift in drawn]
+    cfg = SolveConfig()
+    plain = [_outcome(lambda pose=pose: _plain_terms(typed, scene, pose, cfg)) for pose in poses]
+    try:
+        rows = _batch_terms(typed, scene, poses, cfg)
+    except ManiplangError:
+        # A batch fails when any of its rows does.
+        assert any(isinstance(outcome, type) for outcome in plain)
+        return
+    for (obj, cost), (plain_obj, plain_cost) in zip(rows, plain):
+        assert cost == pytest.approx(plain_cost, abs=1e-12)
+        assert obj == pytest.approx(plain_obj, abs=1e-12)
+
+
+_shift_lists = st.lists(st.tuples(_shifts, _shifts, _shifts), min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(expr=_typed("cost"), seed=_seeds, angles=st.tuples(_angles, _angles, _angles), shifts=_shift_lists)
+def test_translation_analysis_is_sound(expr, seed, angles, shifts):
+    # Where the analysis says no term reads t, the cost ignores t; where it
+    # says one norm |d*t + b(R)| does, the cost grows by exactly |d| per meter
+    # from the closed-form t*.
+    scene = _named_scene(seed)
+    typed = validate_program(to_source(expr)).typed
+    ctx = solver._PosedContext(scene)
+    form = translation_term(typed, ctx.moving)
+    if form is None:
+        return
+    rotation = rotation_xyz(*angles)
+    cfg = SolveConfig(alpha=0.0)
+
+    def cost(t):
+        return solver._pose_terms(typed, ctx, PoseSE3(rotation, Point3.from_array(t)), cfg)[1]
+
+    try:
+        best = ctx.t0 + solver._closed_form_translation(typed, ctx, cfg)(rotation[None])[0]
+        base = cost(best)
+    except ManiplangError:
+        return
+    _, d = form
+    for shift in shifts:
+        t = best + np.array(shift)
+        assert cost(t) - base == pytest.approx(abs(d) * float(np.linalg.norm(t - best)), abs=1e-9 if d else 1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    expr=_typed("cost"),
+    seed=_seeds,
+    angles=st.tuples(_angles, _angles, _angles),
+    alpha=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_no_translation_probe_improves_the_closed_form(expr, seed, angles, alpha):
+    # The solver's own probes at the step floor, +/- 1e-7 m along each axis,
+    # cannot improve the full objective at (R, t*) by more than rounding.
+    scene = _named_scene(seed)
+    typed = validate_program(to_source(expr)).typed
+    ctx = solver._PosedContext(scene)
+    cfg = SolveConfig(alpha=alpha, beta=0.05)
+    translation = solver._closed_form_translation(typed, ctx, cfg)
+    if translation is None:
+        return
+    rotation = rotation_xyz(*angles)
+
+    def objective_at(t):
+        return solver._pose_terms(typed, ctx, PoseSE3(rotation, Point3.from_array(t)), cfg)[0]
+
+    try:
+        best = ctx.t0 + translation(rotation[None])[0]
+        value = objective_at(best)
+    except ManiplangError:
+        return
+    for probe in np.concatenate([np.eye(3), -np.eye(3)]) * 1e-7:
+        assert objective_at(best + probe) >= value - 1e-12
+
+
 # -- solve never returns worse than the initial pose -------------------------------
 
 SOLVE_PROGRAMS = (
@@ -458,7 +565,9 @@ def test_solve_is_never_worse_than_initial_pose(seed, program, alpha, beta):
 
 def _sequential_search(f, x0, cfg: SolveConfig, rng):
     """Reference: the pattern search scoring one probe per call of f, as the
-    solver ran before polls were batched. Returns (x, fx, evaluations)."""
+    solver ran before polls were batched, over the leading len(x0) of the six
+    coordinates. Returns (x, fx, evaluations)."""
+    n = len(x0)
     evals = [0]
 
     def poll(x, fx, scale, directions):
@@ -477,16 +586,16 @@ def _sequential_search(f, x0, cfg: SolveConfig, rng):
                     break
         return x, fx, improved
 
-    steps = np.array([0.25] * 3 + [0.1] * 3)
+    steps = np.array([0.25] * 3 + [0.1] * 3)[:n]
     x = np.array(x0, dtype=float)
     fx = f(x)
     evals[0] += 1
     shrink = 1.0
     while evals[0] < cfg.max_iterations:
         cycle_start = fx
-        x1, fx1, improved = poll(x, fx, steps * shrink, np.eye(6))
+        x1, fx1, improved = poll(x, fx, steps * shrink, np.eye(n))
         if not improved and evals[0] < cfg.max_iterations:
-            directions = rng.normal(size=(12, 6))
+            directions = rng.normal(size=(12, n))
             directions /= np.linalg.norm(directions, axis=1, keepdims=True)
             x1, fx1, improved = poll(x1, fx1, steps * shrink, directions)
         while improved and evals[0] < cfg.max_iterations and np.any(x1 - x):
@@ -504,21 +613,22 @@ def _sequential_search(f, x0, cfg: SolveConfig, rng):
     return x, fx, evals[0]
 
 
-@settings(max_examples=8, deadline=None)
-@given(seed=_seeds, program=st.sampled_from(SOLVE_PROGRAMS), restarts=st.sampled_from((1, 3, 10)))
-def test_solve_takes_the_sequential_search(seed, program, restarts):
-    scene = _random_scene(seed)
-    expr = type_check(parse(program))
-    cfg = SolveConfig(restarts=restarts, max_iterations=150, seed=seed)
+def _takes_the_sequential_search(expr, scene: Scene, cfg: SolveConfig) -> int:
+    """Check that `solve` takes the steps of `_sequential_search` from the same
+    starts; returns the search's dimension."""
+    restarts, seed = cfg.restarts, cfg.seed
     ctx = solver._PosedContext(scene)
+    # The search takes the Euler angles alone where t has a closed form.
+    translation = solver._closed_form_translation(expr, ctx, cfg)
+    n = 6 if translation is None else 3
 
     def f(x):
-        (value,) = solver._objective_rows(expr, ctx, x[None], cfg)
+        (value,) = solver._objective_rows(expr, ctx, x[None], cfg, translation)
         return value
 
     rng = np.random.default_rng(seed)
-    starts = [np.zeros(6)] + [
-        np.concatenate([rng.uniform(-np.pi / 2, np.pi / 2, 3), rng.uniform(-0.2, 0.2, 3)])
+    starts = [np.zeros(n)] + [
+        np.concatenate([rng.uniform(-np.pi / 2, np.pi / 2, 3), rng.uniform(-0.2, 0.2, 3)])[:n]
         for _ in range(restarts - 1)
     ]
     runs = [
@@ -530,5 +640,39 @@ def test_solve_takes_the_sequential_search(seed, program, restarts):
     result = solve(expr, scene, cfg)
     assert (result.restart_index, result.iterations) == (best, evals)
     assert result.total_evaluations == sum(run[2] for run in runs)
-    assert np.array_equal(result.pose.rotation, rotation_xyz(x[0], x[1], x[2]))
-    assert result.pose.translation == Point3.from_array(ctx.t0 + x[3:])
+    rotation = rotation_xyz(x[0], x[1], x[2])
+    dt = x[3:] if translation is None else translation(rotation[None])[0]
+    assert np.array_equal(result.pose.rotation, rotation)
+    assert result.pose.translation == Point3.from_array(ctx.t0 + dt)
+    return n
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=_seeds, program=st.sampled_from(SOLVE_PROGRAMS), restarts=st.sampled_from((1, 3, 10)))
+def test_solve_takes_the_sequential_search(seed, program, restarts):
+    cfg = SolveConfig(restarts=restarts, max_iterations=150, seed=seed)
+    _takes_the_sequential_search(type_check(parse(program)), _random_scene(seed), cfg)
+
+
+CUBE_MOVE = "move_cost(get_centroid('cube'), get_centroid('target'), offset=[0, 0, 0.1])"
+# case -> (shipped scene, or None for a random one; program; alpha; dimension
+# of the search). Only the first case has a closed-form translation.
+SEARCH_DIMENSIONS = {
+    "alpha_equal_to_d": ("cube_target", CUBE_MOVE, 1.0, 3),
+    "alpha_above_d": ("cube_target", CUBE_MOVE, 1.5, 6),
+    "two_moving_norms": (
+        None, "move_cost(get_centroid('a'), get_centroid('b')) + move_cost('gripper', 'c', offset=[0, 0, 0.1])", 0.1, 6
+    ),
+    "direction_moving_to_static": (
+        None, "move_cost(get_centroid('a'), get_centroid('b')) + perpendicular_cost(direction_of('a', 'c'), [0, 0, 1])",
+        0.1, 6,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_DIMENSIONS))
+def test_programs_without_a_closed_form_keep_the_6d_search(case):
+    kind, program, alpha, dimension = SEARCH_DIMENSIONS[case]
+    scene = load_scene(fixtures.shipped_scene_path(kind)) if kind else _random_scene(7)
+    cfg = SolveConfig(alpha=alpha, restarts=3, max_iterations=150, seed=3)
+    assert _takes_the_sequential_search(type_check(parse(program)), scene, cfg) == dimension

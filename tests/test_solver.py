@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -369,21 +370,21 @@ class TestTransformScene:
 
 
 # (total_evaluations, iterations, restart_index) of each mock task's solve
-# stage, recorded from the one-probe-at-a-time search before polls were
-# batched: batching may only change how many objective calls score them.
+# stage: batching may only change how many objective calls score them. Every
+# mock program puts the translation in closed form, so each search is over the
+# three Euler angles.
 MOCK_SEARCHES = {
-    "move the cube above the target": ("cube_target", (15032, 1880, 4)),
-    "lift the cube and release it": ("cube_target", (14480, 1666, 0)),
-    "put the pen into the penholder": ("pen_holder", (14612, 1777, 2)),
-    "cut the carrot with the knife": ("carrot_knife", (15505, 1899, 0)),
+    "move the cube above the target": ("cube_target", (7589, 691, 0)),
+    "lift the cube and release it": ("cube_target", (7626, 691, 0)),
+    "put the pen into the penholder": ("pen_holder", (7765, 584, 0)),
+    "cut the carrot with the knife": ("carrot_knife", (11024, 1386, 4)),
 }
-# Lockstep rounds (`_objective_rows` calls) of each mock task's solve stage;
-# 287, 282, 313 and 911 before acceleration rays were scored ahead.
+# Lockstep rounds (`_objective_rows` calls) of each mock task's solve stage.
 MOCK_ROUNDS = {
-    "move the cube above the target": 287,
-    "lift the cube and release it": 281,
-    "put the pen into the penholder": 312,
-    "cut the carrot with the knife": 452,
+    "move the cube above the target": 161,
+    "lift the cube and release it": 162,
+    "put the pen into the penholder": 205,
+    "cut the carrot with the knife": 368,
 }
 
 
@@ -487,8 +488,8 @@ class TestLockstepSearch:
         expr = typed("move_cost(get_centroid('cube'), get_centroid('target'), offset=[0, 0, 0.1])")
         result = solve(expr, scene, SolveConfig(restarts=20))
         assert groups == [8, 8, 4]
-        assert (result.total_evaluations, result.iterations, result.restart_index) == (36545, 1780, 9)
-        assert result.objective == 0.029387938484608224
+        assert (result.total_evaluations, result.iterations, result.restart_index) == (19404, 691, 0)
+        assert result.objective == 0.02938793222149083
 
     def test_speculative_degenerate_probe_does_not_end_the_solve(self, monkeypatch):
         # The first poll's last probe (-tz from the start) puts 'a' on 'c'. It
@@ -509,6 +510,48 @@ class TestLockstepSearch:
         start, turned = solver._objective_rows(expr, ctx, xs, SolveConfig())
         assert math.isfinite(start)
         assert isinstance(turned, EvalError)
+
+    def test_failing_rows_are_found_by_halving(self, monkeypatch):
+        # A round with a failing row is scored again in halves, down to the
+        # rows that fail, not one row at a time.
+        calls = []
+        evaluate = solver.evaluate
+        monkeypatch.setattr(solver, "evaluate", lambda expr, ctx: calls.append(expr) or evaluate(expr, ctx))
+        scene = degenerate_probe_scene((0.0, 0.0, -0.1))
+        solve(typed(DIRECTION_PROGRAM), scene, SolveConfig(restarts=8, max_iterations=300))
+        assert len(calls) == 83
+
+    def test_halving_gives_each_row_its_value_alone(self):
+        scene = load_scene(fixtures.shipped_scene_path("cube_target"))
+        expr = typed("rotate_cost(get_axis('cube'), get_height('cube') * 1e308 * 40, [0, 0, 1])")
+        ctx = solver._PosedContext(scene)
+        # Only the turned row (the third) makes the cube taller, so only it fails.
+        xs = np.array(
+            [[0, 0, 0, 0, 0, 0], [0, 0, 0, 0.1, 0, 0], [math.pi / 4, 0, 0, 0, 0, 0]]
+            + [[0, 0, 0, 0, 0, z] for z in (-0.2, 0.1, 0.3)]
+        )
+        rows = solver._objective_rows(expr, ctx, xs, SolveConfig())
+        alone = [solver._objective_rows(expr, ctx, xs[k : k + 1], SolveConfig())[0] for k in range(len(xs))]
+        assert [type(row) for row in rows] == [type(row) for row in alone] == [float] * 2 + [EvalError] + [float] * 3
+        assert [row for row in rows if isinstance(row, float)] == [row for row in alone if isinstance(row, float)]
+
+    @pytest.mark.parametrize("target", ["[0, 0, 1e308] + [0, 0, 1e308]", "[0, 0, 1e200]"])
+    def test_overflowing_residual_holds_a_typed_error_in_each_row(self, target):
+        # The first residual overflows; the second is finite, but the square
+        # of the closed-form translation's length is not.
+        scene = load_scene(fixtures.shipped_scene_path("cube_target"))
+        expr = typed(f"move_cost(get_centroid('cube'), {target})")
+        ctx = solver._PosedContext(scene)
+        cfg = SolveConfig()
+        translation = solver._closed_form_translation(expr, ctx, cfg)
+        assert translation is not None
+        xs = np.array([[0.0, 0.0, 0.0], [0.3, -0.2, 0.1], [math.pi / 4, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = solver._objective_rows(expr, ctx, xs, cfg, translation)
+            assert all(isinstance(row, EvalError) for row in rows)
+            with pytest.raises(EvalError):
+                solve(expr, scene, SolveConfig(restarts=2, max_iterations=50))
 
     def test_unconsumed_ray_point_does_not_end_the_solve(self, monkeypatch):
         # The second term of RAY_PROGRAM is exactly 1 wherever 'c' is, so every
