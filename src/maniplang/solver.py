@@ -27,7 +27,14 @@ objective can exclude every coordinate axis), and an acceleration step along
 each cycle's net movement. Polls are opportunistic (Hooke & Jeeves): a probe
 that improves is taken before the next direction is tried. Deterministic
 multi-start on top: restart #0 is the initial pose, the rest are drawn from
-the seed (the same draws in both searches).
+the seed (the same draws in both searches). Restart j stops at the start of
+its cycle c once its point x lies in a lower-index restart i's poll box,
+|x - y| <= j's step in every coordinate, where y is i's point at the start of
+its own cycle c, or i's final point if i ended before (the duplicate test of
+multi-level single linkage, Rinnooy Kan & Timmer 1987). Comparing equal cycle
+indices makes the rule schedule-independent: j waits for a y that i has not
+reached yet, so the result is that of running the restarts one after another.
+The winner is the lowest objective over all restarts, stopped ones included.
 
 The objective scores a stack of poses in one numpy pass, so the search runs
 as generators that ask for points instead of calling a function. Restarts
@@ -176,25 +183,38 @@ class _PosedContext(EvalContext):
         super().__init__(replace(scene, history=scene.history + (scene.snapshot(),)))
         self.moving, _ = partition_moving_static(scene)
         self.t0 = scene.gripper_position.as_array()
+        self.rel = None
 
     def place(self, rel: np.ndarray, t: np.ndarray) -> None:
-        """Poses to read: rotations (K, 3, 3) and gripper positions (K, 3)."""
+        """Poses to read: rotations (K, 3, 3) and gripper positions (K, 3).
+        What depends on the rotations alone is kept until `rel` changes, so the
+        closed-form translation and the objective turn each part once."""
+        if rel is not self.rel:
+            self._turned = {}
         self.rel, self.t = rel, t
+
+    def _turn(self, kind: str, name: str, compute) -> np.ndarray:
+        """`compute()` of a moving part at the placed rotations, kept under (kind, name)."""
+        if (kind, name) not in self._turned:
+            value = compute()
+            value.setflags(write=False)
+            self._turned[kind, name] = value
+        return self._turned[kind, name]
 
     def resolve_point(self, name: str) -> np.ndarray:
         if name == GRIPPER_NAME:
             return self.t
         c = super().resolve_point(name)
-        return self.rel @ (c - self.t0) + self.t if name in self.moving else c
+        return self._turn("centroid", name, lambda: self.rel @ (c - self.t0)) + self.t if name in self.moving else c
 
     def part_axis(self, name: str) -> np.ndarray:
         a = super().part_axis(name)
-        return fix_axis_sign(self.rel @ a) if name in self.moving else a
+        return self._turn("axis", name, lambda: fix_axis_sign(self.rel @ a)) if name in self.moving else a
 
     def part_extent(self, name: str, dimension: str):
         if name in self.moving:
             kept = self._summary("extreme points", name, lambda: extreme_points(self.resolve_cloud(name)))
-            return rotated_extent(kept, self.rel, dimension)
+            return self._turn(dimension, name, lambda: rotated_extent(kept, self.rel, dimension))
         return super().part_extent(name, dimension)
 
 
@@ -294,11 +314,12 @@ def solve(expr: TypedExpr, scene: Scene, cfg: SolveConfig | None = None) -> Solv
         for _ in range(cfg.restarts - 1)
     ]
 
+    trails = [_Trail() for _ in range(cfg.restarts)]
     results = {}
     for first in range(0, cfg.restarts, _LOCKSTEP):
         group = range(first, min(first + _LOCKSTEP, cfg.restarts))
         searches = {
-            index: _pattern_search(starts[index], cfg, np.random.default_rng((seed, index)))
+            index: _pattern_search(starts[index], cfg, np.random.default_rng((seed, index)), trails, index)
             for index in group
         }
         results.update(_lockstep(searches, lambda xs: _objective_rows(expr, ctx, xs, cfg, translation)))
@@ -325,9 +346,13 @@ def solve(expr: TypedExpr, scene: Scene, cfg: SolveConfig | None = None) -> Solv
 def _lockstep(searches: dict, score) -> dict:
     """Run the searches (restart index -> generator) together: each round
     scores every pending request with one `score` call. Returns each
-    search's result. A search that consumes a failed row stops; once the
-    others finish, the error of the lowest restart index is raised, as a
-    one-after-another run would raise it first."""
+    search's result. A search that consumes a failed row stops, and so does
+    every search of a higher index, which a one-after-another run would never
+    reach (and which may be waiting for the failed one's points); once the
+    others finish, the error of the lowest restart index is raised.
+
+    A search waiting for a lower index's point asks for no rows. The lowest
+    pending index never waits, so no round is empty."""
     pending = {index: next(search) for index, search in searches.items()}
     results, failures = {}, {}
     while pending:
@@ -344,6 +369,8 @@ def _lockstep(searches: dict, score) -> dict:
             except ManiplangError as exc:
                 failures[index] = exc
                 del pending[index]
+        if failures:
+            pending = {index: xs for index, xs in pending.items() if index < min(failures)}
     if failures:
         raise failures[min(failures)]
     return results
@@ -415,11 +442,38 @@ def _accelerate(x, x1, fx1, evals, budget):
     return x1, fx1, evals
 
 
-def _pattern_search(x0: np.ndarray, cfg: SolveConfig, rng):
+class _Trail:
+    """A restart's point at the start of each of its search cycles, and its
+    final point once its search has returned."""
+
+    def __init__(self):
+        self.cycles, self.final = [], None
+
+    def at(self, cycle: int) -> np.ndarray | None:
+        """The point at the start of `cycle`, or the final point if the search
+        ended before it; None while neither is known."""
+        return self.cycles[cycle] if cycle < len(self.cycles) else self.final
+
+
+def _in_lower_box(x, scale, cycle, lower):
+    """Whether x lies in the poll box, |x - y| <= scale in every coordinate,
+    of a lower-index restart's point y at the start of its own `cycle` (see
+    `_Trail.at`). While a point it needs is not known yet, it asks for no rows."""
+    for trail in lower:
+        while (y := trail.at(cycle)) is None:
+            yield np.empty((0, len(x)))
+        if np.all(np.abs(x - y) <= scale):
+            return True
+    return False
+
+
+def _pattern_search(x0: np.ndarray, cfg: SolveConfig, rng, trails: list, index: int):
     """Pattern search with shrink: each cycle polls the coordinate directions,
     falls back to seeded random directions when those stall, then accelerates
     along the cycle's net movement. Steps halve when a full cycle improves by
-    less than the tolerance; converged once they bottom out.
+    less than the tolerance; converged once they bottom out. The search stops
+    at the start of a cycle whose point lies in a lower-index restart's poll
+    box (`_in_lower_box`); it records its trail in `trails[index]`.
 
     Its dimension n is x0's: the leading n of the six coordinates. A
     generator: it yields each batch of points it needs scored, (m, n), is
@@ -431,10 +485,14 @@ def _pattern_search(x0: np.ndarray, cfg: SolveConfig, rng):
     shrink = 1.0
     n = len(x)
     init_steps, eye = _INIT_STEPS[:n], np.eye(n)
+    trail, lower = trails[index], trails[:index]
     converged = False
     while evals < budget:
-        cycle_start = fx
+        trail.cycles.append(x)
         scale = init_steps * shrink
+        if (yield from _in_lower_box(x, scale, len(trail.cycles) - 1, lower)):
+            break
+        cycle_start = fx
         x1, fx1, evals, improved = yield from _poll(x, fx, scale, eye, evals, budget)
         if not improved and evals < budget:
             directions = rng.normal(size=(_RANDOM_POLLS, n))
@@ -448,4 +506,5 @@ def _pattern_search(x0: np.ndarray, cfg: SolveConfig, rng):
                 converged = True
                 break
             shrink *= 0.5
+    trail.final = x
     return x, fx, evals, converged

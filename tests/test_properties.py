@@ -563,10 +563,13 @@ def test_solve_is_never_worse_than_initial_pose(seed, program, alpha, beta):
 # -- the lockstep search takes the steps of the one-probe-at-a-time search ----------
 
 
-def _sequential_search(f, x0, cfg: SolveConfig, rng):
+def _sequential_search(f, x0, cfg: SolveConfig, rng, lower):
     """Reference: the pattern search scoring one probe per call of f, as the
     solver ran before polls were batched, over the leading len(x0) of the six
-    coordinates. Returns (x, fx, evaluations)."""
+    coordinates. It stops at the start of a cycle c whose point lies within
+    that cycle's steps, in every coordinate, of a finished lower-index run's
+    point at the start of its cycle c (its final point if it ended before).
+    Returns (x, fx, evaluations, the point at the start of each cycle)."""
     n = len(x0)
     evals = [0]
 
@@ -591,7 +594,15 @@ def _sequential_search(f, x0, cfg: SolveConfig, rng):
     fx = f(x)
     evals[0] += 1
     shrink = 1.0
+    cycles = []
     while evals[0] < cfg.max_iterations:
+        c = len(cycles)
+        cycles.append(x)
+        if any(
+            np.all(np.abs(x - (run_cycles[c] if c < len(run_cycles) else run_x)) <= steps * shrink)
+            for run_x, _, _, run_cycles in lower
+        ):
+            break
         cycle_start = fx
         x1, fx1, improved = poll(x, fx, steps * shrink, np.eye(n))
         if not improved and evals[0] < cfg.max_iterations:
@@ -610,7 +621,7 @@ def _sequential_search(f, x0, cfg: SolveConfig, rng):
             if shrink * 0.25 <= 1e-7:
                 break
             shrink *= 0.5
-    return x, fx, evals[0]
+    return x, fx, evals[0], cycles
 
 
 def _takes_the_sequential_search(expr, scene: Scene, cfg: SolveConfig) -> int:
@@ -631,12 +642,11 @@ def _takes_the_sequential_search(expr, scene: Scene, cfg: SolveConfig) -> int:
         np.concatenate([rng.uniform(-np.pi / 2, np.pi / 2, 3), rng.uniform(-0.2, 0.2, 3)])[:n]
         for _ in range(restarts - 1)
     ]
-    runs = [
-        _sequential_search(f, start, cfg, np.random.default_rng((seed, index)))
-        for index, start in enumerate(starts)
-    ]
+    runs = []
+    for index, start in enumerate(starts):
+        runs.append(_sequential_search(f, start, cfg, np.random.default_rng((seed, index)), runs))
     best = min(range(restarts), key=lambda index: (runs[index][1], index))
-    x, _, evals = runs[best]
+    x, _, evals, _ = runs[best]
     result = solve(expr, scene, cfg)
     assert (result.restart_index, result.iterations) == (best, evals)
     assert result.total_evaluations == sum(run[2] for run in runs)
@@ -648,7 +658,7 @@ def _takes_the_sequential_search(expr, scene: Scene, cfg: SolveConfig) -> int:
 
 
 @settings(max_examples=8, deadline=None)
-@given(seed=_seeds, program=st.sampled_from(SOLVE_PROGRAMS), restarts=st.sampled_from((1, 3, 10)))
+@given(seed=_seeds, program=st.sampled_from(SOLVE_PROGRAMS), restarts=st.sampled_from((1, 3, 10, 20)))
 def test_solve_takes_the_sequential_search(seed, program, restarts):
     cfg = SolveConfig(restarts=restarts, max_iterations=150, seed=seed)
     _takes_the_sequential_search(type_check(parse(program)), _random_scene(seed), cfg)
