@@ -285,12 +285,15 @@ def rotation_xyz(rx, ry, rz) -> np.ndarray:
     cx, sx = np.cos(rx), np.sin(rx)
     cy, sy = np.cos(ry), np.sin(ry)
     cz, sz = np.cos(rz), np.sin(rz)
-    rows = (
-        cy * cz, -cy * sz, sy,
-        cx * sz + sx * sy * cz, cx * cz - sx * sy * sz, -sx * cy,
-        sx * sz - cx * sy * cz, sx * cz + cx * sy * sz, cx * cy,
-    )
-    return np.moveaxis(np.array(rows), 0, -1).reshape(np.shape(cz) + (3, 3))
+    rot = np.empty(np.shape(cz) + (3, 3))
+    rot[..., 0, 0], rot[..., 0, 1], rot[..., 0, 2] = cy * cz, -cy * sz, sy
+    rot[..., 1, 0] = cx * sz + sx * sy * cz
+    rot[..., 1, 1] = cx * cz - sx * sy * sz
+    rot[..., 1, 2] = -sx * cy
+    rot[..., 2, 0] = sx * sz - cx * sy * cz
+    rot[..., 2, 1] = sx * cz + cx * sy * sz
+    rot[..., 2, 2] = cx * cy
+    return rot
 
 
 def euler_angles(rotation) -> np.ndarray:
@@ -298,16 +301,19 @@ def euler_angles(rotation) -> np.ndarray:
     (..., 3, 3); at gimbal lock (|ry| = pi/2) rz := 0."""
     rot = np.asarray(rotation, dtype=float)
     sy = np.minimum(np.maximum(rot[..., 0, 2], -1.0), 1.0)
+    angles = np.empty(np.shape(sy) + (3,))
+    angles[..., 0] = np.arctan2(-rot[..., 1, 2], rot[..., 2, 2])
+    angles[..., 1] = np.arcsin(sy)
+    angles[..., 2] = np.arctan2(-rot[..., 0, 1], rot[..., 0, 0])
     lock = 1.0 - np.abs(sy) < _GIMBAL_EPS
-    ry = np.where(lock, np.copysign(math.pi / 2, sy), np.arcsin(sy))
-    rx = np.arctan2(
-        np.where(lock, rot[..., 2, 1], -rot[..., 1, 2]),
-        np.where(lock, rot[..., 1, 1], rot[..., 2, 2]),
-    )
-    rz = np.where(lock, 0.0, np.arctan2(-rot[..., 0, 1], rot[..., 0, 0]))
-    angles = np.stack((rx, ry, rz), axis=-1)
+    if lock.any():
+        locked = rot[lock]
+        angles[lock, 0] = np.arctan2(locked[:, 2, 1], locked[:, 1, 1])
+        angles[lock, 1] = np.copysign(math.pi / 2, locked[:, 0, 2])
+        angles[lock, 2] = 0.0
     # atan2/asin already land in [-pi, pi]; fold the single excluded endpoint.
-    return np.where(angles <= -math.pi, math.pi, angles)
+    angles[angles <= -math.pi] = math.pi
+    return angles
 
 
 def euler_from_rotation(rotation) -> EulerXYZ:

@@ -40,14 +40,22 @@ The objective scores a stack of poses in one numpy pass, so the search runs
 as generators that ask for points instead of calling a function. Restarts
 run in lockstep groups of `_LOCKSTEP`; each round scores every live
 restart's request in one call; a round with a failing row is scored again in
-halves, down to the rows that fail. A poll asks for all its probes still ahead
-at once and consumes their values in order up to the first improvement;
-the rest were speculative and are neither counted nor allowed to fail the
-solve. An acceleration ray is scored ahead under the same rule. Every restart
-therefore takes exactly the steps, and reports the evaluation count, of a
-one-probe-at-a-time run. Identical inputs
-(expression, scene, config including seed) produce identical results;
-nothing depends on wall clock.
+halves, down to the rows that fail. A cycle's first request asks for every
+probe its polls can need before they move: the outcome tree of the three
+angle directions, that is each one's +/- probes from every point the ones
+before it can leave the poll at (+ improved, - improved, neither; 26 rows);
+the other directions' probes from the cycle's start; and the random
+fallback's, whose directions are drawn ahead and kept until a fallback poll
+uses them, so a restart's draws are those of a one-after-another run. A poll
+reads its probes from those rows, keyed by their bytes, and asks for all
+those still ahead where the rows run out. An acceleration ray asks for one
+point, then twice as many per request, as far as the budget allows. Values
+are consumed in order up to the first improvement (or a ray's first point
+that does not improve); the rest were speculative and are neither counted
+nor allowed to fail the solve. Every restart therefore takes exactly the
+steps, and reports the evaluation count, of a one-probe-at-a-time run.
+Identical inputs (expression, scene, config including seed) produce
+identical results; nothing depends on wall clock.
 """
 
 from __future__ import annotations
@@ -381,9 +389,6 @@ _INIT_STEPS = np.array([_ROT_STEP] * 3 + [_TRANS_STEP] * 3)
 _SIGNS = np.array([[1.0], [-1.0]])
 # Restarts searched in lockstep; fixed, so memory stays flat as restarts grow.
 _LOCKSTEP = 8
-# Most points a ray asks for at once. A ray starts at one and doubles: most rays
-# stop after one step, and points built ahead but never used cost more than a round.
-_RAY_AHEAD = 8
 
 
 def _consume(value) -> float:
@@ -393,20 +398,52 @@ def _consume(value) -> float:
     return value
 
 
-def _poll(x, fx, scale, directions, evals, budget):
-    """Greedy +/- probes along each direction, moving to a probe that improves
-    and going on with the next direction from there. Each yield asks for every
-    probe still ahead from the current point (as many as the budget allows);
-    values are consumed in order up to the first improvement, and only the
-    consumed ones count. Returns (point, value, evaluations, improved)."""
-    steps = ((scale * directions)[:, None] * _SIGNS).reshape(-1, len(x))
+def _keys(rows: np.ndarray) -> list:
+    """Each row's bytes: points built alike are keyed alike."""
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
+
+
+def _signed(directions) -> np.ndarray:
+    """Each direction and its negative, (2 * directions, n): the poll's
+    probe steps at unit scale. Scaled, a row is the same float as scaling the
+    direction first."""
+    return (directions[:, None] * _SIGNS).reshape(-1, directions.shape[1])
+
+
+def _outcome_tree(steps) -> np.ndarray:
+    """Every probe a greedy poll along `steps` ((+, -) row pairs, `_signed`)
+    can ask for, as offsets from its start: each direction's two probes from
+    each point the directions before it can leave the poll at (+ improved, -
+    improved, neither), 3**d - 1 rows for d directions. The steps lie on
+    different axes, so the start plus an offset is the point the poll builds
+    one step at a time, to the bit (a point that differed would only be asked
+    for again)."""
+    n = steps.shape[1]
+    points, probes = np.zeros((1, n)), []
+    for pair in steps.reshape(-1, 2, n):
+        tried = points[:, None] + pair
+        probes.append(tried.reshape(-1, n))
+        points = np.concatenate([tried, points[:, None]], axis=1).reshape(-1, n)
+    return np.concatenate(probes)
+
+
+def _poll(x, fx, steps, evals, budget, scored):
+    """Greedy probes along `steps` ((+, -) row pairs), moving to a probe
+    that improves and going on with the next direction from there. Values
+    are consumed in order up to the first improvement, and only the consumed
+    ones count. A probe is read from `scored` (`_keys` -> value) where it was
+    scored ahead; at the first that was not, one request asks for every probe
+    still ahead from the current point (as many as the budget allows).
+    Returns (point, value, evaluations, improved)."""
     improved = False
     probe = 0
     while probe < len(steps) and evals < budget:
         trials = x + steps[probe : probe + budget - evals]
-        values = yield trials
-        for k, value in enumerate(values):
-            ft = _consume(value)
+        keys = _keys(trials)
+        for k, key in enumerate(keys):
+            if key not in scored:
+                scored.update(zip(keys[k:], (yield trials[k:])))
+            ft = _consume(scored[key])
             evals += 1
             if ft < fx:
                 hit = probe + k
@@ -421,24 +458,26 @@ def _poll(x, fx, scale, directions, evals, budget):
 def _accelerate(x, x1, fx1, evals, budget):
     """Steps (x, x1) -> (x1, x1 + (x1 - x)) while that improves. Each request
     computes the ray's next points with that recurrence, one at first and then
-    twice as many as before, up to `_RAY_AHEAD`; only values consumed up to the
-    first that does not improve count. Returns (point, value, evaluations)."""
+    twice as many as before, as far as the budget allows; only values consumed
+    up to the first that does not improve count. Returns (point, value,
+    evaluations)."""
     ahead = 1
     while evals < budget:
-        a, b, ray = x, x1, []
-        while len(ray) < min(ahead, budget - evals) and np.any(b - a):
-            a, b = b, b + (b - a)
+        a, b, ray = x.tolist(), x1.tolist(), []  # the same floats as numpy's, at less cost per point
+        while len(ray) < min(ahead, budget - evals) and any(q - p for p, q in zip(a, b)):
+            a, b = b, [q + (q - p) for p, q in zip(a, b)]
             ray.append(b)
         if not ray:
             break
-        values = yield np.array(ray)
+        ray = np.array(ray)
+        values = yield ray
         for trial, value in zip(ray, values):
             ft = _consume(value)
             evals += 1
             if not ft < fx1:
                 return x1, fx1, evals
             x, x1, fx1 = x1, trial, ft
-        ahead = min(2 * ahead, _RAY_AHEAD)
+        ahead *= 2
     return x1, fx1, evals
 
 
@@ -484,20 +523,31 @@ def _pattern_search(x0: np.ndarray, cfg: SolveConfig, rng, trails: list, index: 
     evals = 1
     shrink = 1.0
     n = len(x)
-    init_steps, eye = _INIT_STEPS[:n], np.eye(n)
+    init_steps, coordinate = _INIT_STEPS[:n], _signed(np.eye(n))
+    # The coordinate poll's probes scored ahead: the outcome tree of the three
+    # angle directions, then the other directions' probes from x.
+    tree = np.concatenate([_outcome_tree(coordinate[:6]), coordinate[6:]])
     trail, lower = trails[index], trails[:index]
     converged = False
+    fallback = None
     while evals < budget:
         trail.cycles.append(x)
         scale = init_steps * shrink
         if (yield from _in_lower_box(x, scale, len(trail.cycles) - 1, lower)):
             break
         cycle_start = fx
-        x1, fx1, evals, improved = yield from _poll(x, fx, scale, eye, evals, budget)
-        if not improved and evals < budget:
+        if fallback is None:  # drawn ahead, and kept until a fallback poll uses them
             directions = rng.normal(size=(_RANDOM_POLLS, n))
             directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-            x1, fx1, evals, improved = yield from _poll(x1, fx1, scale, directions, evals, budget)
+            fallback = _signed(directions)
+            offsets = np.concatenate([tree, fallback])
+        # The cycle's first request: the tree, and the fallback's probes from x.
+        probes = x + scale * offsets
+        scored = dict(zip(_keys(probes), (yield probes)))
+        x1, fx1, evals, improved = yield from _poll(x, fx, scale * coordinate, evals, budget, scored)
+        if not improved and evals < budget:
+            x1, fx1, evals, improved = yield from _poll(x1, fx1, scale * fallback, evals, budget, scored)
+            fallback = None
         if improved:
             x1, fx1, evals = yield from _accelerate(x, x1, fx1, evals, budget)
         x, fx = x1, fx1

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from maniplang.geometry import (
     DegenerateAxisError,
@@ -15,11 +17,13 @@ from maniplang.geometry import (
     PoseSE3,
     angle_between,
     centroid,
+    euler_angles,
     euler_from_rotation,
     extent,
     principal_axis,
     rotation_about_axis,
     rotation_from_euler,
+    rotation_xyz,
     transform_cloud,
     unit_direction,
 )
@@ -207,6 +211,77 @@ class TestEuler:
     def test_euler_range_validated(self):
         with pytest.raises(Exception):
             EulerXYZ(4.0, 0.0, 0.0)
+
+
+def reference_rotation_xyz(rx, ry, rz):
+    """`rotation_xyz` as it was first written: nine stacked rows, moved to the back."""
+    cx, sx = np.cos(rx), np.sin(rx)
+    cy, sy = np.cos(ry), np.sin(ry)
+    cz, sz = np.cos(rz), np.sin(rz)
+    rows = (
+        cy * cz, -cy * sz, sy,
+        cx * sz + sx * sy * cz, cx * cz - sx * sy * sz, -sx * cy,
+        sx * sz - cx * sy * cz, sx * cz + cx * sy * sz, cx * cy,
+    )
+    return np.moveaxis(np.array(rows), 0, -1).reshape(np.shape(cz) + (3, 3))
+
+
+def reference_euler_angles(rotation):
+    """`euler_angles` as it was first written: every row through each branch."""
+    rot = np.asarray(rotation, dtype=float)
+    sy = np.minimum(np.maximum(rot[..., 0, 2], -1.0), 1.0)
+    lock = 1.0 - np.abs(sy) < 1e-9
+    ry = np.where(lock, np.copysign(math.pi / 2, sy), np.arcsin(sy))
+    rx = np.arctan2(
+        np.where(lock, rot[..., 2, 1], -rot[..., 1, 2]),
+        np.where(lock, rot[..., 1, 1], rot[..., 2, 2]),
+    )
+    rz = np.where(lock, 0.0, np.arctan2(-rot[..., 0, 1], rot[..., 0, 0]))
+    angles = np.stack((rx, ry, rz), axis=-1)
+    return np.where(angles <= -math.pi, math.pi, angles)
+
+
+def identical(a, b) -> bool:
+    """Same shape and the same floats, signs of zeros included."""
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _stacked(entry, size: int):
+    """Arrays of `entry` draws, of shape (size,) + S for S a stack shape: (),
+    (K,) or (K, M)."""
+    return st.sampled_from([(), (1,), (6,), (3, 4)]).flatmap(
+        lambda stack: st.lists(entry, min_size=size * math.prod(stack), max_size=size * math.prod(stack)).map(
+            lambda values: np.array(values).reshape((size,) + stack)
+        )
+    )
+
+
+# Angles at and within the gimbal-lock margin of ry = +/-pi/2 (1 - |sin ry| <
+# 1e-9 within ~4.5e-5 of it), at +/-pi, at zero, and anywhere.
+_angle = st.one_of(
+    st.floats(-2 * math.pi, 2 * math.pi),
+    st.sampled_from([0.0, math.pi, -math.pi, math.pi / 2, -math.pi / 2]),
+    st.builds(lambda lock, off: lock + off, st.sampled_from([math.pi / 2, -math.pi / 2]), st.floats(-4e-5, 4e-5)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(angles=_stacked(_angle, 3))
+def test_rotation_helpers_equal_their_reference(angles):
+    rx, ry, rz = angles
+    rotation = rotation_xyz(rx, ry, rz)
+    assert identical(rotation, reference_rotation_xyz(rx, ry, rz))
+    assert identical(euler_angles(rotation), reference_euler_angles(rotation))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices=_stacked(st.one_of(st.floats(-1.5, 1.5), st.sampled_from([-1.0, -0.0, 0.0, 1.0])), 9))
+# A locked and an unlocked matrix whose atan2 gives -pi, folded to pi: rx of
+# the first, rx and rz of the second.
+@example(matrices=np.array([[0.0, 0.0, 1.0, 0.0, -1.0, 0.0, 0.0, -0.0, -1.0], [-1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0]]).T)
+def test_euler_angles_equals_its_reference_on_any_matrix(matrices):
+    rotation = np.moveaxis(matrices, 0, -1).reshape(matrices.shape[1:] + (3, 3))
+    assert identical(euler_angles(rotation), reference_euler_angles(rotation))
 
 
 class TestDirections:
