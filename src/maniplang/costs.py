@@ -323,14 +323,6 @@ def motion_subjects(expr: TypedExpr) -> frozenset[str]:
     return frozenset(subjects)
 
 
-# Words that read the points they name only through their differences.
-_NAMED_POINTS = {
-    "direction_of": ("start", "end"),
-    "orbit_cost": ("center_part", "moving_part"),
-    "upright_cost": ("up_part", "down_part"),
-}
-
-
 def translation_term(expr: TypedExpr, moving: frozenset[str]) -> tuple[TypedExpr | None, int] | None:
     """How the cost reads the gripper translation t when `moving` ride with it.
 
@@ -364,7 +356,9 @@ def translation_term(expr: TypedExpr, moving: frozenset[str]) -> tuple[TypedExpr
             return named(_string_arg(node, "part"))
         if node.word == "get_gripper_pos":
             return 1
-        ends = {named(_string_arg(node, name)) for name in _NAMED_POINTS.get(node.word, ())}
+        # Any other word reads the parts it names by shape, history or their
+        # differences: no t if they all ride the same way, nonlinearly if not.
+        ends = {named(child.expr.value) for _, child in node.bound if child.sort == "string"}
         return 0 if not any(ks) and len(ends) <= 1 else None
 
     def terms(node: TypedExpr) -> list[TypedExpr]:

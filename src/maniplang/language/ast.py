@@ -89,7 +89,9 @@ def to_source(expr: Expr) -> str:
 def _emit(expr: Expr, parent_prec: int, right_operand: bool) -> str:
     if isinstance(expr, Literal):
         if isinstance(expr.value, str):
-            return '"' + expr.value + '"'
+            # A string lexes with either quote kind inside the other, never both.
+            quote = "'" if '"' in expr.value else '"'
+            return quote + expr.value + quote
         return repr(expr.value)
     if isinstance(expr, Triple):
         return "[" + ", ".join(_emit(item, 0, False) for item in expr.items) + "]"

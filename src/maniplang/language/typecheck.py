@@ -1,10 +1,15 @@
-"""Sort inference and program validation.
+"""Sort inference and program validation, in one bottom-up pass.
 
-Inference is bottom-up with one twist: literals are sort-ambiguous (a quoted
-part name can stand for the part's centroid, a bracket triple can be a point
-or a displacement, a non-negative number can be a constant cost term), and
-so can be an operation on one (`[0, 0, 1] + get_axis('a')`: a point or a vec);
-the expected sort from the enclosing context picks the reading. All
+`_readings` types each node once and returns every sort it can take, each
+with its typed tree, in rule order; the parent picks one. Literals are what
+make a node take more than one sort: a quoted part name can stand for the
+part's centroid, a bracket triple can be a point or a displacement, a
+non-negative number can be a constant cost term. An operation on one can too
+(`[0, 0, 1] + get_axis('a')`: a point or a vec). A binary node keeps, per
+result sort, the first grammar rule its operands' readings match; a context
+that expects a sort (a parameter, a list item, the program) takes that
+reading, or else the first. This is the recognizer of a context-free
+grammar (CYK, Younger 1967) on a tree the parser has already built. All
 composition and coercion possibilities come from `default_grammar()`, built
 once as `_GRAMMAR`, so the checker accepts exactly what that grammar says.
 """
@@ -44,110 +49,69 @@ _VOCAB = default_vocabulary()
 _GRAMMAR = dict.fromkeys((r.lhs, r.rhs) for r in default_grammar())
 
 
-def _literal_sorts(node: Expr) -> tuple[str, ...]:
-    """Possible sorts for an ambiguous leaf, base sort first."""
-    if isinstance(node, Literal) and isinstance(node.value, str):
-        extra = ("point",) if ("point", ("string",)) in _GRAMMAR else ()
-        return ("string",) + extra
-    if isinstance(node, Literal):
-        extra = ("cost",) if node.value >= 0 and ("cost", ("number",)) in _GRAMMAR else ()
-        return ("scalar",) + extra
-    if isinstance(node, Triple):
-        return tuple(sort for sort in ("vec", "point") if (sort, ("triple",)) in _GRAMMAR)
-    raise TypeError(f"not a literal node: {node!r}")
-
-
 def type_check(expr: Expr, expected_sort: str | None = "cost") -> TypedExpr:
     """Annotate `expr` with sorts; a program must come out at sort `cost`.
 
     Pass expected_sort=None to type a bare subexpression; validate_program
     also lets a void gripper stage action through.
     """
-    typed = _infer(expr, expected_sort)
+    typed = _typed(expr, expected_sort)
     if expected_sort is not None and typed.sort != expected_sort:
         raise TypeCheckError(expr, expected_sort, typed.sort)
     return typed
 
 
-def _infer(node: Expr, expected: str | None) -> TypedExpr:
-    if isinstance(node, (Literal, Triple)):
-        return _infer_leaf(node, expected)
+def _typed(node: Expr, expected: str | None) -> TypedExpr:
+    """The reading of `node` at the expected sort, or else its first."""
+    readings = _readings(node, expected)
+    return readings.get(expected) or next(iter(readings.values()))
+
+
+def _readings(node: Expr, expected: str | None) -> dict[str, TypedExpr]:
+    """Every sort `node` can take, in rule order, each with its typed tree.
+
+    `expected` narrows a literal to that one reading when it can take it,
+    and names the sort a binary node was wanted at when none of its rules
+    matches; operands are read with no expected sort, so the parent picks.
+    """
+    if isinstance(node, BinOp):
+        left, right = _readings(node.left, None), _readings(node.right, None)
+        readings: dict[str, TypedExpr] = {}
+        for lhs, rhs in _GRAMMAR:
+            if len(rhs) == 3 and rhs[1] == node.op and lhs not in readings and rhs[0] in left and rhs[2] in right:
+                readings[lhs] = TypedExpr(node, lhs, (left[rhs[0]], right[rhs[2]]))
+        if not readings:
+            # Name each operand at the expected sort if it can take it.
+            left_sort, right_sort = (next(s for s in (expected, *side) if s in side) for side in (left, right))
+            raise TypeCheckError(node, expected or "a composable pair", f"{left_sort} {node.op} {right_sort}")
+        return readings
+    if isinstance(node, Call):
+        typed = _infer_call(node)
+        return {typed.sort: typed}
     if isinstance(node, Neg):
-        operand = _infer(node.operand, "scalar")
+        operand = _typed(node.operand, "scalar")
         if operand.sort != "scalar" or ("scalar", ("-", "scalar")) not in _GRAMMAR:
             raise TypeCheckError(node, "scalar", operand.sort)
-        return TypedExpr(node, "scalar", (operand,))
-    if isinstance(node, BinOp):
-        return _infer_binop(node, expected)
-    if isinstance(node, Call):
-        return _infer_call(node)
-    raise TypeError(f"unknown expression node: {node!r}")
-
-
-def _infer_leaf(node: Expr, expected: str | None) -> TypedExpr:
-    candidates = _literal_sorts(node)
-    if not candidates:
+        return {"scalar": TypedExpr(node, "scalar", (operand,))}
+    if isinstance(node, Literal) and isinstance(node.value, str):
+        sorts = ("string",) + (("point",) if ("point", ("string",)) in _GRAMMAR else ())
+    elif isinstance(node, Literal):
+        sorts = ("scalar",) + (("cost",) if node.value >= 0 and ("cost", ("number",)) in _GRAMMAR else ())
+    elif isinstance(node, Triple):
+        sorts = tuple(sort for sort in ("vec", "point") if (sort, ("triple",)) in _GRAMMAR)
+    else:
+        raise TypeError(f"unknown expression node: {node!r}")
+    if not sorts:
         raise TypeCheckError(node, expected or "any", "untypable literal")
-    sort = expected if expected in candidates else candidates[0]
+    children: tuple[TypedExpr, ...] = ()
     if isinstance(node, Triple):
         if len(node.items) != 3:
             raise TypeCheckError(node, "a 3-element list", f"{len(node.items)}-element list")
-        children = tuple(_infer(item, "scalar") for item in node.items)
+        children = tuple(_typed(item, "scalar") for item in node.items)
         for item in children:
             if item.sort != "scalar":
                 raise TypeCheckError(item.expr, "scalar", item.sort)
-        return TypedExpr(node, sort, children)
-    return TypedExpr(node, sort)
-
-
-def _infer_binop(node: BinOp, expected: str | None) -> TypedExpr:
-    left_opts, left = _operand(node.left, expected)
-    right_opts, right = _operand(node.right, expected)
-    matches = [
-        (lhs, rhs)
-        for lhs, rhs in _GRAMMAR
-        if len(rhs) == 3 and rhs[1] == node.op and rhs[0] in left_opts and rhs[2] in right_opts
-    ]
-    if not matches:
-        actual = f"{next(iter(left_opts))} {node.op} {next(iter(right_opts))}"
-        raise TypeCheckError(node, expected or "a composable pair", actual)
-    lhs, rhs = next((m for m in matches if m[0] == expected), matches[0])
-    left = left or _infer(node.left, rhs[0])
-    right = right or _infer(node.right, rhs[2])
-    return TypedExpr(node, lhs, (left, right))
-
-
-def _sorts(node: Expr) -> tuple[str, ...]:
-    """Every sort `node` can take in some context, in rule order; () where it
-    can take none or names an unknown word (typing it reports why)."""
-    if isinstance(node, (Literal, Triple)):
-        return _literal_sorts(node)
-    if isinstance(node, BinOp):
-        left, right = _sorts(node.left), _sorts(node.right)
-        return tuple(dict.fromkeys(
-            lhs for lhs, rhs in _GRAMMAR
-            if len(rhs) == 3 and rhs[1] == node.op and rhs[0] in left and rhs[2] in right
-        ))
-    if isinstance(node, Call):
-        word = _VOCAB.lookup(node.word)
-        return (word.result_sort,) if word is not None else ()
-    return ("scalar",)  # Neg
-
-
-def _operand(node: Expr, expected: str | None):
-    """(possible sorts, typed tree or None) for one side of a binary node. An
-    operand that can take more than one sort (a literal, or an operation on
-    one such as `[0, 0, 1] + get_axis('a')`, a point or a vec) is typed
-    once the rule is picked; any other operand has one sort in every context,
-    so it is typed once, here (not once more per rule)."""
-    opts = _sorts(node)
-    if len(opts) > 1 or isinstance(node, (Literal, Triple)):
-        if expected in opts:
-            # Prefer the contextual reading so `0 + 0` sums as cost at the top.
-            return (expected,) + tuple(o for o in opts if o != expected), None
-        return opts, None
-    typed = _infer(node, None)
-    return (typed.sort,), typed
+    return {sort: TypedExpr(node, sort, children) for sort in ((expected,) if expected in sorts else sorts)}
 
 
 def _infer_call(node: Call) -> TypedExpr:
@@ -174,7 +138,7 @@ def _infer_call(node: Call) -> TypedExpr:
                 raise ArgumentError(f"{node.word}: missing argument {param.name!r}")
             continue
         arg = assigned[param.name]
-        typed_arg = _infer(arg, param.sort)
+        typed_arg = _typed(arg, param.sort)
         if typed_arg.sort != param.sort:
             raise TypeCheckError(arg, param.sort, typed_arg.sort)
         bound.append((param.name, typed_arg))
@@ -217,7 +181,7 @@ def validate_program(source: str) -> Accepted | Rejected:
     try:
         expr = parse(source)
         # Hint cost so literal terms coerce, but let void actions through.
-        typed = _infer(expr, "cost")
+        typed = _typed(expr, "cost")
     except ManiplangError as exc:  # ParseError included
         return Rejected(exc)
     if typed.sort not in ("cost", "void"):

@@ -13,6 +13,7 @@ import pytest
 from maniplang import fixtures, pipeline, solver
 from maniplang.cli import main
 from maniplang.geometry import PointCloud
+from maniplang.language import parse
 from maniplang.pipeline import PipelineConfig
 from maniplang.scene import save_scene
 from maniplang.solver import SolveConfig
@@ -45,6 +46,14 @@ class TestParseCommand:
             source.write_text(text + "\n", encoding="utf-8")
             assert main(["parse", str(source)]) == 2, text
             assert capsys.readouterr().err.startswith("rejected: "), text
+
+    def test_prints_a_string_holding_a_double_quote_in_single_quotes(self, tmp_path, capsys):
+        source = tmp_path / "program.txt"
+        source.write_text("move_cost('a\"b', 'c')\n", encoding="utf-8")
+        assert main(["parse", str(source)]) == 0
+        printed = capsys.readouterr().out.splitlines()[1]
+        assert printed == 'move_cost(\'a"b\', "c")'
+        assert parse(printed) == parse(source.read_text(encoding="utf-8"))
 
     def test_reads_stdin_with_dash(self):
         result = subprocess.run(

@@ -189,10 +189,12 @@ class TestTypeCheck:
             "(1 + 2) + gripper_open_cost()",
             "move_cost('a', 'b', offset=([1, 2, 3] + [0, 0, 1]) * 2)",
             "parallel_cost([0, 0, 1] + get_axis('a') + get_axis('b'), [0, 0, 1])",
+            "move_cost('a', get_centroid('b') + [0, 0, 1] * 2)",
         ],
     )
     def test_operation_on_literals_takes_the_sort_its_context_needs(self, source):
-        # `1 + 2` is a scalar or a cost, `[0, 0, 1] + get_axis('a')` a point or a vec.
+        # `1 + 2` is a scalar or a cost, `[0, 0, 1] + get_axis('a')` a point or a vec;
+        # the list in `[0, 0, 1] * 2` is a vec though the sum around it is a point.
         assert type_check(parse(source)).sort == "cost"
 
     def test_rules_are_consulted(self, monkeypatch):
@@ -217,6 +219,35 @@ class TestTypeCheck:
     def test_malformed_calls_rejected(self, source, error, message):
         with pytest.raises(error, match=message):
             type_check(parse(source))
+
+    @pytest.mark.parametrize(
+        "source, error, message",
+        [
+            ("0 - [0, 1]", TypeCheckError, "expected a 3-element list, got 2-element list"),
+            ("[1, 2, get_axis('a')] + fly_to('x')", TypeCheckError, r'expected scalar, got vec in `get_axis\("a"\)`'),
+        ],
+        ids=["length", "item"],
+    )
+    def test_a_lists_own_defect_is_reported_first(self, source, error, message):
+        # Each operand is typed in full, left then right, before the rule
+        # check; so a list's length or item is named ahead of a mismatch of
+        # the operator or a defect of the right operand.
+        with pytest.raises(error, match=message):
+            type_check(parse(source))
+
+    def test_each_node_is_typed_once(self, monkeypatch):
+        calls = []
+        readings = typecheck._readings
+
+        def counted(node, expected):
+            calls.append(node)
+            return readings(node, expected)
+
+        monkeypatch.setattr(typecheck, "_readings", counted)
+        # Each term is a call and its two strings; the sum adds one + per
+        # term after the first.
+        assert validate_program(" + ".join(["move_cost('a', 'b')"] * MAX_DEPTH))
+        assert len(calls) == 4 * MAX_DEPTH - 1
 
     def test_alias_resolves_to_canonical_word(self):
         typed = type_check(parse("centroid('cup')"), expected_sort="point")
@@ -250,8 +281,10 @@ class TestValidateProgram:
         assert isinstance(validate_program("-1"), Rejected)
 
     def test_long_sum_checks_in_linear_time(self):
-        # Typing each operand again once its rule is picked costs about 2^k
-        # inferences for k terms: seconds at 18 terms, against milliseconds.
+        # Each node is typed once (test_each_node_is_typed_once counts it). A
+        # checker that typed an operand again once its rule is picked would
+        # take about 2^k inferences for k terms: seconds at 18 terms, against
+        # milliseconds.
         source = " + ".join(["move_cost('a', 'b')"] * 18)
         start = time.perf_counter()
         verdict = validate_program(source)

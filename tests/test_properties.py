@@ -41,11 +41,11 @@ from util import random_rotation
 # -- parse(to_source(e)) == e ---------------------------------------------------
 
 _names = st.from_regex(r"[a-z_][a-z0-9_]{0,8}", fullmatch=True)
-# Numbers lex unsigned (a leading minus is a Neg node); strings print in
-# double quotes and may not span lines.
+# Numbers lex unsigned (a leading minus is a Neg node); a string may hold
+# either quote kind but not both, and may not span lines.
 _numbers = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(abs)
-_strings = st.text(
-    st.characters(blacklist_characters='"\n', blacklist_categories=("Cs",)), max_size=12
+_strings = st.sampled_from("\"'").flatmap(
+    lambda quote: st.text(st.characters(blacklist_characters=quote + "\n", blacklist_categories=("Cs",)), max_size=12)
 )
 _leaves = st.one_of(_numbers.map(Literal), _strings.map(Literal))
 
