@@ -103,6 +103,8 @@ def vocabulary_from_json(doc: dict) -> tuple[Vocabulary, tuple[GrammarRule, ...]
     """Word and parameter names and `alias_of` must be strings, `required` and
     `has_host_escape` booleans. An error's `field` names the top-level field
     it is in."""
+    if not isinstance(doc, dict):
+        raise VocabularyError(f"a vocabulary document must be a JSON object, got {type(doc).__name__}")
     field = "has_host_escape"
     try:
         has_host_escape = _field(doc, "has_host_escape", bool, False)

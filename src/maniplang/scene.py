@@ -132,7 +132,7 @@ def scene_from_json(doc: dict) -> Scene:
             history=history,
             objects=objects,
         )
-    except (AttributeError, GeometryError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, GeometryError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise SceneError(f"malformed scene document: {exc}") from exc
 
 

@@ -18,6 +18,7 @@ where one move term |d*t + b(R)| alone reads it and alpha <= |d|, the t* that
 zeroes it is: |d*t + b| + alpha*|t - t0| >= alpha*|t* - t0|, equal at t*. Each
 rotation is then scored at its own t*, so the search is over three angles
 (variable projection, Golub & Pereyra 1973). Other programs search all six.
+One pose map (`_search_space`) reads every search point as a pose.
 
 The optimizer is a derivative-free pattern search over the 6-vector
 (EulerXYZ angles of R, translation deltas from t0), or over its three angles
@@ -34,7 +35,8 @@ its own cycle c, or i's final point if i ended before (the duplicate test of
 multi-level single linkage, Rinnooy Kan & Timmer 1987). Comparing equal cycle
 indices makes the rule schedule-independent: j waits for a y that i has not
 reached yet, so the result is that of running the restarts one after another.
-The winner is the lowest objective over all restarts, stopped ones included.
+Each restart fills one record (`_Restart`); the winner is the lowest
+objective over all records, stopped restarts included, the lowest index on a tie.
 
 The objective scores a stack of poses in one numpy pass, so the search runs
 as generators that ask for points instead of calling a function. Restarts
@@ -261,44 +263,45 @@ def _terms(
     return cost + cfg.alpha * reg_t + cfg.beta * reg_r, cost, reg_t, reg_r
 
 
-def _closed_form_translation(expr: TypedExpr, ctx: _PosedContext, cfg: SolveConfig):
-    """Where the module docstring's closed form holds, a function giving the
-    best translation delta t* - t0 for each of a stack of rotations (t* = t0 -
-    r/d, r the move term's residual at t0); else None."""
+def _search_space(expr: TypedExpr, ctx: _PosedContext, cfg: SolveConfig):
+    """(n, poses): the search's dimension and its pose map. `poses(xs)` gives
+    the rotations and translation deltas of a stack of points (K, n): EulerXYZ
+    angles then the delta (n = 6), or the angles alone at the module
+    docstring's closed-form delta t* - t0 = -r/d, r the move term's residual at
+    t0 (n = 3)."""
     form = translation_term(expr, ctx.moving)
     if form is None or (form[0] is not None and cfg.alpha > abs(form[1])):
-        return None
+        return 6, lambda xs: (rotation_xyz(xs[:, 0], xs[:, 1], xs[:, 2]), xs[:, 3:])
     term, d = form
 
-    def delta(rel: np.ndarray) -> np.ndarray:
+    def poses(xs: np.ndarray):
+        rel = rotation_xyz(xs[:, 0], xs[:, 1], xs[:, 2])
         if term is None:
-            return np.zeros((len(rel), 3))
+            return rel, np.zeros((len(xs), 3))
         ctx.place(rel, ctx.t0[None].repeat(len(rel), 0))
         with np.errstate(all="ignore"):
             dt = -move_residual(term, ctx) / d
             finite = np.isfinite(np.sum(dt * dt))  # so |dt| is finite too
         if not finite:
             raise EvalError("closed-form gripper translation is not finite")
-        return dt
+        return rel, dt
 
-    return delta
+    return 3, poses
 
 
-def _objective_rows(expr: TypedExpr, ctx: _PosedContext, xs: np.ndarray, cfg: SolveConfig, translation=None) -> list:
-    """The objective at each search point, a row of xs: EulerXYZ angles then
-    the translation delta, or the angles alone where `translation` (from
-    `_closed_form_translation`) gives the delta. A row whose evaluation fails
-    holds its typed error instead, so only a search that consumes it raises."""
-    rel = rotation_xyz(xs[:, 0], xs[:, 1], xs[:, 2])
+def _objective_rows(expr: TypedExpr, ctx: _PosedContext, xs: np.ndarray, cfg: SolveConfig, poses) -> list:
+    """The objective at each search point, a row of xs, read through the pose
+    map `poses` (`_search_space`). A row whose evaluation fails holds its typed
+    error instead, so only a search that consumes it raises."""
     try:
-        dt = xs[:, 3:] if translation is None else translation(rel)
+        rel, dt = poses(xs)
         return _terms(expr, ctx, rel, ctx.t0 + dt, dt, cfg)[0].tolist()
     except ManiplangError as exc:
         if len(xs) == 1:
             return [exc]
     # Some row failed: score each half on its own, down to the rows that fail.
     half = len(xs) // 2
-    return [v for part in (xs[:half], xs[half:]) for v in _objective_rows(expr, ctx, part, cfg, translation)]
+    return [v for part in (xs[:half], xs[half:]) for v in _objective_rows(expr, ctx, part, cfg, poses)]
 
 
 def solve(expr: TypedExpr, scene: Scene, cfg: SolveConfig | None = None) -> SolveResult:
@@ -312,9 +315,7 @@ def solve(expr: TypedExpr, scene: Scene, cfg: SolveConfig | None = None) -> Solv
         moves = f"only {sorted(ctx.moving)} can move" if ctx.moving else "nothing grasped moves"
         raise NoMovingPartsError(f"expression constrains {sorted(subjects)} but {moves}")
 
-    translation = _closed_form_translation(expr, ctx, cfg)
-    n = 6 if translation is None else 3  # the search's coordinates
-
+    n, poses = _search_space(expr, ctx, cfg)
     seed = cfg.seed & 0xFFFFFFFFFFFFFFFF  # SeedSequence wants unsigned 64-bit
     rng = np.random.default_rng(seed)
     starts = [np.zeros(n)] + [
@@ -322,21 +323,18 @@ def solve(expr: TypedExpr, scene: Scene, cfg: SolveConfig | None = None) -> Solv
         for _ in range(cfg.restarts - 1)
     ]
 
-    trails = [_Trail() for _ in range(cfg.restarts)]
-    results = {}
+    restarts = [_Restart() for _ in range(cfg.restarts)]
     for first in range(0, cfg.restarts, _LOCKSTEP):
         group = range(first, min(first + _LOCKSTEP, cfg.restarts))
         searches = {
-            index: _pattern_search(starts[index], cfg, np.random.default_rng((seed, index)), trails, index)
+            index: _pattern_search(starts[index], cfg, np.random.default_rng((seed, index)), restarts, index)
             for index in group
         }
-        results.update(_lockstep(searches, lambda xs: _objective_rows(expr, ctx, xs, cfg, translation)))
+        _lockstep(searches, lambda xs: _objective_rows(expr, ctx, xs, cfg, poses))
 
-    restart_index = min(results, key=lambda index: (results[index][1], index))
-    x, _, evals, converged = results[restart_index]
-    rel = rotation_xyz(x[0], x[1], x[2])
-    dt = x[3:6] if translation is None else translation(rel[None])[0]
-    pose = PoseSE3(rel, Point3.from_array(ctx.t0 + dt))
+    restart_index, best = min(enumerate(restarts), key=lambda item: item[1].fx)  # ties: the lowest index
+    rel, dt = poses(best.x[None])
+    pose = PoseSE3(rel[0], Point3.from_array(ctx.t0 + dt[0]))
     obj, cost, reg_t, reg_r = _pose_terms(expr, ctx, pose, cfg)
     return SolveResult(
         pose=pose,
@@ -344,25 +342,25 @@ def solve(expr: TypedExpr, scene: Scene, cfg: SolveConfig | None = None) -> Solv
         cost_term=cost,
         reg_translation=reg_t,
         reg_rotation=reg_r,
-        iterations=evals,
-        converged=converged,
+        iterations=best.evals,
+        converged=best.converged,
         restart_index=restart_index,
-        total_evaluations=sum(result[2] for result in results.values()),
+        total_evaluations=sum(restart.evals for restart in restarts),
     )
 
 
-def _lockstep(searches: dict, score) -> dict:
+def _lockstep(searches: dict, score) -> None:
     """Run the searches (restart index -> generator) together: each round
-    scores every pending request with one `score` call. Returns each
-    search's result. A search that consumes a failed row stops, and so does
-    every search of a higher index, which a one-after-another run would never
-    reach (and which may be waiting for the failed one's points); once the
-    others finish, the error of the lowest restart index is raised.
+    scores every pending request with one `score` call. A search that
+    consumes a failed row stops, and so does every search of a higher index,
+    which a one-after-another run would never reach (and which may be waiting
+    for the failed one's points); once the others finish, the error of the
+    lowest restart index is raised.
 
     A search waiting for a lower index's point asks for no rows. The lowest
     pending index never waits, so no round is empty."""
     pending = {index: next(search) for index, search in searches.items()}
-    results, failures = {}, {}
+    failures = {}
     while pending:
         values = score(np.concatenate(list(pending.values())))
         start = 0
@@ -371,8 +369,7 @@ def _lockstep(searches: dict, score) -> dict:
             start += len(xs)
             try:
                 pending[index] = searches[index].send(rows)
-            except StopIteration as done:
-                results[index] = done.value
+            except StopIteration:
                 del pending[index]
             except ManiplangError as exc:
                 failures[index] = exc
@@ -381,7 +378,6 @@ def _lockstep(searches: dict, score) -> dict:
             pending = {index: xs for index, xs in pending.items() if index < min(failures)}
     if failures:
         raise failures[min(failures)]
-    return results
 
 
 _RANDOM_POLLS = 12
@@ -481,42 +477,43 @@ def _accelerate(x, x1, fx1, evals, budget):
     return x1, fx1, evals
 
 
-class _Trail:
-    """A restart's point at the start of each of its search cycles, and its
-    final point once its search has returned."""
+class _Restart:
+    """One restart: its point at the start of each of its search cycles and,
+    once its search has returned, its final point x, value fx, evaluations and
+    whether it converged."""
 
     def __init__(self):
-        self.cycles, self.final = [], None
+        self.cycles, self.x, self.fx, self.evals, self.converged = [], None, None, 0, False
 
     def at(self, cycle: int) -> np.ndarray | None:
         """The point at the start of `cycle`, or the final point if the search
         ended before it; None while neither is known."""
-        return self.cycles[cycle] if cycle < len(self.cycles) else self.final
+        return self.cycles[cycle] if cycle < len(self.cycles) else self.x
 
 
 def _in_lower_box(x, scale, cycle, lower):
     """Whether x lies in the poll box, |x - y| <= scale in every coordinate,
     of a lower-index restart's point y at the start of its own `cycle` (see
-    `_Trail.at`). While a point it needs is not known yet, it asks for no rows."""
-    for trail in lower:
-        while (y := trail.at(cycle)) is None:
+    `_Restart.at`). While a point it needs is not known yet, it asks for no rows."""
+    for restart in lower:
+        while (y := restart.at(cycle)) is None:
             yield np.empty((0, len(x)))
         if np.all(np.abs(x - y) <= scale):
             return True
     return False
 
 
-def _pattern_search(x0: np.ndarray, cfg: SolveConfig, rng, trails: list, index: int):
+def _pattern_search(x0: np.ndarray, cfg: SolveConfig, rng, restarts: list, index: int):
     """Pattern search with shrink: each cycle polls the coordinate directions,
     falls back to seeded random directions when those stall, then accelerates
     along the cycle's net movement. Steps halve when a full cycle improves by
     less than the tolerance; converged once they bottom out. The search stops
     at the start of a cycle whose point lies in a lower-index restart's poll
-    box (`_in_lower_box`); it records its trail in `trails[index]`.
+    box (`_in_lower_box`). It fills its record, `restarts[index]`.
 
     Its dimension n is x0's: the leading n of the six coordinates. A
-    generator: it yields each batch of points it needs scored, (m, n), is
-    sent their values, and returns (x, fx, evaluations, converged)."""
+    generator: it yields each batch of points it needs scored, (m, n), and is
+    sent their values."""
     budget = cfg.max_iterations
     x = np.array(x0, dtype=float)
     fx = _consume((yield x[None])[0])
@@ -527,13 +524,12 @@ def _pattern_search(x0: np.ndarray, cfg: SolveConfig, rng, trails: list, index: 
     # The coordinate poll's probes scored ahead: the outcome tree of the three
     # angle directions, then the other directions' probes from x.
     tree = np.concatenate([_outcome_tree(coordinate[:6]), coordinate[6:]])
-    trail, lower = trails[index], trails[:index]
-    converged = False
+    record, lower = restarts[index], restarts[:index]
     fallback = None
     while evals < budget:
-        trail.cycles.append(x)
+        record.cycles.append(x)
         scale = init_steps * shrink
-        if (yield from _in_lower_box(x, scale, len(trail.cycles) - 1, lower)):
+        if (yield from _in_lower_box(x, scale, len(record.cycles) - 1, lower)):
             break
         cycle_start = fx
         if fallback is None:  # drawn ahead, and kept until a fallback poll uses them
@@ -553,8 +549,7 @@ def _pattern_search(x0: np.ndarray, cfg: SolveConfig, rng, trails: list, index: 
         x, fx = x1, fx1
         if cycle_start - fx < cfg.tolerance:
             if shrink * float(init_steps.max()) <= _STEP_FLOOR:
-                converged = True
+                record.converged = True
                 break
             shrink *= 0.5
-    trail.final = x
-    return x, fx, evals, converged
+    record.x, record.fx, record.evals = x, fx, evals

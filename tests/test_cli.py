@@ -150,10 +150,12 @@ class TestEvalCommand:
                         "history": [{"gripper": [0, True, 0], "parts": {}}]}),
             json.dumps({"parts": {" ": {"points": [[0, 0, 0]], "grasped": True}, "table": {"points": [[1, 0, 0]]}},
                         "gripper": {"position": [0, 0, 0], "open_fraction": 0}}),
+            json.dumps({"parts": {"a": {"points": [[0, 10**400, 0]]}},
+                        "gripper": {"position": [0, 0, 0], "open_fraction": 0}}),
         ],
         ids=["missing_file", "not_json", "parts_not_a_map", "empty_points", "nan_gripper",
              "open_fraction_a_string", "open_fraction_a_bool", "position_of_bools", "points_of_bools",
-             "points_of_strings", "history_gripper_of_bools", "blank_part_name"],
+             "points_of_strings", "history_gripper_of_bools", "blank_part_name", "integer_too_large_for_a_float"],
     )
     def test_unreadable_scene_is_validation_failure(self, tmp_path, capsys, content):
         path = tmp_path / "scene.json"

@@ -32,7 +32,7 @@ from maniplang.language import (
 )
 from maniplang.language import typecheck
 from maniplang.language.parser import MAX_DEPTH
-from maniplang.language.vocabulary import Vocabulary
+from maniplang.language.vocabulary import Vocabulary, VocabularyError
 
 from util import CARROT_KNIFE_PROGRAM, PEN_PROGRAM
 
@@ -73,6 +73,11 @@ class TestVocabulary:
                 )
                 for w in doc["words"]
             ], path.name
+
+    @pytest.mark.parametrize("doc", [[], "words", 5, None], ids=["list", "string", "number", "null"])
+    def test_a_document_that_is_not_an_object_raises_vocabulary_error(self, doc):
+        with pytest.raises(VocabularyError, match="must be a JSON object"):
+            vocabulary_from_json(doc)
 
 
 class TestParse:

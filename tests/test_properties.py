@@ -1,10 +1,12 @@
 """Property tests: parse/print round trips, well-typed programs drawn from
 the vocabulary and the grammar (accepted, and evaluated or refused with a
-typed error), rigid invariance of the cost words, an alignment identity,
-the solver's objective against plain evaluation of the moved scene (also for
-drawn programs), the translation analysis and its closed-form optimum, the
-solver's never-worse guarantee, the centroid against numpy's mean, and extents
-over the kept extreme points against the whole cloud's."""
+typed error), the same programs with one defect shape (rejected) or a scaled
+list added to a point (accepted), rigid invariance of the cost words, an
+alignment identity, the solver's objective against plain evaluation of the
+moved scene (also for drawn programs), the translation analysis and its
+closed-form optimum, the solver's never-worse guarantee, the centroid against
+numpy's mean, extents over the kept extreme points against the whole cloud's,
+and scene documents drawn as JSON (only SceneError)."""
 
 import functools
 import math
@@ -12,7 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from maniplang import fixtures, solver
@@ -23,10 +25,10 @@ from maniplang.geometry import (
     rotation_xyz,
 )
 from maniplang.language import (
-    Accepted, BinOp, Call, Literal, Neg, Triple, default_grammar, default_vocabulary, parse, to_source, type_check,
-    validate_program,
+    Accepted, BinOp, Call, Literal, Neg, Triple, TypeCheckError, default_grammar, default_vocabulary, parse, to_source,
+    type_check, typecheck, validate_program,
 )
-from maniplang.scene import Scene, SceneSnapshot, load_scene
+from maniplang.scene import Scene, SceneError, SceneSnapshot, load_scene, scene_from_json
 from maniplang.solver import (
     SolveConfig,
     initial_pose,
@@ -143,6 +145,89 @@ def test_drawn_cost_evaluates_to_a_finite_non_negative_float_or_raises(expr):
     except ManiplangError:
         return
     assert isinstance(value, float) and math.isfinite(value) and value >= 0.0
+
+
+# -- drawn programs with one defect shape, or with a scaled list added to a point ----
+
+
+def _nodes(typed):
+    """Every node of a typed tree, the root first."""
+    yield typed
+    for child in typed.children:
+        yield from _nodes(child)
+
+
+def _swap(node, old, new):
+    """`node` with its subtree `old` (that very object) replaced by `new`."""
+    if node is old:
+        return new
+    if isinstance(node, Triple):
+        return Triple(tuple(_swap(item, old, new) for item in node.items))
+    if isinstance(node, Neg):
+        return Neg(_swap(node.operand, old, new))
+    if isinstance(node, BinOp):
+        return BinOp(node.op, _swap(node.left, old, new), _swap(node.right, old, new))
+    if isinstance(node, Call):
+        args = tuple(_swap(arg, old, new) for arg in node.args)
+        return Call(node.word, args, tuple((name, _swap(arg, old, new)) for name, arg in node.kwargs))
+    return node
+
+
+def _replaced(data, expr, wanted, make):
+    """Draw a node of the well-typed program `expr` for which wanted(typed
+    node) holds; returns make(node) and the program with it in that place."""
+    targets = [node.expr for node in _nodes(type_check(expr)) if wanted(node)]
+    assume(targets)
+    target = data.draw(st.sampled_from(targets))
+    new = make(target)
+    return new, _swap(expr, target, new)
+
+
+@settings(max_examples=40, deadline=None)
+@given(expr=_typed("cost"), data=st.data(), length=st.sampled_from([0, 1, 2, 4, 5]))
+def test_a_list_of_the_wrong_length_is_rejected(expr, data, length):
+    # A point or a vec replaced by a list of the wrong length. The tree is
+    # checked as drawn, since `[]` does not parse.
+    items = tuple(Literal(float(k)) for k in range(length))
+    triple, program = _replaced(data, expr, lambda node: node.sort in ("point", "vec"), lambda _: Triple(items))
+    with pytest.raises(TypeCheckError, match=f"expected a 3-element list, got {length}-element list") as error:
+        type_check(program)
+    assert error.value.node is triple
+
+
+@settings(max_examples=40, deadline=None)
+@given(expr=_typed("cost"), data=st.data())
+def test_a_unary_minus_on_a_point_vec_or_cost_is_rejected(expr, data):
+    # Only a scalar can be negated; a node that can also read as one (a
+    # number, a sum of numbers) is not drawn.
+    def wanted(node):
+        return node.sort in ("point", "vec", "cost") and "scalar" not in typecheck._readings(node.expr, None)
+
+    neg, program = _replaced(data, expr, wanted, Neg)
+    with pytest.raises(TypeCheckError, match="expected scalar, got") as error:
+        type_check(program)
+    assert error.value.node is neg
+
+
+# Four in five drawn costs hold no point, so a move term reading one is added.
+_costs_with_a_point = st.builds(
+    lambda cost, point, part: BinOp("+", cost, Call("move_cost", (point, part))),
+    _typed("cost"), _typed("point", 2), _LEAVES["string"],
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    expr=_costs_with_a_point, data=st.data(), op=st.sampled_from("+-"), offset=_LEAVES["triple"],
+    scale=_typed("scalar", 1),
+)
+def test_a_scaled_list_added_to_a_point_is_a_point(expr, data, op, offset, scale):
+    # <point> +/- [x, y, z] * <scalar>: the list reads as a vec, whatever
+    # sort the sum is wanted at.
+    moved, program = _replaced(
+        data, expr, lambda node: node.sort == "point", lambda point: BinOp(op, point, BinOp("*", offset, scale))
+    )
+    assert [node.sort for node in _nodes(type_check(program)) if node.expr is moved] == ["point"]
 
 
 # -- rigid invariance -------------------------------------------------------------
@@ -486,14 +571,14 @@ def test_translation_analysis_is_sound(expr, seed, angles, shifts):
     form = translation_term(typed, ctx.moving)
     if form is None:
         return
-    rotation = rotation_xyz(*angles)
     cfg = SolveConfig(alpha=0.0)
 
     def cost(t):
         return solver._pose_terms(typed, ctx, PoseSE3(rotation, Point3.from_array(t)), cfg)[1]
 
     try:
-        best = ctx.t0 + solver._closed_form_translation(typed, ctx, cfg)(rotation[None])[0]
+        rel, dt = solver._search_space(typed, ctx, cfg)[1](np.array([angles]))
+        rotation, best = rel[0], ctx.t0 + dt[0]
         base = cost(best)
     except ManiplangError:
         return
@@ -517,16 +602,16 @@ def test_no_translation_probe_improves_the_closed_form(expr, seed, angles, alpha
     typed = validate_program(to_source(expr)).typed
     ctx = solver._PosedContext(scene)
     cfg = SolveConfig(alpha=alpha, beta=0.05)
-    translation = solver._closed_form_translation(typed, ctx, cfg)
-    if translation is None:
+    n, poses = solver._search_space(typed, ctx, cfg)
+    if n == 6:  # no closed form
         return
-    rotation = rotation_xyz(*angles)
 
     def objective_at(t):
         return solver._pose_terms(typed, ctx, PoseSE3(rotation, Point3.from_array(t)), cfg)[0]
 
     try:
-        best = ctx.t0 + translation(rotation[None])[0]
+        rel, dt = poses(np.array([angles]))
+        rotation, best = rel[0], ctx.t0 + dt[0]
         value = objective_at(best)
     except ManiplangError:
         return
@@ -630,11 +715,10 @@ def _takes_the_sequential_search(expr, scene: Scene, cfg: SolveConfig) -> int:
     restarts, seed = cfg.restarts, cfg.seed
     ctx = solver._PosedContext(scene)
     # The search takes the Euler angles alone where t has a closed form.
-    translation = solver._closed_form_translation(expr, ctx, cfg)
-    n = 6 if translation is None else 3
+    n, poses = solver._search_space(expr, ctx, cfg)
 
     def f(x):
-        (value,) = solver._objective_rows(expr, ctx, x[None], cfg, translation)
+        (value,) = solver._objective_rows(expr, ctx, x[None], cfg, poses)
         return value
 
     rng = np.random.default_rng(seed)
@@ -650,10 +734,9 @@ def _takes_the_sequential_search(expr, scene: Scene, cfg: SolveConfig) -> int:
     result = solve(expr, scene, cfg)
     assert (result.restart_index, result.iterations) == (best, evals)
     assert result.total_evaluations == sum(run[2] for run in runs)
-    rotation = rotation_xyz(x[0], x[1], x[2])
-    dt = x[3:] if translation is None else translation(rotation[None])[0]
-    assert np.array_equal(result.pose.rotation, rotation)
-    assert result.pose.translation == Point3.from_array(ctx.t0 + dt)
+    rel, dt = poses(x[None])
+    assert np.array_equal(result.pose.rotation, rel[0])
+    assert result.pose.translation == Point3.from_array(ctx.t0 + dt[0])
     return n
 
 
@@ -686,3 +769,56 @@ def test_programs_without_a_closed_form_keep_the_6d_search(case):
     scene = load_scene(fixtures.shipped_scene_path(kind)) if kind else _random_scene(7)
     cfg = SolveConfig(alpha=alpha, restarts=3, max_iterations=150, seed=3)
     assert _takes_the_sequential_search(type_check(parse(program)), scene, cfg) == dimension
+
+
+# -- scene_from_json raises only SceneError ------------------------------------------
+
+# JSON numbers as json.loads gives them: small and huge integers (past the
+# float range), any float (NaN and inf come from JSON's NaN and Infinity), and
+# finite floats at the float limit.
+_json_numbers = st.one_of(
+    st.integers(-3, 3),
+    st.integers(10**308, 10**400).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.floats(),
+    st.sampled_from([1.7976931348623157e308, -1.7976931348623157e308, 1.7e308, -1e308]),
+)
+_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.text(max_size=3), _json_numbers),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _or_any(strategy):
+    """`strategy` four times in five, else any JSON."""
+    return st.integers(0, 4).flatmap(lambda k: strategy if k else _json)
+
+
+# Each field of a scene document holds what it should, or any JSON.
+_triples = _or_any(st.lists(_json_numbers, min_size=3, max_size=3))
+_part_names = st.sampled_from(["cup", "lid", "gripper", " "]) | st.text(max_size=3)
+_part_docs = st.fixed_dictionaries(
+    {"points": _or_any(st.lists(_triples, min_size=1, max_size=3))},
+    optional={"grasped": _or_any(st.booleans()), "object": _or_any(st.text(max_size=3))},
+)
+_snapshots = st.fixed_dictionaries(
+    {"gripper": _triples}, optional={"parts": _or_any(st.dictionaries(_part_names, _triples, max_size=2))}
+)
+_scene_docs = _or_any(
+    st.fixed_dictionaries(
+        {
+            "parts": _or_any(st.dictionaries(_part_names, _or_any(_part_docs), max_size=3)),
+            "gripper": _or_any(st.fixed_dictionaries({"position": _triples, "open_fraction": _or_any(_json_numbers)})),
+        },
+        optional={"history": _or_any(st.lists(_or_any(_snapshots), max_size=2))},
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scene_docs)
+def test_scene_from_json_raises_only_scene_error(doc):
+    try:
+        scene_from_json(doc)
+    except SceneError:
+        pass

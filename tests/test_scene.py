@@ -90,6 +90,28 @@ class TestJson:
             with pytest.raises(SceneError):
                 scene_from_json(doc)
 
+    # Where each number field of a scene document sits.
+    NUMBER_FIELDS = {
+        "point": ("parts", "cup", "points", 0, 1),
+        "position": ("gripper", "position", 2),
+        "open_fraction": ("gripper", "open_fraction"),
+        "history_gripper": ("history", 0, "gripper", 0),
+        "history_part": ("history", 0, "parts", "cup", 2),
+    }
+
+    @pytest.mark.parametrize("field", sorted(NUMBER_FIELDS))
+    def test_integer_too_large_for_a_float_raises_scene_error(self, field):
+        doc = scene_to_json(minimal())
+        doc["history"] = [{"gripper": [0, 0, 0], "parts": {"cup": [0, 0, 0]}}]
+        scene_from_json(doc)
+        *path, last = self.NUMBER_FIELDS[field]
+        holder = doc
+        for key in path:
+            holder = holder[key]
+        holder[last] = 10**400
+        with pytest.raises(SceneError, match="too large"):
+            scene_from_json(doc)
+
     def test_history_round_trip(self):
         scene = minimal()
         snapped = Scene(

@@ -534,9 +534,11 @@ class TestLockstepSearch:
         # Turned 45 degrees the cube is taller, and its target angle overflows.
         scene = load_scene(fixtures.shipped_scene_path("cube_target"))
         expr = typed("rotate_cost(get_axis('cube'), get_height('cube') * 1e308 * 40, [0, 0, 1])")
-        ctx = solver._PosedContext(scene)
-        xs = np.array([[0.0] * 6, [math.pi / 4, 0, 0, 0, 0, 0]])
-        start, turned = solver._objective_rows(expr, ctx, xs, SolveConfig())
+        ctx, cfg = solver._PosedContext(scene), SolveConfig()
+        n, poses = solver._search_space(expr, ctx, cfg)
+        assert n == 3
+        xs = np.array([[0.0, 0.0, 0.0], [math.pi / 4, 0.0, 0.0]])
+        start, turned = solver._objective_rows(expr, ctx, xs, cfg, poses)
         assert math.isfinite(start)
         assert isinstance(turned, EvalError)
 
@@ -553,14 +555,16 @@ class TestLockstepSearch:
     def test_halving_gives_each_row_its_value_alone(self):
         scene = load_scene(fixtures.shipped_scene_path("cube_target"))
         expr = typed("rotate_cost(get_axis('cube'), get_height('cube') * 1e308 * 40, [0, 0, 1])")
-        ctx = solver._PosedContext(scene)
-        # Only the turned row (the third) makes the cube taller, so only it fails.
+        ctx, cfg = solver._PosedContext(scene), SolveConfig()
+        n, poses = solver._search_space(expr, ctx, cfg)
+        assert n == 3
+        # Only the third row turns the cube off the vertical and makes it
+        # taller, so only it fails; turns about z keep its height.
         xs = np.array(
-            [[0, 0, 0, 0, 0, 0], [0, 0, 0, 0.1, 0, 0], [math.pi / 4, 0, 0, 0, 0, 0]]
-            + [[0, 0, 0, 0, 0, z] for z in (-0.2, 0.1, 0.3)]
+            [[0.0, 0.0, 0.0], [0.0, 0.0, 0.1], [math.pi / 4, 0.0, 0.0]] + [[0.0, 0.0, z] for z in (-0.2, 0.5, 0.3)]
         )
-        rows = solver._objective_rows(expr, ctx, xs, SolveConfig())
-        alone = [solver._objective_rows(expr, ctx, xs[k : k + 1], SolveConfig())[0] for k in range(len(xs))]
+        rows = solver._objective_rows(expr, ctx, xs, cfg, poses)
+        alone = [solver._objective_rows(expr, ctx, xs[k : k + 1], cfg, poses)[0] for k in range(len(xs))]
         assert [type(row) for row in rows] == [type(row) for row in alone] == [float] * 2 + [EvalError] + [float] * 3
         assert [row for row in rows if isinstance(row, float)] == [row for row in alone if isinstance(row, float)]
 
@@ -572,12 +576,12 @@ class TestLockstepSearch:
         expr = typed(f"move_cost(get_centroid('cube'), {target})")
         ctx = solver._PosedContext(scene)
         cfg = SolveConfig()
-        translation = solver._closed_form_translation(expr, ctx, cfg)
-        assert translation is not None
+        n, poses = solver._search_space(expr, ctx, cfg)
+        assert n == 3
         xs = np.array([[0.0, 0.0, 0.0], [0.3, -0.2, 0.1], [math.pi / 4, 0.0, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            rows = solver._objective_rows(expr, ctx, xs, cfg, translation)
+            rows = solver._objective_rows(expr, ctx, xs, cfg, poses)
             assert all(isinstance(row, EvalError) for row in rows)
             with pytest.raises(EvalError):
                 solve(expr, scene, SolveConfig(restarts=2, max_iterations=50))
