@@ -311,7 +311,7 @@ def motion_subjects(expr: TypedExpr) -> frozenset[str]:
         if isinstance(expr_node, Call):
             if node.word in _SUBJECT_ARGS or (collect_parts and node.word in _PART_GETTERS):
                 names = _SUBJECT_ARGS.get(node.word)
-                for name, child in node.bound:
+                for name, child in zip(node.params, node.children):
                     if names is None or name in names:
                         visit(child, True)
                 return
@@ -358,7 +358,7 @@ def translation_term(expr: TypedExpr, moving: frozenset[str]) -> tuple[TypedExpr
             return 1
         # Any other word reads the parts it names by shape, history or their
         # differences: no t if they all ride the same way, nonlinearly if not.
-        ends = {named(child.expr.value) for _, child in node.bound if child.sort == "string"}
+        ends = {named(child.expr.value) for child in node.children if child.sort == "string"}
         return 0 if not any(ks) and len(ends) <= 1 else None
 
     def terms(node: TypedExpr) -> list[TypedExpr]:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 from pathlib import Path
 
 from .errors import ManiplangError
@@ -56,12 +57,15 @@ def write_json(path, doc, error: type[ManiplangError]) -> None:
 def typed_value(value, kind: type, what: str, error: type[ManiplangError], depth: int = 0):
     """`value` if it is a `kind` inside `depth` nested lists. Types are exact, so
     JSON's "false" is no bool, its 1 no str and its true no int or float; a
-    `kind` of float also takes an int."""
+    `kind` of float also takes an int that a float can hold."""
     items = [value]
     for wanted in [list] * depth + [kind]:
-        bad = set(map(type, items)) - ({int, float} if wanted is float else {wanted})
+        types = set(map(type, items))
+        bad = types - ({int, float} if wanted is float else {wanted})
         if bad:
             got = next(v for v in items if type(v) in bad)
             raise error(f"{what} must be a JSON {'list of ' * depth}{kind.__name__}, got {got!r}")
         items = [item for v in items for item in v] if wanted is list else items
+    if kind is float and int in types and max(abs(v) for v in items if type(v) is int) > sys.float_info.max:
+        raise error(f"{what} must be a JSON {'list of ' * depth}float, got an int too large for a float")
     return value

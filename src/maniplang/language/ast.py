@@ -59,23 +59,20 @@ class Neg(Expr):
 class TypedExpr:
     """A sort-annotated expression tree.
 
-    `children` follow source order, except that a call's children follow
-    its parameters. For calls, `word` is the resolved (alias-canonical)
-    vocabulary word name and `bound` maps declared parameter names to their
-    typed arguments, in parameter order.
+    `children` follow source order, except that a call's children are its
+    typed arguments in parameter order. A typed call also carries `word`, the
+    resolved (alias-canonical) vocabulary word name, and `params`, the name
+    of the parameter each child binds; an omitted optional one is absent.
     """
 
     expr: Expr
     sort: str
     children: tuple["TypedExpr", ...] = ()
     word: str | None = None
-    bound: tuple[tuple[str, "TypedExpr"], ...] = ()
+    params: tuple[str, ...] = ()
 
     def binding(self, name: str) -> "TypedExpr | None":
-        for key, value in self.bound:
-            if key == name:
-                return value
-        return None
+        return self.children[self.params.index(name)] if name in self.params else None
 
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2}

@@ -5,7 +5,8 @@ quotes on one line (spaces allowed, no escapes needed by the vocabulary),
 unsigned numbers of ASCII digits `[0-9]` with optional fraction and
 exponent that read as a finite float, punctuation `( ) [ ] , + - * = .`,
 `#` comments running to end of line, and whitespace ` \\t\\r\\n`. One
-master regular expression encodes them all.
+master regular expression encodes them all. A token is its lexeme (kind,
+text, offset): the parser reads numbers, strings and names from the text.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ class Token:
     kind: str  # IDENT, STRING, NUMBER, or the punctuation itself; EOF at end
     text: str
     offset: int
-    value: float | str | None = None
 
 
 # Every alternative matches at least one character, so the matches tile the
@@ -59,20 +59,12 @@ def tokenize(source: str) -> list[Token]:
         kind, text, offset = match.lastgroup, match.group(), match.start()
         if kind is None:
             continue
-        if kind == "NUMBER":
-            value = float(text)
-            if not math.isfinite(value):
-                raise ParseError("number literal is not finite", offset, ("finite number",))
-            tokens.append(Token(kind, text, offset, value=value))
-        elif kind == "IDENT":
-            tokens.append(Token(kind, text, offset, value=text))
-        elif kind == "STRING":
-            tokens.append(Token(kind, text, offset, value=text[1:-1]))
-        elif kind == "PUNCT":
-            tokens.append(Token(text, text, offset))
-        elif kind == "QUOTE":
+        if kind == "QUOTE":
             raise ParseError("unterminated string", offset, ("closing quote",))
-        else:
+        if kind == "OTHER":
             raise ParseError(f"unexpected character {text!r}", offset, ("token",))
+        if kind == "NUMBER" and not math.isfinite(float(text)):
+            raise ParseError("number literal is not finite", offset, ("finite number",))
+        tokens.append(Token(text if kind == "PUNCT" else kind, text, offset))
     tokens.append(Token("EOF", "", len(source)))
     return tokens

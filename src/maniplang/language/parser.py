@@ -59,7 +59,7 @@ class _Parser:
     def _expect(self, kind: str) -> Token:
         token = self._peek()
         if token.kind != kind:
-            raise ParseError(f"unexpected {token.kind or 'end of input'}", token.offset, (kind,))
+            raise ParseError(f"unexpected {token.kind}", token.offset, (kind,))
         return self._advance()
 
     def _descend(self, token: Token) -> None:
@@ -102,10 +102,10 @@ class _Parser:
         token = self._peek()
         if token.kind == "NUMBER":
             self._advance()
-            return Literal(float(token.value))
+            return Literal(float(token.text))
         if token.kind == "STRING":
             self._advance()
-            return Literal(str(token.value))
+            return Literal(token.text[1:-1])
         if token.kind == "[":
             return self._list()
         if token.kind == "(":
@@ -117,11 +117,7 @@ class _Parser:
             return node
         if token.kind == "IDENT":
             return self._call()
-        raise ParseError(
-            f"unexpected {token.kind or 'end of input'}",
-            token.offset,
-            ("NUMBER", "STRING", "IDENT", "[", "("),
-        )
+        raise ParseError(f"unexpected {token.kind}", token.offset, ("NUMBER", "STRING", "IDENT", "[", "("))
 
     def _list(self) -> Expr:
         self._descend(self._expect("["))
@@ -135,15 +131,13 @@ class _Parser:
 
     def _call(self) -> Expr:
         name_token = self._expect("IDENT")
-        name = str(name_token.value)
+        name = name_token.text
         if self._peek().kind == ".":
             # Only np.array(<list>) is admitted; it denotes the list itself.
             self._advance()
             attr = self._expect("IDENT")
-            if name != "np" or attr.value != "array":
-                raise ParseError(
-                    f"unknown dotted name {name}.{attr.value}", name_token.offset, ("np.array",)
-                )
+            if name != "np" or attr.text != "array":
+                raise ParseError(f"unknown dotted name {name}.{attr.text}", name_token.offset, ("np.array",))
             self._expect("(")
             inner = self._list()
             self._expect(")")
@@ -166,7 +160,7 @@ class _Parser:
         if token.kind == "IDENT" and self._tokens[self._pos + 1].kind == "=":
             self._advance()
             self._advance()
-            kwargs.append((str(token.value), self._expr()))
+            kwargs.append((token.text, self._expr()))
             return
         if kwargs:
             raise ParseError("positional argument after named argument", token.offset, ("IDENT =",))

@@ -131,7 +131,7 @@ def _infer_call(node: Call) -> TypedExpr:
         if name in assigned:
             raise ArgumentError(f"{node.word}: argument {name!r} given twice")
         assigned[name] = value
-    bound: list[tuple[str, TypedExpr]] = []
+    children: list[TypedExpr] = []
     for param in params:
         if param.name not in assigned:
             if param.required:
@@ -141,9 +141,9 @@ def _infer_call(node: Call) -> TypedExpr:
         typed_arg = _typed(arg, param.sort)
         if typed_arg.sort != param.sort:
             raise TypeCheckError(arg, param.sort, typed_arg.sort)
-        bound.append((param.name, typed_arg))
-    children = tuple(typed_arg for _, typed_arg in bound)
-    return TypedExpr(node, word.result_sort, children, word=word.name, bound=tuple(bound))
+        children.append(typed_arg)
+    names = tuple(param.name for param in params if param.name in assigned)
+    return TypedExpr(node, word.result_sort, tuple(children), word=word.name, params=names)
 
 
 class Accepted:

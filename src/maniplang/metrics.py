@@ -13,6 +13,9 @@ never re-queried from any model.
 
 from __future__ import annotations
 
+import csv
+import html
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -180,13 +183,14 @@ def compute_rows(profiles: list[RepresentationProfile], task_count: int) -> list
 
 
 def rows_to_csv(rows: list[MetricsRow]) -> str:
-    lines = ["method,vocab_size,vocab_size_with_escape,ag,n_succ,vc"]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["method", "vocab_size", "vocab_size_with_escape", "ag", "n_succ", "vc"])
     for row in rows:
-        lines.append(
-            f"{row.method},{row.vocab_size},{row.vocab_size_with_escape},"
-            f"{row.ag:.6f},{row.n_succ},{row.vc:.6f}"
+        writer.writerow(
+            [row.method, row.vocab_size, row.vocab_size_with_escape, f"{row.ag:.6f}", row.n_succ, f"{row.vc:.6f}"]
         )
-    return "\n".join(lines) + "\n"
+    return out.getvalue()
 
 
 _SVG_W, _SVG_H = 480, 360
@@ -237,7 +241,7 @@ def rows_to_svg(rows: list[MetricsRow]) -> str:
         y = _sy(min(max(row.vc, 0.0), 1.0))
         parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="4" fill="steelblue"/>')
         parts.append(
-            f'<text x="{x + 6:.1f}" y="{y - 6:.1f}" font-size="10">{row.method}</text>'
+            f'<text x="{x + 6:.1f}" y="{y - 6:.1f}" font-size="10">{html.escape(row.method, quote=False)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

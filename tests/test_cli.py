@@ -165,6 +165,15 @@ class TestEvalCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_integer_too_large_for_a_float_names_its_field(self, tmp_path, capsys):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({"parts": {"a": {"points": [[0, 10**400, 0]]}},
+                                    "gripper": {"position": [0, 0, 0], "open_fraction": 0}}), encoding="utf-8")
+        assert main(["eval", "--scene", str(path), "--expr", "gripper_open_cost()"]) == 2
+        assert capsys.readouterr().err == (
+            "error: part 'a' points must be a JSON list of list of float, got an int too large for a float\n"
+        )
+
 
 class TestSolveCommand:
     def test_emits_result_json(self, scene_path):
@@ -197,6 +206,22 @@ class TestSolveCommand:
                      "--expr", "move_cost(get_centroid('cube'), get_centroid('target'))",
                      "--alpha", "nan"])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--alpha", "-0.1", "regularizer weights must be non-negative"),
+            ("--beta", "-1", "regularizer weights must be non-negative"),
+            ("--max-iterations", "0", "max_iterations must be at least 1"),
+            ("--restarts", "0", "need at least the initial-pose restart"),
+            ("--tolerance", "0", "tolerance must be positive"),
+        ],
+    )
+    def test_out_of_range_option_exits_three(self, scene_path, capsys, flag, value, message):
+        code = main(["solve", "--scene", scene_path,
+                     "--expr", "move_cost(get_centroid('cube'), get_centroid('target'))", flag, value])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestRetrieveCommand:
@@ -378,6 +403,34 @@ def test_bad_file_input_or_output_is_validation_failure(tmp_path, capsys, make_a
     code = main(make_argv(tmp_path))
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_profile(word={"name": "w"}), "p.words: duplicate word name 'w'"),
+        (_profile(word={"result_sort": "thing"}), "p.words: word v: unknown result sort 'thing'"),
+        (_profile(word={"params": [{"name": "x", "sort": "thing"}]}), "p.words: word v: unknown parameter sort 'thing'"),
+        (_profile(word={"alias_of": "u"}), "p.words: 'v' aliases unknown word 'u'"),
+        (_profile(rule={"lhs": "thing", "rhs": ["cost"]}), "p.rules: rule lhs 'thing' is not a sort"),
+        (_profile(rule={"lhs": "cost", "rhs": []}), "p.rules: rule rhs must be non-empty"),
+        ("[1, 2]", "p: expected an object"),
+        (_profile(name=""), "p.name: expected a non-empty string"),
+    ],
+    ids=["duplicate_word", "unknown_result_sort", "unknown_parameter_sort", "alias_of_unknown_word",
+         "rule_lhs_not_a_sort", "empty_rhs", "not_an_object", "empty_name"],
+)
+def test_bad_profile_document_names_its_field(tmp_path, capsys, text, message):
+    assert main(_metrics_on_profile(tmp_path, text)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_empty_profile_directory_is_validation_failure(tmp_path, capsys):
+    (tmp_path / "profiles").mkdir()
+    argv = ["metrics", "--profiles", str(tmp_path / "profiles"), "--tasks", _TASKS,
+            "--csv", str(tmp_path / "m.csv"), "--svg", str(tmp_path / "m.svg")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'profiles'}: no profile files found\n"
 
 
 _SOLVE_FLAGS = ("--alpha", "0.3", "--beta", "0.07", "--max-iterations", "123",

@@ -302,6 +302,25 @@ class TestDirections:
         assert angle_between([1, 0, 0], [2, 0, 0]) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: Point3(math.nan, 0.0, 0.0), GeometryError, r"non-finite point: \(nan, 0.0, 0.0\)"),
+        (lambda: EulerXYZ(0.0, math.inf, 0.0), GeometryError, "non-finite euler angle ry=inf"),
+        (lambda: PoseSE3(np.eye(2), Point3(0, 0, 0)), GeometryError, r"rotation must be 3x3, got \(2, 2\)"),
+        (lambda: euler_from_rotation(np.eye(4)), GeometryError, r"rotation must be 3x3, got \(4, 4\)"),
+        (lambda: setattr(PoseSE3.identity(), "translation", Point3(1, 0, 0)), AttributeError, "PoseSE3 is immutable"),
+        (lambda: extent(PointCloud(UNIT_CUBE), "depth"), GeometryError, "unknown dimension 'depth'"),
+        (lambda: rotation_about_axis([0.0, 0.0, 0.0], 1.0), DegenerateAxisError, "cannot rotate about a zero axis"),
+    ],
+    ids=["nan_point", "infinite_euler_angle", "pose_rotation_not_3x3", "euler_rotation_not_3x3",
+         "pose_attribute_assigned", "unknown_extent_dimension", "zero_rotation_axis"],
+)
+def test_invalid_geometry_raises_a_named_error(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+
+
 class TestPose:
     def test_rejects_non_orthonormal(self):
         # The stretch has determinant 1 and R^T R off by 8e-6: inside allclose's

@@ -1,4 +1,5 @@
-"""maniplang's modules import each other without cycles.
+"""maniplang's modules import each other without cycles, and read every name
+they import.
 
 Only imports that run when a module loads count: those in its body, not in a
 function or under `if TYPE_CHECKING:`. A cycle among them makes the result
@@ -61,3 +62,26 @@ def test_module_level_imports_form_no_cycle():
         graphlib.TopologicalSorter(graph).prepare()
     except graphlib.CycleError as exc:
         raise AssertionError(f"import cycle: {' -> '.join(exc.args[1])}") from None
+
+
+# Imported by maniplang.solver but never read there: the benchmark's tracer
+# (perfbench/tracing.py) patches these names on the module.
+_UNREAD_IMPORTS = {("maniplang.solver", "PointCloud"), ("maniplang.solver", "euler_from_rotation")}
+
+
+def _unread_imports(path: Path) -> set:
+    """The names `path` imports when it loads and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name.partition(".")[0]
+        for node in _load_time_statements(tree.body)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return imported - read
+
+
+def test_every_load_time_import_is_read():
+    unread = {(_module_name(path), name) for path in sorted(_ROOT.rglob("*.py")) for name in _unread_imports(path)}
+    assert unread == _UNREAD_IMPORTS

@@ -155,6 +155,11 @@ class TestTypeCheck:
         with pytest.raises(ArgumentError):
             type_check(parse("parallel_cost(get_axis('pen'))"))
 
+    def test_program_that_is_not_a_cost(self):
+        with pytest.raises(TypeCheckError) as err:
+            type_check(parse("get_centroid('a')"))
+        assert str(err.value) == 'expected cost, got point in `get_centroid("a")`'
+
     def test_sum_requires_cost_children(self):
         with pytest.raises(TypeCheckError):
             type_check(parse('gripper_open_cost() + get_centroid("a")'))
@@ -166,8 +171,8 @@ class TestTypeCheck:
 
     def test_call_children_follow_the_parameters(self):
         typed = type_check(parse("orbit_cost(moving_part='a', radius=0.5, center_part='b')"))
-        assert [name for name, _ in typed.bound] == ["center_part", "radius", "moving_part"]
-        assert typed.children == tuple(value for _, value in typed.bound)
+        assert typed.params == ("center_part", "radius", "moving_part")
+        assert [child.expr for child in typed.children] == [Literal("b"), Literal(0.5), Literal("a")]
 
     def test_string_coerces_to_point_only_where_expected(self):
         typed = type_check(parse("move_cost('gripper', 'button')"))
@@ -373,7 +378,7 @@ def _reference_tokenize(source: str) -> list[Token]:
                 j += 1
             if j >= n:
                 raise ParseError("unterminated string", i, ("closing quote",))
-            tokens.append(Token("STRING", source[i : j + 1], i, value=source[i + 1 : j]))
+            tokens.append(Token("STRING", source[i : j + 1], i))
             i = j + 1
             continue
         if c.isdigit():
@@ -393,7 +398,7 @@ def _reference_tokenize(source: str) -> list[Token]:
                     while j < n and source[j].isdigit():
                         j += 1
             text = source[i:j]
-            tokens.append(Token("NUMBER", text, i, value=float(text)))
+            tokens.append(Token("NUMBER", text, i))
             i = j
             continue
         if c == "_" or "a" <= c <= "z":
@@ -401,7 +406,7 @@ def _reference_tokenize(source: str) -> list[Token]:
             while j < n and (source[j] == "_" or "a" <= source[j] <= "z" or "0" <= source[j] <= "9"):
                 j += 1
             text = source[i:j]
-            tokens.append(Token("IDENT", text, i, value=text))
+            tokens.append(Token("IDENT", text, i))
             i = j
             continue
         raise ParseError(f"unexpected character {c!r}", i, ("token",))
@@ -428,7 +433,7 @@ def _expected_tokens(text):
         tokens = _reference_tokenize(text[: exc.offset])
         error = (str(exc), exc.offset, exc.expected)
     for token in tokens:
-        if token.kind == "NUMBER" and not math.isfinite(token.value):
+        if token.kind == "NUMBER" and not math.isfinite(float(token.text)):
             message = f"number literal is not finite at offset {token.offset} (expected finite number)"
             return (message, token.offset, ("finite number",))
     return error or tokens

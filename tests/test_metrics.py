@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import xml.dom.minidom
 
 import pytest
 
@@ -201,6 +204,15 @@ class TestOutputs:
         assert svg.startswith("<svg")
         for name in ("seam", "seam_core", "rekep", "omnimanip", "instruct2act"):
             assert f">{name}</text>" in svg
+
+    def test_method_name_is_escaped_in_both_outputs(self):
+        name = 'R&D <v2>, "beta"'
+        rows = compute_rows([_profile(1, successes=33, name=name)], 33)
+        records = list(csv.reader(io.StringIO(rows_to_csv(rows))))
+        assert [len(record) for record in records] == [6, 6]
+        assert records[1][0] == name
+        texts = xml.dom.minidom.parseString(rows_to_svg(rows)).getElementsByTagName("text")
+        assert name in [text.firstChild.data for text in texts]
 
     @pytest.mark.parametrize("task_id", [0, 34, 99])
     def test_task_outside_the_task_list_is_rejected(self, task_id):

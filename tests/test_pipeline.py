@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import urllib.request
@@ -200,6 +201,14 @@ class TestRunTask:
         assert "nothing grasped moves" in trace.stages[1].error
         assert trace.final_state["grasped"] == []
         assert not trace.success
+
+    def test_gripper_close_closes_and_keeps_the_grasp(self):
+        scene = dataclasses.replace(fixtures.make_scene("cube_target"), gripper_open_fraction=0.6)
+        trace = run_task("x", scene, MockClient({"x": "gripper_close()"}))
+        assert [(s.program, s.kind, s.residual) for s in trace.stages] == [("gripper_close()", "gripper", 0.0)]
+        assert trace.final_state["gripper"]["open_fraction"] == 0.0
+        assert trace.final_state["grasped"] == ["cube"]
+        assert trace.success
 
     def test_release_template_releases_the_cube(self):
         trace = run_task("x", fixtures.make_scene("cube_target"), MockClient({"x": _template("release something only")}))

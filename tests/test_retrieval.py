@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -155,6 +156,16 @@ class TestOracleSegment:
         scene = fixtures.make_scene("teapot_lid")
         with pytest.raises(MissingPartError):
             oracle_segment(scene, "unicorn horn", fixtures.build_part_database())
+
+    @pytest.mark.parametrize("parts", [{}, {"zzz": "lid"}], ids=["no_parts", "second_hop_too_far"])
+    def test_scene_without_a_close_name_misses(self, parts):
+        # "teapot opening" is a key phrase, so only the hop from it to a scene part can miss.
+        scene = fixtures.make_scene("teapot_lid")
+        scene = dataclasses.replace(
+            scene, parts={name: scene.parts[part] for name, part in parts.items()}, grasped=frozenset(), objects={}
+        )
+        with pytest.raises(MissingPartError, match="no part named 'teapot opening' in scene"):
+            oracle_segment(scene, "teapot opening", fixtures.build_part_database())
 
     def test_segmenter_port_is_deterministic(self):
         scene = fixtures.make_scene("teapot_lid")

@@ -90,13 +90,13 @@ class TestJson:
             with pytest.raises(SceneError):
                 scene_from_json(doc)
 
-    # Where each number field of a scene document sits.
+    # Where each number field of a scene document sits, and how its messages name it.
     NUMBER_FIELDS = {
-        "point": ("parts", "cup", "points", 0, 1),
-        "position": ("gripper", "position", 2),
-        "open_fraction": ("gripper", "open_fraction"),
-        "history_gripper": ("history", 0, "gripper", 0),
-        "history_part": ("history", 0, "parts", "cup", 2),
+        "point": (("parts", "cup", "points", 0, 1), "part 'cup' points must be a JSON list of list of float"),
+        "position": (("gripper", "position", 2), "gripper position must be a JSON list of float"),
+        "open_fraction": (("gripper", "open_fraction"), "gripper open_fraction must be a JSON float"),
+        "history_gripper": (("history", 0, "gripper", 0), "history gripper must be a JSON list of float"),
+        "history_part": (("history", 0, "parts", "cup", 2), "history part 'cup' must be a JSON list of float"),
     }
 
     @pytest.mark.parametrize("field", sorted(NUMBER_FIELDS))
@@ -104,13 +104,14 @@ class TestJson:
         doc = scene_to_json(minimal())
         doc["history"] = [{"gripper": [0, 0, 0], "parts": {"cup": [0, 0, 0]}}]
         scene_from_json(doc)
-        *path, last = self.NUMBER_FIELDS[field]
+        (*path, last), named = self.NUMBER_FIELDS[field]
         holder = doc
         for key in path:
             holder = holder[key]
         holder[last] = 10**400
-        with pytest.raises(SceneError, match="too large"):
+        with pytest.raises(SceneError) as err:
             scene_from_json(doc)
+        assert str(err.value) == f"{named}, got an int too large for a float"
 
     def test_history_round_trip(self):
         scene = minimal()

@@ -67,6 +67,21 @@ class TestSolveConfig:
         with pytest.raises(SolverError, match="must be finite"):
             SolveConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"alpha": -0.1}, "regularizer weights must be non-negative"),
+            ({"beta": -1.0}, "regularizer weights must be non-negative"),
+            ({"max_iterations": 0}, "max_iterations must be at least 1"),
+            ({"restarts": 0}, "need at least the initial-pose restart"),
+            ({"tolerance": 0.0}, "tolerance must be positive"),
+            ({"tolerance": -1e-8}, "tolerance must be positive"),
+        ],
+    )
+    def test_rejects_out_of_range(self, fields, message):
+        with pytest.raises(SolverError, match=message):
+            SolveConfig(**fields)
+
 
 class TestPartition:
     def test_nothing_grasped_all_static(self):
@@ -209,6 +224,11 @@ class TestSolve:
         )
         got = result.pose.translation.as_array() - scene.gripper_position.as_array()
         assert np.linalg.norm(got - expected) < 1e-3
+
+    def test_rejects_an_expression_that_is_not_a_cost(self):
+        expr = type_check(parse("get_centroid('cube')"), expected_sort=None)
+        with pytest.raises(EvalError, match="solve needs a cost-sorted expression, got 'point'"):
+            solve(expr, cube_scene())
 
     def test_zero_cost_returns_initial_pose(self):
         scene = single_part_scene("x", [(0, 0, 0)], gripper=(0.4, 0.1, 0.3), open_fraction=1.0)
