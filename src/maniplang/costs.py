@@ -327,10 +327,10 @@ def translation_term(expr: TypedExpr, moving: frozenset[str]) -> tuple[TypedExpr
     """How the cost reads the gripper translation t when `moving` ride with it.
 
     Every point is k*t + f(R) for an integer k: 1 for the gripper and a moving
-    centroid, 0 for a static one, history and a triple, summed through +, -
-    and negation. No scalar reads t; a vec reads it only through direction_of
-    between ends of unequal k, nonlinearly. So each term of the cost sum reads
-    no t, reads it nonlinearly, or is a move word with residual d*t + b(R).
+    centroid, 0 for a static one, history and a triple, summed through + and -.
+    No scalar reads t; a vec reads it only through direction_of between ends of
+    unequal k, nonlinearly. So each term of the cost sum reads no t, reads it
+    nonlinearly, or is a move word with residual d*t + b(R).
     Returns (None, 0) when no term reads t; (term, d) when only that move word
     does, d != 0; None otherwise.
     """
@@ -346,8 +346,6 @@ def translation_term(expr: TypedExpr, moving: frozenset[str]) -> tuple[TypedExpr
         ks = [shift(child) for child in node.children]
         if None in ks:
             return None
-        if isinstance(node.expr, Neg):
-            return -ks[0]
         if isinstance(node.expr, BinOp) and node.expr.op != "*":
             return ks[0] + ks[1] if node.expr.op == "+" else ks[0] - ks[1]
         if node.word == "move_cost":

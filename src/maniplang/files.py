@@ -64,8 +64,17 @@ def typed_value(value, kind: type, what: str, error: type[ManiplangError], depth
         bad = types - ({int, float} if wanted is float else {wanted})
         if bad:
             got = next(v for v in items if type(v) in bad)
-            raise error(f"{what} must be a JSON {'list of ' * depth}{kind.__name__}, got {got!r}")
+            raise error(f"{what} must be a JSON {'list of ' * depth}{kind.__name__}, got {_shown(got)}")
         items = [item for v in items for item in v] if wanted is list else items
     if kind is float and int in types and max(abs(v) for v in items if type(v) is int) > sys.float_info.max:
         raise error(f"{what} must be a JSON {'list of ' * depth}float, got an int too large for a float")
     return value
+
+
+def _shown(value) -> str:
+    """repr(value), cut to 40 characters: a document's value can be any size."""
+    try:
+        text = repr(value)
+    except ValueError:  # an int with more digits than Python converts to text
+        return "a value too long to print"
+    return text if len(text) <= 40 else f"{text[:37]}..."

@@ -104,12 +104,23 @@ def scene_from_json(doc: dict) -> Scene:
     def numbers(value, what: str, depth: int = 0):
         return typed_value(value, float, what, SceneError, depth)
 
+    def points(value, what: str, depth: int):
+        """The field's Point3 (depth 1) or PointCloud (depth 2); errors name the field."""
+        value = numbers(value, what, depth)
+        for xyz in value if depth == 2 else [value]:
+            if len(xyz) != 3:
+                raise SceneError(f"{what}: a point has 3 coordinates, got {len(xyz)}")
+        try:
+            return PointCloud(value) if depth == 2 else Point3(*value)
+        except GeometryError as exc:
+            raise SceneError(f"{what}: {exc}") from exc
+
     try:
         parts = {}
         grasped = set()
         objects = {}
         for name, entry in doc["parts"].items():
-            parts[name] = PointCloud(numbers(entry["points"], f"part {name!r} points", 2))
+            parts[name] = points(entry["points"], f"part {name!r} points", 2)
             if typed_value(entry.get("grasped", False), bool, f"part {name!r} grasped", SceneError):
                 grasped.add(name)
             if "object" in entry:
@@ -117,22 +128,20 @@ def scene_from_json(doc: dict) -> Scene:
         gripper = doc["gripper"]
         history = tuple(
             SceneSnapshot(
-                gripper_position=Point3(*numbers(snap["gripper"], "history gripper", 1)),
-                part_centroids={
-                    n: Point3(*numbers(c, f"history part {n!r}", 1)) for n, c in snap.get("parts", {}).items()
-                },
+                gripper_position=points(snap["gripper"], "history gripper", 1),
+                part_centroids={n: points(c, f"history part {n!r}", 1) for n, c in snap.get("parts", {}).items()},
             )
             for snap in doc.get("history", [])
         )
         return Scene(
             parts=parts,
             grasped=frozenset(grasped),
-            gripper_position=Point3(*numbers(gripper["position"], "gripper position", 1)),
+            gripper_position=points(gripper["position"], "gripper position", 1),
             gripper_open_fraction=float(numbers(gripper["open_fraction"], "gripper open_fraction")),
             history=history,
             objects=objects,
         )
-    except (AttributeError, GeometryError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SceneError(f"malformed scene document: {exc}") from exc
 
 

@@ -43,14 +43,12 @@ as generators that ask for points instead of calling a function. Restarts
 run in lockstep groups of `_LOCKSTEP`; each round scores every live
 restart's request in one call; a round with a failing row is scored again in
 halves, down to the rows that fail. A cycle's first request asks for every
-probe its polls can need before they move: the outcome tree of the three
-angle directions, that is each one's +/- probes from every point the ones
-before it can leave the poll at (+ improved, - improved, neither; 26 rows);
-the other directions' probes from the cycle's start; and the random
-fallback's, whose directions are drawn ahead and kept until a fallback poll
-uses them, so a restart's draws are those of a one-after-another run. A poll
-reads its probes from those rows, keyed by their bytes, and asks for all
-those still ahead where the rows run out. An acceleration ray asks for one
+probe its polls can need before they move: x's 26 neighbours on its angle
+grid (`_ANGLE_GRID`), the translation probes from x, and the fallback's
+probes from x, whose directions are drawn ahead and kept until a fallback
+poll uses them, so a restart's draws are those of a one-after-another run.
+A poll reads its probes from those rows, keyed by their bytes, and asks for
+all those still ahead where the rows run out. An acceleration ray asks for one
 point, then twice as many per request, as far as the budget allows. Values
 are consumed in order up to the first improvement (or a ray's first point
 that does not improve); the rest were speculative and are neither counted
@@ -63,6 +61,7 @@ identical results; nothing depends on wall clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from itertools import product
 
 import numpy as np
 
@@ -383,6 +382,16 @@ def _lockstep(searches: dict, score) -> None:
 _RANDOM_POLLS = 12
 _INIT_STEPS = np.array([_ROT_STEP] * 3 + [_TRANS_STEP] * 3)
 _SIGNS = np.array([[1.0], [-1.0]])
+# The 26 non-zero points of {-1, 0, 1}**3 (Hooke & Jeeves's exploratory
+# moves), six wide, in the order a greedy poll along the three angles meets
+# them: each angle's +/- probe from each point the angles before it can leave
+# the poll at (+ improved, - improved, neither). The steps lie on different
+# axes, so x + scale * row is the point the poll builds one step at a time, to
+# the bit.
+_ANGLE_GRID = np.array(
+    [p + (s,) + (0,) * (5 - len(p)) for d in range(3) for p in product((1, -1, 0), repeat=d) for s in (1, -1)],
+    dtype=float,
+)
 # Restarts searched in lockstep; fixed, so memory stays flat as restarts grow.
 _LOCKSTEP = 8
 
@@ -404,23 +413,6 @@ def _signed(directions) -> np.ndarray:
     probe steps at unit scale. Scaled, a row is the same float as scaling the
     direction first."""
     return (directions[:, None] * _SIGNS).reshape(-1, directions.shape[1])
-
-
-def _outcome_tree(steps) -> np.ndarray:
-    """Every probe a greedy poll along `steps` ((+, -) row pairs, `_signed`)
-    can ask for, as offsets from its start: each direction's two probes from
-    each point the directions before it can leave the poll at (+ improved, -
-    improved, neither), 3**d - 1 rows for d directions. The steps lie on
-    different axes, so the start plus an offset is the point the poll builds
-    one step at a time, to the bit (a point that differed would only be asked
-    for again)."""
-    n = steps.shape[1]
-    points, probes = np.zeros((1, n)), []
-    for pair in steps.reshape(-1, 2, n):
-        tried = points[:, None] + pair
-        probes.append(tried.reshape(-1, n))
-        points = np.concatenate([tried, points[:, None]], axis=1).reshape(-1, n)
-    return np.concatenate(probes)
 
 
 def _poll(x, fx, steps, evals, budget, scored):
@@ -495,10 +487,11 @@ def _in_lower_box(x, scale, cycle, lower):
     """Whether x lies in the poll box, |x - y| <= scale in every coordinate,
     of a lower-index restart's point y at the start of its own `cycle` (see
     `_Restart.at`). While a point it needs is not known yet, it asks for no rows."""
+    x, scale = x.tolist(), scale.tolist()  # the same floats as numpy's, at less cost per test
     for restart in lower:
         while (y := restart.at(cycle)) is None:
             yield np.empty((0, len(x)))
-        if np.all(np.abs(x - y) <= scale):
+        if all(abs(a - b) <= s for a, b, s in zip(x, y.tolist(), scale)):
             return True
     return False
 
@@ -521,9 +514,6 @@ def _pattern_search(x0: np.ndarray, cfg: SolveConfig, rng, restarts: list, index
     shrink = 1.0
     n = len(x)
     init_steps, coordinate = _INIT_STEPS[:n], _signed(np.eye(n))
-    # The coordinate poll's probes scored ahead: the outcome tree of the three
-    # angle directions, then the other directions' probes from x.
-    tree = np.concatenate([_outcome_tree(coordinate[:6]), coordinate[6:]])
     record, lower = restarts[index], restarts[:index]
     fallback = None
     while evals < budget:
@@ -536,8 +526,9 @@ def _pattern_search(x0: np.ndarray, cfg: SolveConfig, rng, restarts: list, index
             directions = rng.normal(size=(_RANDOM_POLLS, n))
             directions /= np.linalg.norm(directions, axis=1, keepdims=True)
             fallback = _signed(directions)
-            offsets = np.concatenate([tree, fallback])
-        # The cycle's first request: the tree, and the fallback's probes from x.
+            offsets = np.concatenate([_ANGLE_GRID[:, :n], coordinate[6:], fallback])
+        # The cycle's first request: x's 26 neighbours on its angle grid, the
+        # translation probes from x, and the fallback's probes from x.
         probes = x + scale * offsets
         scored = dict(zip(_keys(probes), (yield probes)))
         x1, fx1, evals, improved = yield from _poll(x, fx, scale * coordinate, evals, budget, scored)

@@ -152,10 +152,15 @@ class TestEvalCommand:
                         "gripper": {"position": [0, 0, 0], "open_fraction": 0}}),
             json.dumps({"parts": {"a": {"points": [[0, 10**400, 0]]}},
                         "gripper": {"position": [0, 0, 0], "open_fraction": 0}}),
+            json.dumps({"parts": {"a": {"points": [[0, float("nan"), 0]]}},
+                        "gripper": {"position": [0, 0, 0], "open_fraction": 0}}),
+            json.dumps({"parts": {"a": {"points": [[0, 0, float("-inf")]]}},
+                        "gripper": {"position": [0, 0, 0], "open_fraction": 0}}),
         ],
         ids=["missing_file", "not_json", "parts_not_a_map", "empty_points", "nan_gripper",
              "open_fraction_a_string", "open_fraction_a_bool", "position_of_bools", "points_of_bools",
-             "points_of_strings", "history_gripper_of_bools", "blank_part_name", "integer_too_large_for_a_float"],
+             "points_of_strings", "history_gripper_of_bools", "blank_part_name", "integer_too_large_for_a_float",
+             "nan_points", "infinite_points"],
     )
     def test_unreadable_scene_is_validation_failure(self, tmp_path, capsys, content):
         path = tmp_path / "scene.json"
@@ -276,6 +281,16 @@ class TestRunCommand:
                      "--client", "remote", "--endpoint", "http://stub"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("body", [b"not json {", b'["gripper_open_cost()"]', b"{}"],
+                             ids=["not_json", "array", "no_program"])
+    def test_remote_reply_without_a_program_fails_cleanly(self, scene_path, monkeypatch, capsys, body):
+        monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout: io.BytesIO(body))  # no network
+        code = main(["run", "--scene", scene_path, "--instruction", "x",
+                     "--client", "remote", "--endpoint", "http://stub"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_custom_fixture_map(self, scene_path, tmp_path, capsys):
         fixture_map = tmp_path / "map.json"

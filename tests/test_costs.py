@@ -12,9 +12,10 @@ from maniplang.costs import (
     MissingPartError,
     evaluate,
     motion_subjects,
+    translation_term,
 )
 from maniplang.geometry import DegenerateAxisError, DegenerateDirectionError, Point3, PointCloud
-from maniplang.language import default_vocabulary, parse, type_check, validate_program
+from maniplang.language import BinOp, Call, Neg, Triple, default_vocabulary, parse, type_check, validate_program
 from maniplang.scene import Scene, SceneSnapshot
 from maniplang import costs, fixtures
 
@@ -455,3 +456,54 @@ class TestMotionSubjects:
     )
     def test_subjects_per_word(self, source, expected):
         assert motion_subjects(typed(source)) == expected
+
+
+def unnegated(expr):
+    """`expr` with each negation replaced by what it negates."""
+    if isinstance(expr, Neg):
+        return unnegated(expr.operand)
+    if isinstance(expr, Triple):
+        return Triple(tuple(map(unnegated, expr.items)))
+    if isinstance(expr, Call):
+        return Call(expr.word, tuple(map(unnegated, expr.args)), tuple((k, unnegated(v)) for k, v in expr.kwargs))
+    if isinstance(expr, BinOp):
+        return BinOp(expr.op, unnegated(expr.left), unnegated(expr.right))
+    return expr
+
+
+class TestTranslationTerm:
+    # Each program negates scalars only; what the analysis finds, as (word of
+    # the one move term that reads t, its d), or None where t is read nonlinearly.
+    NEGATED = {
+        "offset": ("move_cost(get_centroid('cube'), get_centroid('target'), offset=[0, 0, -0.1])", ("move_cost", 1)),
+        "scaled_offset": (
+            "move_cost(get_centroid('target'), get_centroid('cube') - [-0.05, 0, 0],"
+            " offset=[0, 0.02, 0.1] * -get_height('cube'))",
+            ("move_cost", -1),
+        ),
+        "offset_word": ("move_cost_with_offset('cube', offset=[0, -0.1, -(0.2 - 0.05)])", ("move_cost_with_offset", 1)),
+        "radius": ("orbit_cost('target', -get_width('target'), 'cube')", None),
+        "riding_radius": ("orbit_cost('cube', -0.1, 'gripper') + gripper_open_cost()", (None, 0)),
+        "angle": (
+            "rotate_cost(get_axis('cube'), -1.2, [0, 0, 1]) + move_cost('gripper', 'target', offset=[0, 0, --0.1])",
+            ("move_cost", 1),
+        ),
+        "angle_of_a_product": (
+            "rotate_cost(get_axis('cube'), -(get_height('cube') * -0.5), direction_of('target', 'cube'))",
+            None,
+        ),
+        "riding_ends": (
+            "move_cost(get_centroid('cube'), get_gripper_pos() + [0, 0, -0.1])"
+            " + rotate_cost(get_axis('cube'), -0.3, [1, 0, 0])",
+            (None, 0),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NEGATED))
+    def test_negating_a_scalar_does_not_change_the_analysis(self, case):
+        source, expected = self.NEGATED[case]
+        negated = parse(source)
+        assert unnegated(negated) != negated
+        forms = [translation_term(type_check(e), frozenset({"cube"})) for e in (negated, unnegated(negated))]
+        found = [form if form is None else (form[0] and form[0].word, form[1]) for form in forms]
+        assert found == [expected, expected]

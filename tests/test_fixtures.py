@@ -70,6 +70,16 @@ class TestScenes:
         moved = transform_scene(start, pose)
         assert evaluate(expr, EvalContext(moved)) < 1e-6
 
+    def test_cube_target_known_solution_sets_the_cube_on_the_target(self):
+        start = fixtures.make_scene("cube_target")
+        moved = transform_scene(start, fixtures.known_solution("cube_target"))
+        lift = moved.parts["cube"].coords.mean(axis=0) - moved.parts["target"].coords.mean(axis=0)
+        assert np.abs(lift - [0.0, 0.0, 0.1]).max() <= 1e-12
+
+    def test_kind_without_a_known_solution(self):
+        with pytest.raises(fixtures.FixtureError, match="no known solution"):
+            fixtures.known_solution("pen_holder")
+
     def test_point_density(self):
         scene = fixtures.make_scene("teapot_lid")
         for cloud in scene.parts.values():

@@ -294,3 +294,10 @@ class TestRemoteClient:
             reply(program)
             with pytest.raises(PipelineError, match="program"):
                 client.translate("x", "", "")
+
+    @pytest.mark.parametrize("body", [b"not json {", b'["gripper_open_cost()"]', b'{"programme": "x"}'],
+                             ids=["not_json", "array", "no_program"])
+    def test_reply_without_a_program_object_fails(self, body, monkeypatch):
+        monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout: io.BytesIO(body))  # no network
+        with pytest.raises(PipelineError):
+            RemoteClient(endpoint="http://stub").translate("x", "", "")

@@ -4,7 +4,8 @@ typed error), the same programs with one defect shape (rejected) or a scaled
 list added to a point (accepted), rigid invariance of the cost words, an
 alignment identity, the solver's objective against plain evaluation of the
 moved scene (also for drawn programs), the translation analysis and its
-closed-form optimum, the solver's never-worse guarantee, the centroid against
+closed-form optimum, the coordinate poll against its first request's angle
+grid, the solver's never-worse guarantee, the centroid against
 numpy's mean, extents over the kept extreme points against the whole cloud's,
 and scene documents drawn as JSON (only SceneError)."""
 
@@ -620,6 +621,41 @@ def test_no_translation_probe_improves_the_closed_form(expr, seed, angles, alpha
         return
     for probe in np.concatenate([np.eye(3), -np.eye(3)]) * 1e-7:
         assert objective_at(best + probe) >= value - 1e-12
+
+
+# -- the coordinate poll reads only its cycle's first request ----------------------
+
+_outcomes = st.sampled_from((1, -1, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=st.tuples(_angles, _angles, _angles),
+    halvings=st.integers(min_value=0, max_value=22),
+    pattern=st.tuples(_outcomes, _outcomes, _outcomes),
+    budget=st.integers(min_value=1, max_value=8),
+)
+def test_coordinate_poll_of_the_angle_search_reads_only_the_angle_grid(x, halvings, pattern, budget):
+    # The poll along the three angles improves with the + probe, the - probe
+    # or neither on each axis as `pattern` says; every probe it reads is a row
+    # of x + scale * _ANGLE_GRID, so it never asks for a second request.
+    # (Search points hold no -0.0; x + 0.0 folds a drawn one away.)
+    x = np.array(x) + 0.0
+    scale = solver._INIT_STEPS[:3] * 0.5**halvings
+    grid = solver._ANGLE_GRID[:, :3]
+
+    def value(row):  # -1 per axis on the pattern's side, +1 per axis off it
+        return sum(-1.0 if q == p != 0 else float(q != 0) for q, p in zip(row, pattern))
+
+    scored = dict(zip(solver._keys(x + scale * grid), map(value, grid)))
+    poll = solver._poll(x, 0.0, scale * solver._signed(np.eye(3)), 0, budget, scored)
+    with pytest.raises(StopIteration) as stop:
+        next(poll)
+    point, fx, evals, improved = stop.value.value
+    assert evals <= budget
+    if budget >= 6:
+        assert point.tobytes() == (x + scale * np.array(pattern, dtype=float)).tobytes()
+        assert (fx, improved) == (-float(np.count_nonzero(pattern)), any(pattern))
 
 
 # -- solve never returns worse than the initial pose -------------------------------

@@ -113,6 +113,57 @@ class TestJson:
             scene_from_json(doc)
         assert str(err.value) == f"{named}, got an int too large for a float"
 
+    # A bad value at a path of the document, and the message that names its field.
+    FIELD_MESSAGES = {
+        "huge_int_position": (
+            ("gripper", "position"), 10**400,
+            "gripper position must be a JSON list of float, got 1000000000000000000000000000000000000...",
+        ),
+        "unprintable_int_position": (
+            ("gripper", "position"), 10**5000,
+            "gripper position must be a JSON list of float, got a value too long to print",
+        ),
+        "nan_gripper": (
+            ("gripper", "position", 0), float("nan"), "gripper position: non-finite point: (nan, 0, 0)",
+        ),
+        "two_item_position": (
+            ("gripper", "position"), [0, 0], "gripper position: a point has 3 coordinates, got 2",
+        ),
+        "empty_points": (
+            ("parts", "cup", "points"), [], "part 'cup' points: point cloud must be (N>=1, 3), got shape (0,)",
+        ),
+        "nan_points": (
+            ("parts", "cup", "points", 0, 2), float("nan"),
+            "part 'cup' points: point cloud contains NaN or inf coordinates",
+        ),
+        "two_item_point": (
+            ("parts", "cup", "points", 0), [0, 0], "part 'cup' points: a point has 3 coordinates, got 2",
+        ),
+        "four_item_history_gripper": (
+            ("history", 0, "gripper"), [0, 0, 0, 0], "history gripper: a point has 3 coordinates, got 4",
+        ),
+        "infinite_history_part": (
+            ("history", 0, "parts", "cup", 1), float("inf"), "history part 'cup': non-finite point: (0, inf, 0)",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FIELD_MESSAGES))
+    def test_bad_field_message_names_the_field(self, case):
+        doc = {
+            "parts": {"cup": {"points": [[0, 0, 0]]}},
+            "gripper": {"position": [0, 0, 0], "open_fraction": 1.0},
+            "history": [{"gripper": [0, 0, 0], "parts": {"cup": [0, 0, 0]}}],
+        }
+        scene_from_json(doc)
+        (*path, last), value, message = self.FIELD_MESSAGES[case]
+        holder = doc
+        for key in path:
+            holder = holder[key]
+        holder[last] = value
+        with pytest.raises(SceneError) as err:
+            scene_from_json(doc)
+        assert str(err.value) == message
+
     def test_history_round_trip(self):
         scene = minimal()
         snapped = Scene(
