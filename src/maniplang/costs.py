@@ -97,10 +97,15 @@ def evaluate(expr: TypedExpr, ctx: EvalContext) -> float | np.ndarray:
         raise EvalError(f"can only evaluate cost expressions, got sort {expr.sort!r}")
     with np.errstate(all="ignore"):
         value = _eval(expr, ctx)
+    if not (isinstance(value, np.ndarray) and value.ndim):
+        value = float(value)
+        if not math.isfinite(value):
+            raise EvalError(f"cost is not finite: {value}")
+        return value
     finite = np.isfinite(value)
     if not finite.all():
-        raise EvalError(f"cost is not finite: {np.ravel(value)[~np.ravel(finite)][0]}")
-    return float(value) if np.ndim(value) == 0 else value
+        raise EvalError(f"cost is not finite: {value[~finite][0]}")
+    return value
 
 
 def _eval(node: TypedExpr, ctx: EvalContext):

@@ -57,14 +57,16 @@ def write_json(path, doc, error: type[ManiplangError]) -> None:
 def typed_value(value, kind: type, what: str, error: type[ManiplangError], depth: int = 0):
     """`value` if it is a `kind` inside `depth` nested lists. Types are exact, so
     JSON's "false" is no bool, its 1 no str and its true no int or float; a
-    `kind` of float also takes an int that a float can hold."""
+    `kind` of float also takes an int that a float can hold. A dict is named
+    a JSON object."""
+    name = "object" if kind is dict else kind.__name__
     items = [value]
     for wanted in [list] * depth + [kind]:
         types = set(map(type, items))
         bad = types - ({int, float} if wanted is float else {wanted})
         if bad:
             got = next(v for v in items if type(v) in bad)
-            raise error(f"{what} must be a JSON {'list of ' * depth}{kind.__name__}, got {_shown(got)}")
+            raise error(f"{what} must be a JSON {'list of ' * depth}{name}, got {_shown(got)}")
         items = [item for v in items for item in v] if wanted is list else items
     if kind is float and int in types and max(abs(v) for v in items if type(v) is int) > sys.float_info.max:
         raise error(f"{what} must be a JSON {'list of ' * depth}float, got an int too large for a float")

@@ -7,14 +7,24 @@ then by the lexicographically smaller phrase, so results are reproducible.
 
 Phrases are case-folded and whitespace-normalized before comparison; the
 distance itself stays unnormalized, which favors short phrases; kept
-deliberately, and documented so distances stay reproducible. The neural
-few-shot mask mapper is out of scope; parts are segmented by an oracle that
-reads labeled scene parts.
+deliberately, and documented so distances stay reproducible.
+
+The distance is computed by the bit-vector recurrence of Myers (J. ACM
+1999), in the Levenshtein form of Hyyrö (2003): one column of the edit
+table is held as two bit masks of +1/-1 steps down the pattern, and each
+character of the text advances it with a few integer operations. A
+database builds its phrases' character masks once, when it is made, and
+`retrieve` normalizes the query once and skips a phrase whose length
+differs from the query's by more than the best distance found so far.
+Distances and tie-breaks are those of the full edit table.
+
+The neural few-shot mask mapper is out of scope; parts are segmented by an
+oracle that reads labeled scene parts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from .errors import ManiplangError, MissingPartError
@@ -41,25 +51,47 @@ def normalize_phrase(text: str) -> str:
 
 def levenshtein(a: str, b: str) -> int:
     """Minimum insert/delete/substitute edits, unit costs, after folding."""
-    a = normalize_phrase(a)
     b = normalize_phrase(b)
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return len(a)
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            current.append(
-                min(
-                    previous[j] + 1,  # delete from a
-                    current[j - 1] + 1,  # insert into a
-                    previous[j - 1] + (ca != cb),
-                )
-            )
-        previous = current
-    return previous[-1]
+    return _distance(_char_masks(b), len(b), normalize_phrase(a))
+
+
+def _char_masks(pattern: str) -> dict[str, int]:
+    """Bit i of masks[c] is set where pattern[i] == c."""
+    masks: dict[str, int] = {}
+    for i, ch in enumerate(pattern):
+        masks[ch] = masks.get(ch, 0) | 1 << i
+    return masks
+
+
+def _distance(masks: dict[str, int], m: int, text: str) -> int:
+    """Edit distance between `text` and the m-character pattern of `masks`.
+
+    pv and mv mark the rows where the current column of the edit table
+    steps +1 and -1 going down the pattern; `score` is its bottom cell.
+    Carries run only upward, so bits above the pattern never reach `top`;
+    but Python's ~ makes negative ints and the shifts widen them, so pv is
+    masked back to m bits each step to keep the ints small (mv is an and
+    with a masked value).
+    """
+    if not m:
+        return len(text)
+    full = (1 << m) - 1
+    top = 1 << (m - 1)
+    pv, mv, score = full, 0, m
+    for ch in text:
+        eq = masks.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        ph = ph << 1 | 1  # row 0 of the table steps +1 per text character
+        pv = (mh << 1 | ~(xv | ph)) & full
+        mv = ph & xv
+    return score
 
 
 @dataclass(frozen=True)
@@ -74,6 +106,16 @@ class PartEntry:
 @dataclass(frozen=True)
 class PartDatabase:
     entries: tuple[PartEntry, ...]
+    # (entry index, phrase, folded length, char masks) per key phrase, in order.
+    _patterns: tuple[tuple[int, str, int, dict[str, int]], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        patterns = []
+        for index, entry in enumerate(self.entries):
+            for phrase in entry.key_phrases:
+                folded = normalize_phrase(phrase)
+                patterns.append((index, phrase, len(folded), _char_masks(folded)))
+        object.__setattr__(self, "_patterns", tuple(patterns))
 
 
 @dataclass(frozen=True)
@@ -88,11 +130,16 @@ def retrieve(db: PartDatabase, desc: str) -> RetrievalMatch:
     """Entry holding the globally minimum-distance key phrase for `desc`."""
     if not db.entries:
         raise EmptyDatabaseError("cannot retrieve from an empty database")
-    distance, index, phrase = min(
-        (levenshtein(desc, phrase), index, phrase)
-        for index, entry in enumerate(db.entries)
-        for phrase in entry.key_phrases
-    )
+    query = normalize_phrase(desc)
+    n = len(query)
+    best = (float("inf"), 0, "")
+    for index, phrase, m, masks in db._patterns:
+        if abs(m - n) > best[0]:  # the distance is at least the length difference
+            continue
+        candidate = (_distance(masks, m, query), index, phrase)
+        if candidate < best:
+            best = candidate
+    distance, index, phrase = best
     return RetrievalMatch(db.entries[index], index, phrase, distance)
 
 
@@ -110,8 +157,12 @@ def oracle_segment(scene: Scene, part_desc: str, db: PartDatabase) -> PointCloud
     phrase = match.entry.key_phrases[0]
     if not scene.parts:
         raise MissingPartError(part_desc)
-    best_distance, best_name = min((levenshtein(phrase, name), name) for name in scene.parts)
-    if best_distance > MATCH_RATIO * len(normalize_phrase(phrase)):
+    folded = normalize_phrase(phrase)
+    masks = _char_masks(folded)
+    best_distance, best_name = min(
+        (_distance(masks, len(folded), normalize_phrase(name)), name) for name in scene.parts
+    )
+    if best_distance > MATCH_RATIO * len(folded):
         raise MissingPartError(part_desc)
     return scene.parts[best_name]
 

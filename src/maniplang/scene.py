@@ -100,7 +100,9 @@ def scene_to_json(scene: Scene) -> dict:
     }
 
 
-def scene_from_json(doc: dict) -> Scene:
+def scene_from_json(doc) -> Scene:
+    """The scene of a JSON document; each error is a SceneError naming its field."""
+
     def numbers(value, what: str, depth: int = 0):
         return typed_value(value, float, what, SceneError, depth)
 
@@ -115,34 +117,46 @@ def scene_from_json(doc: dict) -> Scene:
         except GeometryError as exc:
             raise SceneError(f"{what}: {exc}") from exc
 
-    try:
-        parts = {}
-        grasped = set()
-        objects = {}
-        for name, entry in doc["parts"].items():
-            parts[name] = points(entry["points"], f"part {name!r} points", 2)
-            if typed_value(entry.get("grasped", False), bool, f"part {name!r} grasped", SceneError):
-                grasped.add(name)
-            if "object" in entry:
-                objects[name] = typed_value(entry["object"], str, f"part {name!r} object", SceneError)
-        gripper = doc["gripper"]
-        history = tuple(
+    def member(holder, key: str, what: str):
+        if key not in holder:
+            raise SceneError(f"{what}: missing {key}")
+        return holder[key]
+
+    def obj(value, what: str) -> dict:
+        return typed_value(value, dict, what, SceneError)
+
+    doc = obj(doc, "scene document")
+    parts = {}
+    grasped = set()
+    objects = {}
+    for name, entry in obj(member(doc, "parts", "scene document"), "parts").items():
+        what = f"part {name!r}"
+        entry = obj(entry, what)
+        parts[name] = points(member(entry, "points", what), f"{what} points", 2)
+        if typed_value(entry.get("grasped", False), bool, f"{what} grasped", SceneError):
+            grasped.add(name)
+        if "object" in entry:
+            objects[name] = typed_value(entry["object"], str, f"{what} object", SceneError)
+    gripper = obj(member(doc, "gripper", "scene document"), "gripper")
+    history = []
+    for i, snap in enumerate(typed_value(doc.get("history", []), list, "history", SceneError)):
+        what = f"history entry {i}"
+        snap = obj(snap, what)
+        centroids = obj(snap.get("parts", {}), f"{what} parts")
+        history.append(
             SceneSnapshot(
-                gripper_position=points(snap["gripper"], "history gripper", 1),
-                part_centroids={n: points(c, f"history part {n!r}", 1) for n, c in snap.get("parts", {}).items()},
+                gripper_position=points(member(snap, "gripper", what), "history gripper", 1),
+                part_centroids={n: points(c, f"history part {n!r}", 1) for n, c in centroids.items()},
             )
-            for snap in doc.get("history", [])
         )
-        return Scene(
-            parts=parts,
-            grasped=frozenset(grasped),
-            gripper_position=points(gripper["position"], "gripper position", 1),
-            gripper_open_fraction=float(numbers(gripper["open_fraction"], "gripper open_fraction")),
-            history=history,
-            objects=objects,
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise SceneError(f"malformed scene document: {exc}") from exc
+    return Scene(
+        parts=parts,
+        grasped=frozenset(grasped),
+        gripper_position=points(member(gripper, "position", "gripper"), "gripper position", 1),
+        gripper_open_fraction=float(numbers(member(gripper, "open_fraction", "gripper"), "gripper open_fraction")),
+        history=tuple(history),
+        objects=objects,
+    )
 
 
 def save_scene(path, scene: Scene) -> None:

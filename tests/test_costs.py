@@ -320,6 +320,15 @@ class TestEvalStructure:
                 with pytest.raises(EvalError, match="not finite"):
                     ev(source, scene)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus_inf"])
+    @pytest.mark.parametrize("shape", [float, np.float64, np.array, lambda v: np.array([1.0, v, math.nan])])
+    def test_non_finite_message_names_the_first_bad_value(self, monkeypatch, value, shape):
+        # A scalar is tested by math.isfinite, a stack by np.isfinite: the messages are the same.
+        monkeypatch.setattr(costs, "_eval", lambda expr, ctx: shape(value))
+        with pytest.raises(EvalError) as err:
+            ev("move_cost([0, 0, 0], [0, 0, 1])", single_part_scene("a", [(0, 0, 0)]))
+        assert str(err.value) == f"cost is not finite: {value}"
+
     def test_every_evaluable_word_has_an_evaluator(self):
         # Signatures are read from profiles/seam.json, evaluators defined in code.
         evaluable = {

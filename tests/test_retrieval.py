@@ -44,6 +44,30 @@ class TestLevenshtein:
             b = "".join(rng.choice("abc") for _ in range(rng.randrange(9)))
             assert levenshtein(a, b) == lev_table_oracle(a, b)
 
+    def test_equals_full_table_oracle_past_one_machine_word(self):
+        # Patterns up to ~100 characters need masks wider than 64 bits.
+        rng = random.Random(8)
+        for _ in range(200):
+            a = "".join(rng.choice("abcd") for _ in range(rng.randrange(101)))
+            b = "".join(rng.choice("abcd") for _ in range(rng.randrange(101)))
+            assert levenshtein(a, b) == lev_table_oracle(a, b)
+
+    def test_equals_full_table_oracle_on_case_and_whitespace_runs(self):
+        rng = random.Random(9)
+        for _ in range(300):
+            a, b = ("".join(rng.choice("aAbB \t\n") for _ in range(rng.randrange(40))) for _ in range(2))
+            assert levenshtein(a, b) == lev_table_oracle(normalize_phrase(a), normalize_phrase(b))
+
+    def test_case_folds_that_change_length(self):
+        # "ß" folds to "ss" and "İ" to "i" plus a combining dot: two characters each.
+        assert levenshtein("STRASSE", "straße") == 0
+        assert levenshtein("ß", "s") == 1
+        assert levenshtein("İ", "i") == 1
+        rng = random.Random(10)
+        for _ in range(300):
+            a, b = ("".join(rng.choice("sSßiIİ ") for _ in range(rng.randrange(30))) for _ in range(2))
+            assert levenshtein(a, b) == lev_table_oracle(normalize_phrase(a), normalize_phrase(b))
+
     def test_equals_complete_search_on_random_pairs(self):
         rng = random.Random(5)
         for _ in range(500):
@@ -137,6 +161,43 @@ class TestRetrieve:
     def test_empty_database(self):
         with pytest.raises(EmptyDatabaseError):
             retrieve(PartDatabase(()), "anything")
+
+    def test_equals_brute_force_table_scan(self):
+        # Queries one or two edits from a shipped key phrase or scene part name,
+        # against the shipped database and drawn ones full of equal lengths and
+        # exact ties, where the length skip must not change the tie order.
+        rng = random.Random(11)
+        shipped = self.db()
+        names = sorted(
+            {p for e in shipped.entries for p in e.key_phrases}
+            | {name for kind in fixtures.SCENE_KINDS for name in fixtures.make_scene(kind).parts}
+        )
+        databases = [shipped] + [
+            PartDatabase(tuple(
+                PartEntry(tuple(rng.choice(["ab", "ba", "aa", "Ab", "abc", "b", "a b", "bab"])
+                                for _ in range(rng.randint(1, 3))))
+                for _ in range(rng.randint(1, 4))
+            ))
+            for _ in range(20)
+        ]
+        for k in range(500):
+            db = databases[0] if k % 2 else rng.choice(databases[1:])
+            query = list(rng.choice(names if k % 2 else ["ab", "ba", "abc", "b"]))
+            for _ in range(rng.randint(1, 2)):
+                i = rng.randrange(len(query) + 1)
+                edit = rng.choice("isd")
+                if edit == "i":
+                    query.insert(i, rng.choice("ab eo"))
+                elif i < len(query):
+                    query[i : i + 1] = [] if edit == "d" else [rng.choice("ab eo")]
+            query = "".join(query)
+            match = retrieve(db, query)
+            want = min(
+                (lev_table_oracle(normalize_phrase(query), normalize_phrase(phrase)), index, phrase)
+                for index, entry in enumerate(db.entries)
+                for phrase in entry.key_phrases
+            )
+            assert (match.distance, match.entry_index, match.matched_phrase) == want, query
 
 
 class TestOracleSegment:

@@ -4,6 +4,8 @@ import pytest
 from maniplang.geometry import Point3, PointCloud
 from maniplang.scene import Scene, SceneError, load_scene, save_scene, scene_from_json, scene_to_json
 
+MISSING = object()  # a FIELD_MESSAGES value: the key is removed from the document
+
 
 def minimal(**overrides):
     kwargs = dict(
@@ -113,7 +115,8 @@ class TestJson:
             scene_from_json(doc)
         assert str(err.value) == f"{named}, got an int too large for a float"
 
-    # A bad value at a path of the document, and the message that names its field.
+    # A bad value at a path of the document (the empty path is the whole document;
+    # MISSING removes the key), and the message that names its field.
     FIELD_MESSAGES = {
         "huge_int_position": (
             ("gripper", "position"), 10**400,
@@ -145,6 +148,21 @@ class TestJson:
         "infinite_history_part": (
             ("history", 0, "parts", "cup", 1), float("inf"), "history part 'cup': non-finite point: (0, inf, 0)",
         ),
+        "document_a_list": ((), [1, 2], "scene document must be a JSON object, got [1, 2]"),
+        "parts_an_int": (("parts",), 5, "parts must be a JSON object, got 5"),
+        "no_parts": (("parts",), MISSING, "scene document: missing parts"),
+        "part_an_int": (("parts", "cup"), 5, "part 'cup' must be a JSON object, got 5"),
+        "no_points": (("parts", "cup", "points"), MISSING, "part 'cup': missing points"),
+        "gripper_a_list": (("gripper",), [0, 0, 0], "gripper must be a JSON object, got [0, 0, 0]"),
+        "no_gripper": (("gripper",), MISSING, "scene document: missing gripper"),
+        "no_position": (("gripper", "position"), MISSING, "gripper: missing position"),
+        "no_open_fraction": (("gripper", "open_fraction"), MISSING, "gripper: missing open_fraction"),
+        "history_an_int": (("history",), 5, "history must be a JSON list, got 5"),
+        "history_entry_an_int": (("history", 0), 5, "history entry 0 must be a JSON object, got 5"),
+        "no_history_gripper": (("history", 0, "gripper"), MISSING, "history entry 0: missing gripper"),
+        "history_parts_a_list": (
+            ("history", 0, "parts"), [[0, 0, 0]], "history entry 0 parts must be a JSON object, got [[0, 0, 0]]",
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(FIELD_MESSAGES))
@@ -155,11 +173,18 @@ class TestJson:
             "history": [{"gripper": [0, 0, 0], "parts": {"cup": [0, 0, 0]}}],
         }
         scene_from_json(doc)
-        (*path, last), value, message = self.FIELD_MESSAGES[case]
-        holder = doc
-        for key in path:
-            holder = holder[key]
-        holder[last] = value
+        path, value, message = self.FIELD_MESSAGES[case]
+        if not path:
+            doc = value
+        else:
+            *path, last = path
+            holder = doc
+            for key in path:
+                holder = holder[key]
+            if value is MISSING:
+                del holder[last]
+            else:
+                holder[last] = value
         with pytest.raises(SceneError) as err:
             scene_from_json(doc)
         assert str(err.value) == message

@@ -34,7 +34,7 @@ def pca_axis_oracle(coords: np.ndarray) -> np.ndarray:
 
 def lev_table_oracle(a: str, b: str) -> int:
     """Textbook full-table edit distance, written independently of the
-    production two-row implementation."""
+    production bit-parallel kernel."""
     m, n = len(a), len(b)
     table = [[0] * (n + 1) for _ in range(m + 1)]
     for i in range(m + 1):
