@@ -5,15 +5,18 @@ quotes on one line (spaces allowed, no escapes needed by the vocabulary),
 unsigned numbers of ASCII digits `[0-9]` with optional fraction and
 exponent that read as a finite float, punctuation `( ) [ ] , + - * = .`,
 `#` comments running to end of line, and whitespace ` \\t\\r\\n`. One
-master regular expression encodes them all. A token is its lexeme (kind,
-text, offset): the parser reads numbers, strings and names from the text.
+master regular expression encodes them all. Its matches tile the source, so
+offsets are running sums of their lengths, and a match's first character
+names its kind through one table (a quote alone is an unterminated string).
+A `Token` is its lexeme (kind, text, offset) as a named tuple, equal to the
+plain 3-tuple: the parser reads numbers, strings and names from the text.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import ManiplangError
 
@@ -30,41 +33,42 @@ class ParseError(ManiplangError):
         super().__init__(detail)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT, STRING, NUMBER, or the punctuation itself; EOF at end
     text: str
     offset: int
 
 
 # Every alternative matches at least one character, so the matches tile the
-# source; the unnamed first one (whitespace, comments) yields no token.
+# source; a lone quote and `.` (any other character) are the two errors.
 _TOKEN = re.compile(
-    r"""
-      [ \t\r\n]+ | \#[^\n]*
-    | (?P<NUMBER>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
-    | (?P<IDENT>[a-z_][a-z0-9_]*)
-    | (?P<STRING>'[^'\n]*'|"[^"\n]*")
-    | (?P<PUNCT>[()\[\],+\-*=.])
-    | (?P<QUOTE>['"])
-    | (?P<OTHER>.)
-    """,
+    r"""[ \t\r\n]+ | \#[^\n]* | [0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)? | [a-z_][a-z0-9_]*
+      | '[^'\n]*' | "[^"\n]*" | [()\[\],+\-*=.] | ['"] | .""",
     re.VERBOSE | re.DOTALL,
 )
+# A match's kind by its first character; "" for whitespace and comments.
+_KIND = {
+    **dict.fromkeys(" \t\r\n#", ""),
+    **dict.fromkeys("0123456789", "NUMBER"),
+    **dict.fromkeys("abcdefghijklmnopqrstuvwxyz_", "IDENT"),
+    **dict.fromkeys("'\"", "STRING"),
+    **{c: c for c in "()[],+-*=."},
+}
 
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    for match in _TOKEN.finditer(source):
-        kind, text, offset = match.lastgroup, match.group(), match.start()
+    offset = 0
+    for text in _TOKEN.findall(source):
+        kind = _KIND.get(text[0])
         if kind is None:
-            continue
-        if kind == "QUOTE":
-            raise ParseError("unterminated string", offset, ("closing quote",))
-        if kind == "OTHER":
             raise ParseError(f"unexpected character {text!r}", offset, ("token",))
+        if kind == "STRING" and len(text) == 1:
+            raise ParseError("unterminated string", offset, ("closing quote",))
         if kind == "NUMBER" and not math.isfinite(float(text)):
             raise ParseError("number literal is not finite", offset, ("finite number",))
-        tokens.append(Token(text if kind == "PUNCT" else kind, text, offset))
+        if kind:
+            tokens.append(Token(kind, text, offset))
+        offset += len(text)
     tokens.append(Token("EOF", "", len(source)))
     return tokens

@@ -10,8 +10,10 @@ result sort, the first grammar rule its operands' readings match; a context
 that expects a sort (a parameter, a list item, the program) takes that
 reading, or else the first. This is the recognizer of a context-free
 grammar (CYK, Younger 1967) on a tree the parser has already built. All
-composition and coercion possibilities come from `default_grammar()`, built
-once as `_GRAMMAR`, so the checker accepts exactly what that grammar says.
+composition and coercion possibilities come from `default_grammar()`, held
+once: the binary rules keyed by operator (`_RULES`, so a binary node tries
+only its own operator's rules) and the coercion pairs, so the checker
+accepts exactly what that grammar says.
 """
 
 from __future__ import annotations
@@ -42,11 +44,21 @@ class ArgumentError(ManiplangError):
     """Wrong arity or an argument name the word does not declare."""
 
 
-# The shipped vocabulary, and the shipped grammar as an ordered set of
-# (lhs, rhs) pairs: membership tests are lookups, and binary rules are still
-# tried in rule order.
+# The shipped vocabulary, and the shipped grammar held once: the binary
+# rules keyed by operator, each as (lhs, left, right) in rule order, and the
+# coercion pairs (lhs, rhs) of the rest, unary negation among them.
 _VOCAB = default_vocabulary()
-_GRAMMAR = dict.fromkeys((r.lhs, r.rhs) for r in default_grammar())
+_RULES = {  # for the parser's three infix operators
+    op: [(r.lhs, r.rhs[0], r.rhs[2]) for r in default_grammar() if len(r.rhs) == 3 and r.rhs[1] == op]
+    for op in "+-*"
+}
+_COERCIONS = {(rule.lhs, rule.rhs) for rule in default_grammar() if len(rule.rhs) < 3}
+# The sorts a literal can take: a part name, a non-negative number, a list.
+_STRING_SORTS = ("string",) + (("point",) if ("point", ("string",)) in _COERCIONS else ())
+_NUMBER_SORTS = ("scalar",) + (("cost",) if ("cost", ("number",)) in _COERCIONS else ())
+_TRIPLE_SORTS = tuple(sort for sort in ("vec", "point") if (sort, ("triple",)) in _COERCIONS)
+# Each word's parameters, name -> (sort, required) in signature order.
+_PARAMS = {word.name: {p.name: (p.sort, p.required) for p in word.params} for word in _VOCAB.words}
 
 
 def type_check(expr: Expr, expected_sort: str | None = "cost") -> TypedExpr:
@@ -74,76 +86,75 @@ def _readings(node: Expr, expected: str | None) -> dict[str, TypedExpr]:
     and names the sort a binary node was wanted at when none of its rules
     matches; operands are read with no expected sort, so the parent picks.
     """
-    if isinstance(node, BinOp):
+    children: tuple[TypedExpr, ...] = ()
+    if isinstance(node, Literal):
+        sorts = _STRING_SORTS if isinstance(node.value, str) else _NUMBER_SORTS if node.value >= 0 else ("scalar",)
+    elif isinstance(node, Call):
+        typed = _infer_call(node)
+        return {typed.sort: typed}
+    elif isinstance(node, BinOp):
         left, right = _readings(node.left, None), _readings(node.right, None)
         readings: dict[str, TypedExpr] = {}
-        for lhs, rhs in _GRAMMAR:
-            if len(rhs) == 3 and rhs[1] == node.op and lhs not in readings and rhs[0] in left and rhs[2] in right:
-                readings[lhs] = TypedExpr(node, lhs, (left[rhs[0]], right[rhs[2]]))
+        for lhs, left_sort, right_sort in _RULES.get(node.op, ()):
+            if lhs not in readings and left_sort in left and right_sort in right:
+                readings[lhs] = TypedExpr(node, lhs, (left[left_sort], right[right_sort]))
         if not readings:
             # Name each operand at the expected sort if it can take it.
             left_sort, right_sort = (next(s for s in (expected, *side) if s in side) for side in (left, right))
             raise TypeCheckError(node, expected or "a composable pair", f"{left_sort} {node.op} {right_sort}")
         return readings
-    if isinstance(node, Call):
-        typed = _infer_call(node)
-        return {typed.sort: typed}
-    if isinstance(node, Neg):
-        operand = _typed(node.operand, "scalar")
-        if operand.sort != "scalar" or ("scalar", ("-", "scalar")) not in _GRAMMAR:
-            raise TypeCheckError(node, "scalar", operand.sort)
-        return {"scalar": TypedExpr(node, "scalar", (operand,))}
-    if isinstance(node, Literal) and isinstance(node.value, str):
-        sorts = ("string",) + (("point",) if ("point", ("string",)) in _GRAMMAR else ())
-    elif isinstance(node, Literal):
-        sorts = ("scalar",) + (("cost",) if node.value >= 0 and ("cost", ("number",)) in _GRAMMAR else ())
     elif isinstance(node, Triple):
-        sorts = tuple(sort for sort in ("vec", "point") if (sort, ("triple",)) in _GRAMMAR)
-    else:
-        raise TypeError(f"unknown expression node: {node!r}")
-    if not sorts:
-        raise TypeCheckError(node, expected or "any", "untypable literal")
-    children: tuple[TypedExpr, ...] = ()
-    if isinstance(node, Triple):
+        sorts = _TRIPLE_SORTS
+        if not sorts:
+            raise TypeCheckError(node, expected or "any", "untypable literal")
         if len(node.items) != 3:
             raise TypeCheckError(node, "a 3-element list", f"{len(node.items)}-element list")
         children = tuple(_typed(item, "scalar") for item in node.items)
         for item in children:
             if item.sort != "scalar":
                 raise TypeCheckError(item.expr, "scalar", item.sort)
-    return {sort: TypedExpr(node, sort, children) for sort in ((expected,) if expected in sorts else sorts)}
+    elif isinstance(node, Neg):
+        operand = _typed(node.operand, "scalar")
+        if operand.sort != "scalar" or ("scalar", ("-", "scalar")) not in _COERCIONS:
+            raise TypeCheckError(node, "scalar", operand.sort)
+        return {"scalar": TypedExpr(node, "scalar", (operand,))}
+    else:
+        raise TypeError(f"unknown expression node: {node!r}")
+    if expected in sorts:
+        return {expected: TypedExpr(node, expected, children)}
+    return {sort: TypedExpr(node, sort, children) for sort in sorts}
 
 
 def _infer_call(node: Call) -> TypedExpr:
     word = _VOCAB.lookup(node.word)
     if word is None:
         raise UnknownWordError(node.word)
-    params = word.params
+    params = _PARAMS[word.name]
     if len(node.args) > len(params):
         raise ArgumentError(
             f"{node.word} takes at most {len(params)} arguments, got {len(node.args)}"
         )
-    assigned: dict[str, Expr] = {param.name: arg for param, arg in zip(params, node.args)}
-    declared = {p.name for p in params}
+    assigned: dict[str, Expr] = dict(zip(params, node.args))
     for name, value in node.kwargs:
-        if name not in declared:
+        if name not in params:
             raise ArgumentError(f"{node.word} has no argument named {name!r}")
         if name in assigned:
             raise ArgumentError(f"{node.word}: argument {name!r} given twice")
         assigned[name] = value
     children: list[TypedExpr] = []
-    for param in params:
-        if param.name not in assigned:
-            if param.required:
-                raise ArgumentError(f"{node.word}: missing argument {param.name!r}")
+    names: list[str] = []
+    for name, (sort, required) in params.items():
+        if name not in assigned:
+            if required:
+                raise ArgumentError(f"{node.word}: missing argument {name!r}")
             continue
-        arg = assigned[param.name]
-        typed_arg = _typed(arg, param.sort)
-        if typed_arg.sort != param.sort:
-            raise TypeCheckError(arg, param.sort, typed_arg.sort)
+        arg = assigned[name]
+        typed_arg = _typed(arg, sort)
+        if typed_arg.sort != sort:
+            raise TypeCheckError(arg, sort, typed_arg.sort)
         children.append(typed_arg)
-    names = tuple(param.name for param in params if param.name in assigned)
-    return TypedExpr(node, word.result_sort, tuple(children), word=word.name, params=names)
+        names.append(name)
+    return TypedExpr(node, word.result_sort, tuple(children), word.name, tuple(names))
 
 
 class Accepted:

@@ -178,15 +178,19 @@ def make_part_resolver(scene: Scene, db: PartDatabase) -> Callable[[str], PointC
     return resolver
 
 
-def database_from_json(doc: dict) -> PartDatabase:
-    try:
-        entries = tuple(
-            PartEntry(tuple(typed_value(entry["key_phrases"], str, "key_phrases", RetrievalError, depth=1)))
-            for entry in doc["entries"]
-        )
-    except (KeyError, TypeError) as exc:
-        raise RetrievalError(f"malformed database document: {exc}") from exc
-    return PartDatabase(entries)
+def database_from_json(doc) -> PartDatabase:
+    """The part database of a JSON document; each error is a RetrievalError naming its field."""
+
+    def member(holder, what: str, key: str):
+        if key not in typed_value(holder, dict, what, RetrievalError):
+            raise RetrievalError(f"{what}: missing {key}")
+        return holder[key]
+
+    entries = []
+    for i, entry in enumerate(typed_value(member(doc, "database document", "entries"), list, "entries", RetrievalError)):
+        phrases = member(entry, f"entry {i}", "key_phrases")
+        entries.append(PartEntry(tuple(typed_value(phrases, str, f"entry {i} key_phrases", RetrievalError, 1))))
+    return PartDatabase(tuple(entries))
 
 
 def load_database(path) -> PartDatabase:

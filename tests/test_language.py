@@ -209,8 +209,8 @@ class TestTypeCheck:
 
     def test_rules_are_consulted(self, monkeypatch):
         # Without the cost sum rule, composition must fail.
-        rules = {pair: None for pair in typecheck._GRAMMAR if pair != ("cost", ("cost", "+", "cost"))}
-        monkeypatch.setattr(typecheck, "_GRAMMAR", rules)
+        rules = {op: [rule for rule in rules if rule != ("cost", "cost", "cost")] for op, rules in typecheck._RULES.items()}
+        monkeypatch.setattr(typecheck, "_RULES", rules)
         with pytest.raises(TypeCheckError):
             type_check(parse("gripper_open_cost() + gripper_open_cost()"))
 

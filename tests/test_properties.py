@@ -1,11 +1,12 @@
 """Property tests: parse/print round trips, well-typed programs drawn from
 the vocabulary and the grammar (accepted, and evaluated or refused with a
-typed error), the same programs with one defect shape (rejected) or a scaled
-list added to a point (accepted), rigid invariance of the cost words, an
-alignment identity, the solver's objective against plain evaluation of the
-moved scene (also for drawn programs), the translation analysis and its
-closed-form optimum, the coordinate poll against its first request's angle
-grid, the solver's never-worse guarantee, the centroid against
+typed error), the same programs with one defect shape (rejected), a scaled
+list added to a point (accepted) or one token deleted, duplicated or
+replaced (accepted, or rejected with a reason), rigid invariance of the cost
+words, an alignment identity, the solver's objective against plain
+evaluation of the moved scene (also for drawn programs), the translation
+analysis and its closed-form optimum, the coordinate poll against its first
+request's angle grid, the solver's never-worse guarantee, the centroid against
 numpy's mean, extents over the kept extreme points against the whole cloud's,
 and scene documents drawn as JSON (only SceneError)."""
 
@@ -26,8 +27,8 @@ from maniplang.geometry import (
     rotation_xyz,
 )
 from maniplang.language import (
-    Accepted, BinOp, Call, Literal, Neg, Triple, TypeCheckError, default_grammar, default_vocabulary, parse, to_source,
-    type_check, typecheck, validate_program,
+    Accepted, BinOp, Call, Literal, Neg, ParseError, Rejected, Triple, TypeCheckError, default_grammar,
+    default_vocabulary, parse, to_source, tokenize, type_check, typecheck, validate_program,
 )
 from maniplang.scene import Scene, SceneError, SceneSnapshot, load_scene, scene_from_json
 from maniplang.solver import (
@@ -232,6 +233,36 @@ def test_a_scaled_list_added_to_a_point_is_a_point(expr, data, op, offset, scale
         data, expr, lambda node: node.sort == "point", lambda point: BinOp(op, point, BinOp("*", offset, scale))
     )
     assert [node.sort for node in _nodes(type_check(program)) if node.expr is moved] == ["point"]
+
+
+# -- one-token mutations of drawn programs ----------------------------------------
+
+# The language's token set: its punctuation, every vocabulary word and
+# parameter name, np.array's two names, numbers and quoted part names.
+_WORDS = default_vocabulary().words
+_TOKEN_TEXTS = st.one_of(
+    st.sampled_from(list("()[],+-*=.")),
+    st.sampled_from(sorted({w.name for w in _WORDS} | {p.name for w in _WORDS for p in w.params} | {"np", "array"})),
+    _NUMBERS.map(repr),
+    _PART_NAMES.map(repr),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(program=_programs, token=_TOKEN_TEXTS)
+def test_a_one_token_mutation_is_accepted_or_rejected_with_a_reason(program, token):
+    # Every deletion and every duplication of one token, and every replacement of one by `token`.
+    texts = [t.text for t in tokenize(to_source(program[1]))[:-1]]
+    for i in range(len(texts)):
+        for edit in ([], [texts[i]] * 2, [token]):
+            source = " ".join(texts[:i] + edit + texts[i + 1 :])
+            verdict = validate_program(source)
+            if isinstance(verdict, Rejected):
+                assert str(verdict.error), source
+                if isinstance(verdict.error, ParseError):
+                    assert 0 <= verdict.error.offset <= len(source), (source, verdict.reason)
+            else:
+                assert isinstance(verdict, Accepted), source
 
 
 # -- rigid invariance -------------------------------------------------------------

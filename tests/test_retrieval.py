@@ -257,6 +257,22 @@ class TestDatabaseIO:
             database_from_json({"entries": [{"support_pairs": []}]})
 
     @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({}, "database document: missing entries"),
+            ({"entries": 5}, "entries must be a JSON list, got 5"),
+            ({"entries": [5]}, "entry 0 must be a JSON object, got 5"),
+            ([1], r"database document must be a JSON object, got \[1\]"),
+            ({"entries": [{}]}, "entry 0: missing key_phrases"),
+            ({"entries": [{"key_phrases": ["cup"]}, {}]}, "entry 1: missing key_phrases"),
+        ],
+        ids=["no_entries", "entries_a_number", "entry_a_number", "document_a_list", "entry_empty", "second_entry_empty"],
+    )
+    def test_malformed_document_names_the_field(self, doc, message):
+        with pytest.raises(RetrievalError, match=f"^{message}$"):
+            database_from_json(doc)
+
+    @pytest.mark.parametrize(
         "entry",
         [
             {"key_phrases": "cup"},
@@ -265,7 +281,7 @@ class TestDatabaseIO:
         ids=["phrases_a_string", "phrases_not_strings"],
     )
     def test_entry_fields_must_be_strings(self, entry):
-        with pytest.raises(RetrievalError):
+        with pytest.raises(RetrievalError, match="^entry 0 key_phrases must be a JSON list of str, got "):
             database_from_json({"entries": [entry]})
 
     def test_entry_requires_phrases(self):
