@@ -6,8 +6,12 @@ relation holds: distances in meters, alignment terms in [0, 1] via |cosine|
 A sum evaluates to the exact sum of its terms; mixed units are added
 unweighted, matching how programs are written.
 
-Words read a part only through the context's centroid, principal-axis and
-extent summaries, so the solver's posed context can stand in for moved clouds.
+A word is a function of the context and its argument values. A call's
+arguments are evaluated in parameter order before the word runs; a part-name
+argument arrives as its string, and a part name where a point is expected as
+that point. Words read a part only through the context's centroid,
+principal-axis and extent summaries, so the solver's posed context can stand
+in for moved clouds.
 Values broadcast over leading axes: where a context places a stack of K poses,
 points are (K, 3), scalars and costs (K,), and each row is what a plain
 context holding that one pose would give.
@@ -115,7 +119,7 @@ def _eval(node: TypedExpr, ctx: EvalContext):
             return ctx.resolve_point(expr.value)
         return expr.value
     if isinstance(expr, Triple):
-        items = [_eval(item, ctx) for item in node.children]
+        items = _values(node, ctx)
         if any(isinstance(item, np.ndarray) for item in items):
             return np.stack(np.broadcast_arrays(*items), axis=-1, dtype=float)
         return np.array(items, dtype=float)
@@ -136,61 +140,26 @@ def _eval(node: TypedExpr, ctx: EvalContext):
         word = _WORDS.get(node.word)
         if word is None:
             raise EvalError(f"word {node.word!r} is not evaluable (void actions run in the pipeline)")
-        return word(node, ctx)
+        return word(ctx, *_values(node, ctx))
     raise EvalError(f"cannot evaluate node {expr!r}")
 
 
-def _arg(node: TypedExpr, name: str, ctx: EvalContext):
-    bound = node.binding(name)
-    return None if bound is None else _eval(bound, ctx)
+def _values(node: TypedExpr, ctx: EvalContext) -> list:
+    """The values of a node's children: a call's arguments, in parameter order."""
+    return [_eval(child, ctx) for child in node.children]
 
 
-def _string_arg(node: TypedExpr, name: str) -> str:
-    bound = node.binding(name)
-    assert bound is not None and isinstance(bound.expr, Literal)
-    return str(bound.expr.value)
-
-
-# -- getters -----------------------------------------------------------------
-
-
-def _get_centroid(node, ctx):
-    return ctx.resolve_point(_string_arg(node, "part"))
-
-
-def _centroid_last(node, ctx):
-    """Position of the "part" argument (a part's centroid, or the gripper)
-    in the latest history snapshot; shared by every word that reads history."""
-    name = _string_arg(node, "part")
+def _centroid_last(ctx, part: str, word: str):
+    """Position of `part` (a part's centroid, or the gripper) in the latest
+    history snapshot; shared by every word that reads history."""
     if not ctx.scene.history:
-        raise EmptyHistoryError(f"{node.word}({name!r}) needs at least one recorded snapshot")
+        raise EmptyHistoryError(f"{word}({part!r}) needs at least one recorded snapshot")
     snap = ctx.scene.history[-1]
-    if name == GRIPPER_NAME:
+    if part == GRIPPER_NAME:
         return snap.gripper_position.as_array()
-    if name not in snap.part_centroids:
-        raise MissingPartError(name)
-    return snap.part_centroids[name].as_array()
-
-
-def _get_axis(node, ctx):
-    return ctx.part_axis(_string_arg(node, "part"))
-
-
-def _get_gripper_pos(node, ctx):
-    return ctx.resolve_point(GRIPPER_NAME)
-
-
-def _make_extent(dimension):
-    def _getter(node, ctx):
-        return ctx.part_extent(_string_arg(node, "part"), dimension)
-
-    return _getter
-
-
-def _direction_of(node, ctx):
-    start = ctx.resolve_point(_string_arg(node, "start"))
-    end = ctx.resolve_point(_string_arg(node, "end"))
-    return unit_direction(start, end)
+    if part not in snap.part_centroids:
+        raise MissingPartError(part)
+    return snap.part_centroids[part].as_array()
 
 
 # -- cost words --------------------------------------------------------------
@@ -206,83 +175,68 @@ def _unit(vec: np.ndarray) -> np.ndarray:
 def move_residual(node: TypedExpr, ctx: EvalContext):
     """The vector whose length a move word costs: where its subject is, less
     where it should be (the goal plus any offset)."""
-    if node.word == "move_cost":
-        subject, goal, offset = _arg(node, "source", ctx), _arg(node, "target", ctx), _arg(node, "offset", ctx)
-    else:
-        offset, goal = _arg(node, "offset", ctx), _centroid_last(node, ctx)
-        subject = ctx.resolve_point(_string_arg(node, "part"))
-    return subject - (goal if offset is None else goal + offset)
+    return _RESIDUALS[node.word](ctx, *_values(node, ctx))
 
 
-def _move_cost(node, ctx):
-    return norm(move_residual(node, ctx))
+def _move_residual(ctx, source, target, offset=None):
+    return source - (target if offset is None else target + offset)
 
 
-def _alignment(node, ctx):
-    a = _unit(_arg(node, "first", ctx))
-    b = _unit(_arg(node, "second", ctx))
-    return np.minimum(np.abs(dot(a, b)), 1.0)
+def _offset_residual(ctx, part, offset):
+    goal = _centroid_last(ctx, part, "move_cost_with_offset")
+    return ctx.resolve_point(part) - (goal + offset)
 
 
-def _parallel_cost(node, ctx):
-    return 1.0 - _alignment(node, ctx)
+# Move word -> its residual; the word costs the residual's length.
+_RESIDUALS = {"move_cost": _move_residual, "move_cost_with_offset": _offset_residual}
 
 
-def _perpendicular_cost(node, ctx):
-    return _alignment(node, ctx)
+def _parallel_cost(ctx, first, second):
+    return 1.0 - _perpendicular_cost(ctx, first, second)
 
 
-def _rotate_cost(node, ctx):
-    axis = _arg(node, "axis", ctx)
-    reference = _arg(node, "reference", ctx)
-    target = _arg(node, "angle", ctx)
-    return np.abs(angle_between(axis, reference) - target) / math.pi
+def _perpendicular_cost(ctx, first, second):
+    return np.minimum(np.abs(dot(_unit(first), _unit(second))), 1.0)
 
 
-def _orbit_cost(node, ctx):
-    center_part = _string_arg(node, "center_part")
+def _rotate_cost(ctx, axis, angle, reference):
+    return np.abs(angle_between(axis, reference) - angle) / math.pi
+
+
+def _orbit_cost(ctx, center_part, radius, moving_part):
     center, axis = ctx.resolve_point(center_part), ctx.part_axis(center_part)
-    moving = ctx.resolve_point(_string_arg(node, "moving_part"))
-    radius = _arg(node, "radius", ctx)
-    rel = moving - center
+    rel = ctx.resolve_point(moving_part) - center
     radial = rel - dot(rel, axis)[..., None] * axis
     return np.abs(norm(radial) - radius)
 
 
-def _upright_cost(node, ctx):
-    up = ctx.resolve_point(_string_arg(node, "up_part"))
-    down = ctx.resolve_point(_string_arg(node, "down_part"))
+def _upright_cost(ctx, up_part, down_part):
+    up = ctx.resolve_point(up_part)
+    down = ctx.resolve_point(down_part)
     # Signed on purpose: "up above down" is not symmetric under axis flips.
     return np.minimum(np.maximum(1.0 - unit_direction(down, up)[..., 2], 0.0), 2.0)
 
 
-def _gripper_open_cost(node, ctx):
-    return 1.0 - ctx.scene.gripper_open_fraction
-
-
-def _gripper_close_first_cost(node, ctx):
-    return ctx.scene.gripper_open_fraction
-
-
-# Every evaluable word: the getters, then the cost words.
+# Every evaluable word, a function of the context and its argument values:
+# the getters, then the cost words.
 _WORDS = {
-    "get_centroid": _get_centroid,
-    "centroid_last": _centroid_last,
-    "get_axis": _get_axis,
-    "get_gripper_pos": _get_gripper_pos,
-    "get_height": _make_extent("height"),
-    "get_width": _make_extent("width"),
-    "get_length": _make_extent("length"),
-    "direction_of": _direction_of,
-    "move_cost": _move_cost,
-    "move_cost_with_offset": _move_cost,
+    "get_centroid": lambda ctx, part: ctx.resolve_point(part),
+    "centroid_last": lambda ctx, part: _centroid_last(ctx, part, "centroid_last"),
+    "get_axis": lambda ctx, part: ctx.part_axis(part),
+    "get_gripper_pos": lambda ctx: ctx.resolve_point(GRIPPER_NAME),
+    "get_height": lambda ctx, part: ctx.part_extent(part, "height"),
+    "get_width": lambda ctx, part: ctx.part_extent(part, "width"),
+    "get_length": lambda ctx, part: ctx.part_extent(part, "length"),
+    "direction_of": lambda ctx, start, end: unit_direction(ctx.resolve_point(start), ctx.resolve_point(end)),
+    "move_cost": lambda ctx, source, target, offset=None: norm(_move_residual(ctx, source, target, offset)),
+    "move_cost_with_offset": lambda ctx, part, offset: norm(_offset_residual(ctx, part, offset)),
     "parallel_cost": _parallel_cost,
     "perpendicular_cost": _perpendicular_cost,
     "rotate_cost": _rotate_cost,
     "orbit_cost": _orbit_cost,
     "upright_cost": _upright_cost,
-    "gripper_open_cost": _gripper_open_cost,
-    "gripper_close_first_cost": _gripper_close_first_cost,
+    "gripper_open_cost": lambda ctx: 1.0 - ctx.scene.gripper_open_fraction,
+    "gripper_close_first_cost": lambda ctx: ctx.scene.gripper_open_fraction,
 }
 
 
@@ -356,7 +310,7 @@ def translation_term(expr: TypedExpr, moving: frozenset[str]) -> tuple[TypedExpr
         if node.word == "move_cost":
             return ks[0] - ks[1]  # an offset is a vec, so its k is 0
         if node.word in ("get_centroid", "move_cost_with_offset"):
-            return named(_string_arg(node, "part"))
+            return named(node.children[0].expr.value)
         if node.word == "get_gripper_pos":
             return 1
         # Any other word reads the parts it names by shape, history or their

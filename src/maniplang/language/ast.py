@@ -71,9 +71,6 @@ class TypedExpr:
     word: str | None = None
     params: tuple[str, ...] = ()
 
-    def binding(self, name: str) -> "TypedExpr | None":
-        return self.children[self.params.index(name)] if name in self.params else None
-
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2}
 

@@ -51,18 +51,23 @@ class Task:
 
 
 def load_tasks(path) -> list[Task]:
-    doc = read_json(path, MetricsError)
-    try:
-        return [
-            Task(
-                typed_value(t["task_id"], int, f"{path}: task_id", MetricsError),
-                typed_value(t["title"], str, f"{path}: title", MetricsError),
-                typed_value(t["instruction"], str, f"{path}: instruction", MetricsError),
-            )
-            for t in doc["tasks"]
-        ]
-    except (KeyError, TypeError) as exc:
-        raise MetricsError(f"{path}: expected a tasks list of {{task_id, title, instruction}}") from exc
+    """The task list of a JSON document; each error is a MetricsError naming its field."""
+    doc = typed_value(read_json(path, MetricsError), dict, f"{path}: tasks document", MetricsError)
+    if "tasks" not in doc:
+        raise MetricsError(f"{path}: missing tasks")
+    tasks = []
+    for i, entry in enumerate(typed_value(doc["tasks"], list, f"{path}: tasks", MetricsError)):
+        where = f"{path}: tasks[{i}]"
+        typed_value(entry, dict, where, MetricsError)
+        for key in ("task_id", "title", "instruction"):
+            if key not in entry:
+                raise MetricsError(f"{where}: missing {key}")
+        tasks.append(Task(
+            typed_value(entry["task_id"], int, f"{where}.task_id", MetricsError),
+            typed_value(entry["title"], str, f"{where}.title", MetricsError),
+            typed_value(entry["instruction"], str, f"{where}.instruction", MetricsError),
+        ))
+    return tasks
 
 
 @dataclass(frozen=True)

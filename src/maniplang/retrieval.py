@@ -189,7 +189,10 @@ def database_from_json(doc) -> PartDatabase:
     entries = []
     for i, entry in enumerate(typed_value(member(doc, "database document", "entries"), list, "entries", RetrievalError)):
         phrases = member(entry, f"entry {i}", "key_phrases")
-        entries.append(PartEntry(tuple(typed_value(phrases, str, f"entry {i} key_phrases", RetrievalError, 1))))
+        typed_value(phrases, str, f"entry {i} key_phrases", RetrievalError, 1)
+        if not phrases:
+            raise RetrievalError(f"entry {i}: needs at least one key phrase")
+        entries.append(PartEntry(tuple(phrases)))
     return PartDatabase(tuple(entries))
 
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 import warnings
 from collections import Counter
@@ -181,6 +182,12 @@ class TestRotateOrbit:
         value = ev("orbit_cost('pole', 0.5, 'ball')", scene)
         assert abs(value - 1.5) < 1e-9
 
+    def test_arguments_are_evaluated_before_the_word_runs(self):
+        # The radius fails before orbit_cost reads the parts it names.
+        scene = single_part_scene("x", [(0, 0, 0)])
+        with pytest.raises(MissingPartError, match="nope_b"):
+            ev("orbit_cost('nope_a', get_height('nope_b'), 'nope_c')", scene)
+
 
 class TestGripperCosts:
     def test_fully_open(self):
@@ -337,6 +344,17 @@ class TestEvalStructure:
         }
         assert evaluable == set(costs._WORDS)
         assert len(evaluable) == 17
+        # Arguments bind by position, so each evaluator takes the word's
+        # parameters in order; only the last may be omitted, and then is None.
+        for word in default_vocabulary().words:
+            if word.name not in evaluable:
+                continue
+            params = list(inspect.signature(costs._WORDS[word.name]).parameters.values())[1:]
+            assert [p.name for p in params] == [p.name for p in word.params], word.name
+            for i, (param, vocab_param) in enumerate(zip(params, word.params)):
+                optional = param.default is not inspect.Parameter.empty
+                assert optional == (not vocab_param.required), (word.name, param.name)
+                assert not optional or (param.default is None and i == len(params) - 1), (word.name, param.name)
 
     def test_void_action_is_not_evaluable(self):
         scene = single_part_scene("x", [(0, 0, 0)])

@@ -252,17 +252,31 @@ class TestTaskCorpus:
             assert [o.task_id for o in profile.task_outcomes] == list(range(1, 34)), profile.name
 
     @pytest.mark.parametrize(
-        "task",
+        "doc, message",
         [
-            {"task_id": "one", "title": 1, "instruction": None},
-            {"task_id": True, "title": "t", "instruction": "i"},
-            {"task_id": 1, "title": 1, "instruction": "i"},
-            {"task_id": 1, "title": "t", "instruction": None},
+            ({"tasks": [{"task_id": "one", "title": 1, "instruction": None}]},
+             "tasks[0].task_id must be a JSON int, got 'one'"),
+            ({"tasks": [{"task_id": True, "title": "t", "instruction": "i"}]},
+             "tasks[0].task_id must be a JSON int, got True"),
+            ({"tasks": [{"task_id": 1, "title": 1, "instruction": "i"}]}, "tasks[0].title must be a JSON str, got 1"),
+            ({"tasks": [{"task_id": 1, "title": "t", "instruction": None}]},
+             "tasks[0].instruction must be a JSON str, got None"),
+            ({"tasks": [{"task_id": 1, "title": "t", "instruction": "i"}, {"task_id": 2, "title": "t"}]},
+             "tasks[1]: missing instruction"),
+            ({"tasks": [{"task_id": 1, "title": "t", "instruction": "i"}, 5]},
+             "tasks[1] must be a JSON object, got 5"),
+            ({"tasks": 3}, "tasks must be a JSON list, got 3"),
+            ({}, "missing tasks"),
+            ([1], "tasks document must be a JSON object, got [1]"),
         ],
-        ids=["all_mistyped", "task_id_a_bool", "title_a_number", "instruction_null"],
+        ids=[
+            "all_mistyped", "task_id_a_bool", "title_a_number", "instruction_null", "second_task_no_instruction",
+            "second_task_a_number", "tasks_a_number", "no_tasks", "document_a_list",
+        ],
     )
-    def test_mistyped_task_field_is_metrics_error(self, tmp_path, task):
+    def test_mistyped_task_field_is_metrics_error(self, tmp_path, doc, message):
         path = tmp_path / "tasks.json"
-        path.write_text(json.dumps({"tasks": [task]}), encoding="utf-8")
-        with pytest.raises(metrics.MetricsError, match="task_id|title|instruction"):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(metrics.MetricsError) as err:
             metrics.load_tasks(path)
+        assert str(err.value) == f"{path}: {message}"

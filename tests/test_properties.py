@@ -5,7 +5,8 @@ list added to a point (accepted) or one token deleted, duplicated or
 replaced (accepted, or rejected with a reason), rigid invariance of the cost
 words, an alignment identity, the solver's objective against plain
 evaluation of the moved scene (also for drawn programs), the translation
-analysis and its closed-form optimum, the coordinate poll against its first
+analysis and its closed-form optimum, the residual a move word shares with
+the closed form, the coordinate poll against its first
 request's angle grid, the solver's never-worse guarantee, the centroid against
 numpy's mean, extents over the kept extreme points against the whole cloud's,
 and scene documents drawn as JSON (only SceneError)."""
@@ -20,11 +21,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from maniplang import fixtures, solver
-from maniplang.costs import EvalContext, EvalError, evaluate, translation_term
+from maniplang.costs import EvalContext, EvalError, evaluate, move_residual, translation_term
 from maniplang.errors import ManiplangError
 from maniplang.geometry import (
-    GeometryError, Point3, PointCloud, PoseSE3, centroid, euler_from_rotation, extreme_points, rotated_extent,
-    rotation_xyz,
+    GeometryError, Point3, PointCloud, PoseSE3, centroid, euler_from_rotation, extreme_points, norm,
+    rotated_extent, rotation_xyz,
 )
 from maniplang.language import (
     Accepted, BinOp, Call, Literal, Neg, ParseError, Rejected, Triple, TypeCheckError, default_grammar,
@@ -652,6 +653,35 @@ def test_no_translation_probe_improves_the_closed_form(expr, seed, angles, alpha
         return
     for probe in np.concatenate([np.eye(3), -np.eye(3)]) * 1e-7:
         assert objective_at(best + probe) >= value - 1e-12
+
+
+_MOVE_WORDS = [w for w in default_vocabulary().words if w.name in ("move_cost", "move_cost_with_offset")]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    expr=st.sampled_from(_MOVE_WORDS).flatmap(lambda word: _call(word, 2)),
+    seed=_seeds,
+    drawn=st.lists(_poses, min_size=1, max_size=4),
+)
+def test_a_move_word_costs_the_length_of_the_residual_the_closed_form_reads(expr, seed, drawn):
+    # The solver's closed-form translation reads move_residual; the cost word
+    # must be its length bit for bit, at every pose of the stack.
+    scene = _named_scene(seed)
+    term = validate_program(to_source(expr)).typed
+    ctx = solver._PosedContext(scene)
+    ctx.place(
+        np.stack([rotation_xyz(*angles) for angles, _ in drawn]),
+        np.stack([ctx.t0 + np.array(shift) for _, shift in drawn]),
+    )
+    cost = _outcome(lambda: evaluate(term, ctx))
+    with np.errstate(all="ignore"):
+        length = _outcome(lambda: norm(move_residual(term, ctx)))
+    if isinstance(cost, type):
+        assert length is cost
+        return
+    rows = len(drawn)
+    assert np.broadcast_to(length, rows).tolist() == np.broadcast_to(cost, rows).tolist()
 
 
 # -- the coordinate poll reads only its cycle's first request ----------------------

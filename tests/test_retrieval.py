@@ -265,8 +265,12 @@ class TestDatabaseIO:
             ([1], r"database document must be a JSON object, got \[1\]"),
             ({"entries": [{}]}, "entry 0: missing key_phrases"),
             ({"entries": [{"key_phrases": ["cup"]}, {}]}, "entry 1: missing key_phrases"),
+            ({"entries": [{"key_phrases": ["a"]}, {"key_phrases": []}]}, "entry 1: needs at least one key phrase"),
         ],
-        ids=["no_entries", "entries_a_number", "entry_a_number", "document_a_list", "entry_empty", "second_entry_empty"],
+        ids=[
+            "no_entries", "entries_a_number", "entry_a_number", "document_a_list", "entry_empty", "second_entry_empty",
+            "second_entry_no_phrases",
+        ],
     )
     def test_malformed_document_names_the_field(self, doc, message):
         with pytest.raises(RetrievalError, match=f"^{message}$"):
