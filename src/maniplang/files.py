@@ -2,7 +2,13 @@
 trailing newline. A path that cannot be read or written, bad UTF-8 (in a
 file or on stdin) and bad JSON are raised as the caller's own
 ManiplangError subclass. `DATA_ROOT` is the shipped data tree,
-`maniplang/data`, named here and nowhere else."""
+`maniplang/data`, named here and nowhere else.
+
+Every reader of a document reads its fields through `member` (a field of a
+JSON object, or its default) and `typed_value` (a value of a JSON type), so
+a bad document raises one of two messages, each naming the field at fault
+as the reader calls it: `{what}: missing {key}`, or `{what} must be a JSON
+{type}, got {value}`."""
 
 from __future__ import annotations
 
@@ -54,11 +60,25 @@ def write_json(path, doc, error: type[ManiplangError]) -> None:
     write_text(path, text + "\n", error)
 
 
+def member(holder, key: str, what: str, error: type[ManiplangError], *default):
+    """holder[key], where `holder` must be the JSON object named `what`; an
+    absent key gives `default`, if one is given."""
+    if type(holder) is not dict:
+        typed_value(holder, dict, what, error)
+    if key in holder:
+        return holder[key]
+    if default:
+        return default[0]
+    raise error(f"{what}: missing {key}")
+
+
 def typed_value(value, kind: type, what: str, error: type[ManiplangError], depth: int = 0):
     """`value` if it is a `kind` inside `depth` nested lists. Types are exact, so
     JSON's "false" is no bool, its 1 no str and its true no int or float; a
     `kind` of float also takes an int that a float can hold. A dict is named
     a JSON object."""
+    if depth == 0 and type(value) is kind:  # the common case, before the general check
+        return value
     name = "object" if kind is dict else kind.__name__
     items = [value]
     for wanted in [list] * depth + [kind]:

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ManiplangError
-from .files import DATA_ROOT, read_json, read_text, write_json, write_text
+from .files import DATA_ROOT, read_json, read_text, typed_value, write_json, write_text
 from .geometry import (
     Point3,
     PointCloud,
@@ -338,9 +338,9 @@ def default_prompt_template() -> PromptTemplate:
 
 def load_mock_translations(path=None) -> dict[str, str]:
     path = path or DATA_ROOT / "mock_translations.json"
-    doc = read_json(path, FixtureError)
-    if not isinstance(doc, dict) or not all(isinstance(v, str) for v in doc.values()):
-        raise FixtureError(f"{path}: expected an object of instruction -> program text")
+    doc = typed_value(read_json(path, FixtureError), dict, f"{path}: translation map", FixtureError)
+    for instruction, program in doc.items():
+        typed_value(program, str, f"{path}: program for {instruction!r}", FixtureError)
     return doc
 
 

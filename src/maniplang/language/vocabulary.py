@@ -14,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ManiplangError
-from ..files import DATA_ROOT, read_json, typed_value
+from ..files import DATA_ROOT, member, read_json, typed_value
 from .ast import SORTS
 
 
 class VocabularyError(ManiplangError):
-    field = "words"  # the top-level field of a vocabulary document at fault
+    pass
 
 
 @dataclass(frozen=True)
@@ -92,50 +92,47 @@ def vocabulary_size(vocab: Vocabulary) -> int:
     return len(vocab.words)
 
 
-def _field(entry: dict, key: str, kind: type, *default, depth: int = 0):
-    """entry[key], a `kind` inside `depth` lists; `default`, if one is given, for an absent key."""
-    if default and key not in entry:
-        return default[0]
-    return typed_value(entry[key], kind, key, VocabularyError, depth)
-
-
-def vocabulary_from_json(doc: dict) -> tuple[Vocabulary, tuple[GrammarRule, ...]]:
-    """Word and parameter names and `alias_of` must be strings, `required` and
-    `has_host_escape` booleans. An error's `field` names the top-level field
-    it is in."""
-    if not isinstance(doc, dict):
-        raise VocabularyError(f"a vocabulary document must be a JSON object, got {type(doc).__name__}")
-    field = "has_host_escape"
+def vocabulary_from_json(
+    doc, source: str = "vocabulary", error: type[ManiplangError] = VocabularyError
+) -> tuple[Vocabulary, tuple[GrammarRule, ...]]:
+    """The words and rules of the vocabulary document named `source`. Names,
+    sorts and `alias_of` must be strings, `required` and `has_host_escape`
+    booleans; a field's error names its path, as in `seam.words[3].name`, and
+    a word's or rule's own check follows `source: `."""
+    escape = typed_value(member(doc, "has_host_escape", source, error, False), bool, f"{source}.has_host_escape", error)
+    rules = []
+    for i, entry in enumerate(typed_value(member(doc, "rules", source, error, []), list, f"{source}.rules", error)):
+        where = f"{source}.rules[{i}]"
+        rules.append((
+            typed_value(member(entry, "lhs", where, error), str, f"{where}.lhs", error),
+            tuple(typed_value(member(entry, "rhs", where, error), str, f"{where}.rhs", error, 1)),
+        ))
+    words = []
+    for i, entry in enumerate(typed_value(member(doc, "words", source, error), list, f"{source}.words", error)):
+        where = f"{source}.words[{i}]"
+        name = typed_value(member(entry, "name", where, error), str, f"{where}.name", error)
+        params = []
+        for j, p in enumerate(typed_value(member(entry, "params", where, error, []), list, f"{where}.params", error)):
+            at = f"{where}.params[{j}]"
+            params.append(Param(
+                typed_value(member(p, "name", at, error), str, f"{at}.name", error),
+                typed_value(member(p, "sort", at, error), str, f"{at}.sort", error),
+                typed_value(member(p, "required", at, error, True), bool, f"{at}.required", error),
+            ))
+        result_sort = typed_value(member(entry, "result_sort", where, error), str, f"{where}.result_sort", error)
+        alias_of = member(entry, "alias_of", where, error, None)
+        if alias_of is not None:
+            typed_value(alias_of, str, f"{where}.alias_of", error)
+        words.append((name, tuple(params), result_sort, alias_of))
     try:
-        has_host_escape = _field(doc, "has_host_escape", bool, False)
-        field = "rules"
-        rules = tuple(
-            GrammarRule(entry["lhs"], tuple(_field(entry, "rhs", str, depth=1)))
-            for entry in doc.get("rules", [])
-        )
-        field = "words"
-        words = [
-            Word(
-                _field(entry, "name", str),
-                tuple(
-                    Param(_field(p, "name", str), p["sort"], _field(p, "required", bool, True))
-                    for p in entry.get("params", [])
-                ),
-                entry["result_sort"],
-                _field(entry, "alias_of", str, None),
-            )
-            for entry in doc["words"]
-        ]
-        return Vocabulary(words, has_host_escape), rules
-    except (KeyError, TypeError, VocabularyError) as exc:
-        if not isinstance(exc, VocabularyError):
-            exc = VocabularyError(f"malformed vocabulary document: {exc}")
-        exc.field = field
-        raise exc
+        rules = tuple(GrammarRule(*rule) for rule in rules)
+        return Vocabulary([Word(*word) for word in words], escape), rules
+    except VocabularyError as exc:
+        raise error(f"{source}: {exc}") from None
 
 
 _SEAM_VOCABULARY, _SEAM_GRAMMAR = vocabulary_from_json(
-    read_json(DATA_ROOT / "profiles" / "seam.json", VocabularyError)
+    read_json(DATA_ROOT / "profiles" / "seam.json", VocabularyError), "seam"
 )
 
 

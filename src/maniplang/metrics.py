@@ -20,13 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ManiplangError
-from .files import read_json, typed_value, write_text
-from .language.vocabulary import (
-    Vocabulary,
-    VocabularyError,
-    vocabulary_from_json,
-    vocabulary_size,
-)
+from .files import member, read_json, typed_value, write_text
+from .language.vocabulary import Vocabulary, vocabulary_from_json, vocabulary_size
 
 SUCCESS_VERDICTS = frozenset({"correct", "correct and sufficient", "success"})
 
@@ -51,23 +46,24 @@ class Task:
 
 
 def load_tasks(path) -> list[Task]:
-    """The task list of a JSON document; each error is a MetricsError naming its field."""
+    """The task list of a JSON document, its ids 1..N each once; each error is
+    a MetricsError naming its field."""
     doc = typed_value(read_json(path, MetricsError), dict, f"{path}: tasks document", MetricsError)
-    if "tasks" not in doc:
-        raise MetricsError(f"{path}: missing tasks")
-    tasks = []
-    for i, entry in enumerate(typed_value(doc["tasks"], list, f"{path}: tasks", MetricsError)):
+    entries = typed_value(member(doc, "tasks", str(path), MetricsError), list, f"{path}: tasks", MetricsError)
+    tasks: dict[int, Task] = {}
+    for i, entry in enumerate(entries):
         where = f"{path}: tasks[{i}]"
-        typed_value(entry, dict, where, MetricsError)
-        for key in ("task_id", "title", "instruction"):
-            if key not in entry:
-                raise MetricsError(f"{where}: missing {key}")
-        tasks.append(Task(
-            typed_value(entry["task_id"], int, f"{where}.task_id", MetricsError),
-            typed_value(entry["title"], str, f"{where}.title", MetricsError),
-            typed_value(entry["instruction"], str, f"{where}.instruction", MetricsError),
-        ))
-    return tasks
+        task_id = typed_value(member(entry, "task_id", where, MetricsError), int, f"{where}.task_id", MetricsError)
+        if not 1 <= task_id <= len(entries):
+            raise MetricsError(f"{where}.task_id: task {task_id} is not in 1..{len(entries)}")
+        if task_id in tasks:
+            raise MetricsError(f"{where}.task_id: task {task_id} is listed twice")
+        tasks[task_id] = Task(
+            task_id,
+            typed_value(member(entry, "title", where, MetricsError), str, f"{where}.title", MetricsError),
+            typed_value(member(entry, "instruction", where, MetricsError), str, f"{where}.instruction", MetricsError),
+        )
+    return list(tasks.values())
 
 
 @dataclass(frozen=True)
@@ -115,27 +111,20 @@ def judge_verdict(verdict: str) -> bool:
     return verdict.strip().casefold() in SUCCESS_VERDICTS
 
 
-def profile_from_json(doc: dict, source: str = "profile") -> RepresentationProfile:
-    if not isinstance(doc, dict):
-        raise ProfileSchemaError(f"{source}: expected an object")
-    name = doc.get("name")
-    if not isinstance(name, str) or not name:
+def profile_from_json(doc, source: str = "profile") -> RepresentationProfile:
+    """The profile of the JSON document named `source`; each error is a
+    ProfileSchemaError naming the path of its field, as in `seam.words[3].name`."""
+    error = ProfileSchemaError
+    name = typed_value(member(doc, "name", source, error), str, f"{source}.name", error)
+    if not name:
         raise ProfileSchemaError(f"{source}.name: expected a non-empty string")
-    if "words" not in doc:
-        raise ProfileSchemaError(f"{source}.words: missing")
-    try:
-        vocabulary, _ = vocabulary_from_json(doc)
-    except VocabularyError as exc:
-        raise ProfileSchemaError(f"{source}.{exc.field}: {exc}") from exc
-    entries = typed_value(doc.get("task_outcomes", []), list, f"{source}.task_outcomes", ProfileSchemaError)
+    vocabulary, _ = vocabulary_from_json(doc, source, error)
+    entries = typed_value(member(doc, "task_outcomes", source, error, []), list, f"{source}.task_outcomes", error)
     outcomes: dict[int, TaskOutcome] = {}
     for i, entry in enumerate(entries):
         path = f"{source}.task_outcomes[{i}]"
-        typed_value(entry, dict, path, ProfileSchemaError)
-        if "task_id" not in entry or "verdict" not in entry:
-            raise ProfileSchemaError(f"{path}: needs task_id and verdict")
-        verdict = typed_value(entry["verdict"], str, f"{path}.verdict", ProfileSchemaError)
-        task_id = typed_value(entry["task_id"], int, f"{path}.task_id", ProfileSchemaError)
+        verdict = typed_value(member(entry, "verdict", path, error), str, f"{path}.verdict", error)
+        task_id = typed_value(member(entry, "task_id", path, error), int, f"{path}.task_id", error)
         if task_id in outcomes:
             raise ProfileSchemaError(f"{path}.task_id: task {task_id} already has an outcome")
         outcomes[task_id] = TaskOutcome(task_id, verdict)

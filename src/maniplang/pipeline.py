@@ -124,9 +124,8 @@ class RemoteClient:
         # A bad URL or JSON is a ValueError, a bad host an HTTPException, URLError an OSError.
         except (OSError, ValueError, http.client.HTTPException) as exc:
             raise PipelineError(f"remote endpoint {self.endpoint} failed: {exc}") from exc
-        if not isinstance(doc, dict) or "program" not in doc:
-            raise PipelineError("remote response is missing the 'program' field")
-        return files.typed_value(doc["program"], str, "remote response field 'program'", PipelineError)
+        program = files.member(doc, "program", "remote response", PipelineError)
+        return files.typed_value(program, str, "remote response field 'program'", PipelineError)
 
 
 @dataclass(frozen=True)

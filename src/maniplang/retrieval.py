@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from .errors import ManiplangError, MissingPartError
-from .files import read_json, typed_value
+from .files import member, read_json, typed_value
 
 if TYPE_CHECKING:
     from .geometry import PointCloud
@@ -180,15 +180,10 @@ def make_part_resolver(scene: Scene, db: PartDatabase) -> Callable[[str], PointC
 
 def database_from_json(doc) -> PartDatabase:
     """The part database of a JSON document; each error is a RetrievalError naming its field."""
-
-    def member(holder, what: str, key: str):
-        if key not in typed_value(holder, dict, what, RetrievalError):
-            raise RetrievalError(f"{what}: missing {key}")
-        return holder[key]
-
     entries = []
-    for i, entry in enumerate(typed_value(member(doc, "database document", "entries"), list, "entries", RetrievalError)):
-        phrases = member(entry, f"entry {i}", "key_phrases")
+    listed = member(doc, "entries", "database document", RetrievalError)
+    for i, entry in enumerate(typed_value(listed, list, "entries", RetrievalError)):
+        phrases = member(entry, "key_phrases", f"entry {i}", RetrievalError)
         typed_value(phrases, str, f"entry {i} key_phrases", RetrievalError, 1)
         if not phrases:
             raise RetrievalError(f"entry {i}: needs at least one key phrase")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ManiplangError
-from .files import read_json, typed_value, write_json
+from .files import member, read_json, typed_value, write_json
 from .geometry import GeometryError, Point3, PointCloud, centroid
 
 GRIPPER_NAME = "gripper"
@@ -103,12 +103,9 @@ def scene_to_json(scene: Scene) -> dict:
 def scene_from_json(doc) -> Scene:
     """The scene of a JSON document; each error is a SceneError naming its field."""
 
-    def numbers(value, what: str, depth: int = 0):
-        return typed_value(value, float, what, SceneError, depth)
-
     def points(value, what: str, depth: int):
         """The field's Point3 (depth 1) or PointCloud (depth 2); errors name the field."""
-        value = numbers(value, what, depth)
+        value = typed_value(value, float, what, SceneError, depth)
         for xyz in value if depth == 2 else [value]:
             if len(xyz) != 3:
                 raise SceneError(f"{what}: a point has 3 coordinates, got {len(xyz)}")
@@ -117,43 +114,37 @@ def scene_from_json(doc) -> Scene:
         except GeometryError as exc:
             raise SceneError(f"{what}: {exc}") from exc
 
-    def member(holder, key: str, what: str):
-        if key not in holder:
-            raise SceneError(f"{what}: missing {key}")
-        return holder[key]
-
-    def obj(value, what: str) -> dict:
-        return typed_value(value, dict, what, SceneError)
-
-    doc = obj(doc, "scene document")
     parts = {}
     grasped = set()
     objects = {}
-    for name, entry in obj(member(doc, "parts", "scene document"), "parts").items():
+    parts_doc = member(doc, "parts", "scene document", SceneError)
+    for name, entry in typed_value(parts_doc, dict, "parts", SceneError).items():
         what = f"part {name!r}"
-        entry = obj(entry, what)
-        parts[name] = points(member(entry, "points", what), f"{what} points", 2)
-        if typed_value(entry.get("grasped", False), bool, f"{what} grasped", SceneError):
+        parts[name] = points(member(entry, "points", what, SceneError), f"{what} points", 2)
+        if typed_value(member(entry, "grasped", what, SceneError, False), bool, f"{what} grasped", SceneError):
             grasped.add(name)
-        if "object" in entry:
-            objects[name] = typed_value(entry["object"], str, f"{what} object", SceneError)
-    gripper = obj(member(doc, "gripper", "scene document"), "gripper")
+        label = member(entry, "object", what, SceneError, None)
+        if label is not None:
+            objects[name] = typed_value(label, str, f"{what} object", SceneError)
+    gripper = typed_value(member(doc, "gripper", "scene document", SceneError), dict, "gripper", SceneError)
     history = []
-    for i, snap in enumerate(typed_value(doc.get("history", []), list, "history", SceneError)):
+    snaps = member(doc, "history", "scene document", SceneError, [])
+    for i, snap in enumerate(typed_value(snaps, list, "history", SceneError)):
         what = f"history entry {i}"
-        snap = obj(snap, what)
-        centroids = obj(snap.get("parts", {}), f"{what} parts")
+        centroids = typed_value(member(snap, "parts", what, SceneError, {}), dict, f"{what} parts", SceneError)
         history.append(
             SceneSnapshot(
-                gripper_position=points(member(snap, "gripper", what), "history gripper", 1),
+                gripper_position=points(member(snap, "gripper", what, SceneError), "history gripper", 1),
                 part_centroids={n: points(c, f"history part {n!r}", 1) for n, c in centroids.items()},
             )
         )
+    position = points(member(gripper, "position", "gripper", SceneError), "gripper position", 1)
+    open_fraction = member(gripper, "open_fraction", "gripper", SceneError)
     return Scene(
         parts=parts,
         grasped=frozenset(grasped),
-        gripper_position=points(member(gripper, "position", "gripper"), "gripper position", 1),
-        gripper_open_fraction=float(numbers(member(gripper, "open_fraction", "gripper"), "gripper open_fraction")),
+        gripper_position=position,
+        gripper_open_fraction=float(typed_value(open_fraction, float, "gripper open_fraction", SceneError)),
         history=tuple(history),
         objects=objects,
     )

@@ -423,21 +423,37 @@ def test_bad_file_input_or_output_is_validation_failure(tmp_path, capsys, make_a
 @pytest.mark.parametrize(
     "text, message",
     [
-        (_profile(word={"name": "w"}), "p.words: duplicate word name 'w'"),
-        (_profile(word={"result_sort": "thing"}), "p.words: word v: unknown result sort 'thing'"),
-        (_profile(word={"params": [{"name": "x", "sort": "thing"}]}), "p.words: word v: unknown parameter sort 'thing'"),
-        (_profile(word={"alias_of": "u"}), "p.words: 'v' aliases unknown word 'u'"),
-        (_profile(rule={"lhs": "thing", "rhs": ["cost"]}), "p.rules: rule lhs 'thing' is not a sort"),
-        (_profile(rule={"lhs": "cost", "rhs": []}), "p.rules: rule rhs must be non-empty"),
-        ("[1, 2]", "p: expected an object"),
+        (_profile(word={"name": "w"}), "p: duplicate word name 'w'"),
+        (_profile(word={"result_sort": "thing"}), "p: word v: unknown result sort 'thing'"),
+        (_profile(word={"params": [{"name": "x", "sort": "thing"}]}), "p: word v: unknown parameter sort 'thing'"),
+        (_profile(word={"alias_of": "u"}), "p: 'v' aliases unknown word 'u'"),
+        (_profile(rule={"lhs": "thing", "rhs": ["cost"]}), "p: rule lhs 'thing' is not a sort"),
+        (_profile(rule={"lhs": "cost", "rhs": []}), "p: rule rhs must be non-empty"),
+        ("[1, 2]", "p must be a JSON object, got [1, 2]"),
         (_profile(name=""), "p.name: expected a non-empty string"),
+        (_profile(words=[{"name": "w"}]), "p.words[0]: missing result_sort"),
+        (_profile(rules=[5]), "p.rules[0] must be a JSON object, got 5"),
+        (_profile(word={"params": [{"name": "x", "sort": ["a"]}]}),
+         "p.words[1].params[0].sort must be a JSON str, got ['a']"),
     ],
     ids=["duplicate_word", "unknown_result_sort", "unknown_parameter_sort", "alias_of_unknown_word",
-         "rule_lhs_not_a_sort", "empty_rhs", "not_an_object", "empty_name"],
+         "rule_lhs_not_a_sort", "empty_rhs", "not_an_object", "empty_name", "word_without_result_sort",
+         "rule_a_number", "parameter_sort_a_list"],
 )
 def test_bad_profile_document_names_its_field(tmp_path, capsys, text, message):
     assert main(_metrics_on_profile(tmp_path, text)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_task_list_with_repeated_ids_is_validation_failure(tmp_path, capsys):
+    doc = json.loads(fixtures.shipped_tasks_path().read_text(encoding="utf-8"))
+    for task in doc["tasks"]:
+        task["task_id"] = 7
+    tasks = _file(tmp_path, "tasks.json", json.dumps(doc))
+    argv = ["metrics", "--profiles", _PROFILES, "--tasks", tasks, "--csv", str(tmp_path / "m.csv"),
+            "--svg", str(tmp_path / "m.svg")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {tasks}: tasks[1].task_id: task 7 is listed twice\n"
 
 
 def test_empty_profile_directory_is_validation_failure(tmp_path, capsys):

@@ -159,26 +159,27 @@ class TestProfiles:
         assert compute_rows([profile], 1)[0].n_succ == 0
 
     @pytest.mark.parametrize(
-        "fields, path",
+        "fields, message",
         [
-            ({"has_host_escape": "no"}, "x.has_host_escape: "),
-            ({"rules": [{"rhs": ["cost"]}]}, "x.rules: "),
-            ({"rules": [{"lhs": "cost", "rhs": "cost"}]}, "x.rules: "),
-            ({"words": [{"name": ["w"], "result_sort": "cost"}]}, "x.words: "),
-            ({"task_outcomes": 5}, "x.task_outcomes "),
-            ({"task_outcomes": None}, "x.task_outcomes "),
-            ({"task_outcomes": "abc"}, "x.task_outcomes "),
+            ({"has_host_escape": "no"}, "x.has_host_escape must be a JSON bool, got 'no'"),
+            ({"rules": [{"rhs": ["cost"]}]}, "x.rules[0]: missing lhs"),
+            ({"rules": [{"lhs": "cost", "rhs": "cost"}]}, "x.rules[0].rhs must be a JSON list of str, got 'cost'"),
+            ({"words": [{"name": ["w"], "result_sort": "cost"}]}, "x.words[0].name must be a JSON str, got ['w']"),
+            ({"task_outcomes": 5}, "x.task_outcomes must be a JSON list, got 5"),
+            ({"task_outcomes": None}, "x.task_outcomes must be a JSON list, got None"),
+            ({"task_outcomes": "abc"}, "x.task_outcomes must be a JSON list, got 'abc'"),
+            ({"words": {"a": 1}}, "x.words must be a JSON list, got {'a': 1}"),
         ],
     )
-    def test_schema_error_names_the_field_at_fault(self, fields, path):
+    def test_schema_error_names_the_field_at_fault(self, fields, message):
         with pytest.raises(ProfileSchemaError) as err:
             profile_from_json({"name": "x", "words": [], **fields}, source="x")
-        assert str(err.value).startswith(path)
+        assert str(err.value) == message
 
     def test_missing_words_key(self):
         with pytest.raises(ProfileSchemaError) as err:
             profile_from_json({"name": "x"}, source="x")
-        assert "x.words" in str(err.value)
+        assert str(err.value) == "x: missing words"
 
 
 class TestOutputs:
@@ -233,6 +234,11 @@ class TestOutputs:
             assert row.n_succ <= 33
 
 
+def _tasks(task_ids):
+    """A task-list document with one entry per id."""
+    return {"tasks": [{"task_id": i, "title": "t", "instruction": "i"} for i in task_ids]}
+
+
 class TestTaskCorpus:
     def test_exactly_thirty_three(self):
         assert len(metrics.load_tasks(fixtures.shipped_tasks_path())) == 33
@@ -268,10 +274,13 @@ class TestTaskCorpus:
             ({"tasks": 3}, "tasks must be a JSON list, got 3"),
             ({}, "missing tasks"),
             ([1], "tasks document must be a JSON object, got [1]"),
+            (_tasks([7] * 33), "tasks[1].task_id: task 7 is listed twice"),
+            (_tasks([40, *range(2, 34)]), "tasks[0].task_id: task 40 is not in 1..33"),
         ],
         ids=[
             "all_mistyped", "task_id_a_bool", "title_a_number", "instruction_null", "second_task_no_instruction",
-            "second_task_a_number", "tasks_a_number", "no_tasks", "document_a_list",
+            "second_task_a_number", "tasks_a_number", "no_tasks", "document_a_list", "task_listed_twice",
+            "task_outside_the_list",
         ],
     )
     def test_mistyped_task_field_is_metrics_error(self, tmp_path, doc, message):

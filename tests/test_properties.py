@@ -9,7 +9,8 @@ analysis and its closed-form optimum, the residual a move word shares with
 the closed form, the coordinate poll against its first
 request's angle grid, the solver's never-worse guarantee, the centroid against
 numpy's mean, extents over the kept extreme points against the whole cloud's,
-and scene documents drawn as JSON (only SceneError)."""
+and scene, part-database and profile documents drawn as JSON (only the
+reader's own error, naming the field at fault)."""
 
 import functools
 import math
@@ -17,7 +18,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from maniplang import fixtures, solver
@@ -31,6 +32,9 @@ from maniplang.language import (
     Accepted, BinOp, Call, Literal, Neg, ParseError, Rejected, Triple, TypeCheckError, default_grammar,
     default_vocabulary, parse, to_source, tokenize, type_check, typecheck, validate_program,
 )
+from maniplang.language.ast import SORTS
+from maniplang.metrics import ProfileSchemaError, profile_from_json
+from maniplang.retrieval import RetrievalError, database_from_json
 from maniplang.scene import Scene, SceneError, SceneSnapshot, load_scene, scene_from_json
 from maniplang.solver import (
     SolveConfig,
@@ -922,3 +926,55 @@ def test_scene_from_json_raises_only_scene_error(doc):
         scene_from_json(doc)
     except SceneError:
         pass
+
+
+# -- part-database and profile documents: only the reader's error, naming its field --
+
+_texts = st.text(max_size=3)
+_entries = st.fixed_dictionaries({"key_phrases": _or_any(st.lists(_or_any(_texts), max_size=2))})
+_database_docs = _or_any(st.fixed_dictionaries({"entries": _or_any(st.lists(_or_any(_entries), max_size=3))}))
+_sorts = st.sampled_from(sorted(SORTS)) | _texts
+_word_names = st.sampled_from(["w", "v"]) | _texts  # repeats and aliases both come up
+_params = st.fixed_dictionaries(
+    {"name": _or_any(_texts), "sort": _or_any(_sorts)}, optional={"required": _or_any(st.booleans())}
+)
+_words = st.fixed_dictionaries(
+    {"name": _or_any(_word_names), "result_sort": _or_any(_sorts)},
+    optional={"params": _or_any(st.lists(_or_any(_params), max_size=2)), "alias_of": _or_any(_word_names)},
+)
+_rules = st.fixed_dictionaries({"lhs": _or_any(_sorts), "rhs": _or_any(st.lists(_or_any(_sorts), max_size=3))})
+_outcomes = st.fixed_dictionaries({"task_id": _or_any(st.integers(0, 3)), "verdict": _or_any(_texts)})
+_profile_docs = _or_any(
+    st.fixed_dictionaries(
+        {"name": _or_any(_texts), "words": _or_any(st.lists(_or_any(_words), max_size=3))},
+        optional={
+            "has_host_escape": _or_any(st.booleans()),
+            "rules": _or_any(st.lists(_or_any(_rules), max_size=2)),
+            "task_outcomes": _or_any(st.lists(_or_any(_outcomes), max_size=3)),
+        },
+    )
+)
+# Text that only a caught KeyError or TypeError (or a wrapper of one) puts in a message.
+_PYTHON_TEXTS = ("malformed", "object is not", "indices must be", "unhashable", "not supported between")
+
+
+def _fails_naming_its_field(read, doc, error, names):
+    try:
+        read(doc)
+    except error as exc:
+        message = str(exc)
+        assert message.startswith(names), message
+        assert not any(text in message for text in _PYTHON_TEXTS), message
+
+
+@settings(max_examples=50, deadline=None)
+@given(_database_docs)
+def test_database_from_json_raises_only_retrieval_error_naming_its_field(doc):
+    _fails_naming_its_field(database_from_json, doc, RetrievalError, ("database document", "entries", "entry "))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_profile_docs)
+@example({"name": "p", "words": {"a": 1}})
+def test_profile_from_json_raises_only_profile_schema_error_naming_its_field(doc):
+    _fails_naming_its_field(functools.partial(profile_from_json, source="p"), doc, ProfileSchemaError, ("p",))
