@@ -62,16 +62,18 @@ class EvalContext:
     part_resolver: Callable[[str], PointCloud | None] | None = None
     _summaries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def _summary(self, kind: str, name: str, compute):
-        """`compute()`, kept under (kind, name) once it returns; None means no such part."""
-        if (kind, name) not in self._summaries:
+    def _summary(self, kind: str, name: str, compute, kept: dict | None = None):
+        """`compute()`, kept under (kind, name) in `kept` (by default the context's
+        summaries) once it returns; None means no such part."""
+        kept = self._summaries if kept is None else kept
+        if (kind, name) not in kept:
             value = compute()
             if value is None:
                 raise MissingPartError(name)
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)  # every later read shares it
-            self._summaries[kind, name] = value
-        return self._summaries[kind, name]
+            kept[kind, name] = value
+        return kept[kind, name]
 
     def resolve_cloud(self, name: str) -> PointCloud:
         if name == GRIPPER_NAME:

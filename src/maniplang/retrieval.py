@@ -18,8 +18,8 @@ database builds its phrases' character masks once, when it is made, and
 differs from the query's by more than the best distance found so far.
 Distances and tie-breaks are those of the full edit table.
 
-The neural few-shot mask mapper is out of scope; parts are segmented by an
-oracle that reads labeled scene parts.
+The neural few-shot mask mapper is out of scope: an oracle segments parts by a
+second `retrieve`, over the scene's part names; ties go to the smaller name.
 """
 
 from __future__ import annotations
@@ -144,27 +144,21 @@ def retrieve(db: PartDatabase, desc: str) -> RetrievalMatch:
 
 
 def oracle_segment(scene: Scene, part_desc: str, db: PartDatabase) -> PointCloud:
-    """Desk-scale segmenter: retrieval picks an entry, the entry's first key
-    phrase picks the closest-named labeled scene part. Deterministic given
-    identical inputs.
+    """Desk-scale segmenter: retrieval picks an entry, then a `retrieve` of its
+    first key phrase over the scene's part names, sorted, picks the labeled
+    part; ties go to the smaller name. Deterministic given identical inputs.
 
     Raises MissingPartError when either hop lands farther than
     MATCH_RATIO of the respective phrase's length.
     """
     match = retrieve(db, part_desc)
-    if match.distance > MATCH_RATIO * len(normalize_phrase(match.matched_phrase)):
+    if match.distance > MATCH_RATIO * len(normalize_phrase(match.matched_phrase)) or not scene.parts:
         raise MissingPartError(part_desc)
     phrase = match.entry.key_phrases[0]
-    if not scene.parts:
+    part = retrieve(PartDatabase(tuple(PartEntry((name,)) for name in sorted(scene.parts))), phrase)
+    if part.distance > MATCH_RATIO * len(normalize_phrase(phrase)):
         raise MissingPartError(part_desc)
-    folded = normalize_phrase(phrase)
-    masks = _char_masks(folded)
-    best_distance, best_name = min(
-        (_distance(masks, len(folded), normalize_phrase(name)), name) for name in scene.parts
-    )
-    if best_distance > MATCH_RATIO * len(folded):
-        raise MissingPartError(part_desc)
-    return scene.parts[best_name]
+    return scene.parts[part.matched_phrase]
 
 
 def make_part_resolver(scene: Scene, db: PartDatabase) -> Callable[[str], PointCloud]:

@@ -195,35 +195,31 @@ class _PosedContext(EvalContext):
         self.rel = None
 
     def place(self, rel: np.ndarray, t: np.ndarray) -> None:
-        """Poses to read: rotations (K, 3, 3) and gripper positions (K, 3).
-        What depends on the rotations alone is kept until `rel` changes, so the
-        closed-form translation and the objective turn each part once."""
+        """Poses to read: rotations (K, 3, 3) and gripper positions (K, 3). What
+        depends on the rotations alone `_summary` keeps in `_turned` until `rel`
+        changes, so the closed-form translation and the objective turn each part once."""
         if rel is not self.rel:
             self._turned = {}
         self.rel, self.t = rel, t
-
-    def _turn(self, kind: str, name: str, compute) -> np.ndarray:
-        """`compute()` of a moving part at the placed rotations, kept under (kind, name)."""
-        if (kind, name) not in self._turned:
-            value = compute()
-            value.setflags(write=False)
-            self._turned[kind, name] = value
-        return self._turned[kind, name]
 
     def resolve_point(self, name: str) -> np.ndarray:
         if name == GRIPPER_NAME:
             return self.t
         c = super().resolve_point(name)
-        return self._turn("centroid", name, lambda: self.rel @ (c - self.t0)) + self.t if name in self.moving else c
+        if name not in self.moving:
+            return c
+        return self._summary("centroid", name, lambda: self.rel @ (c - self.t0), self._turned) + self.t
 
     def part_axis(self, name: str) -> np.ndarray:
         a = super().part_axis(name)
-        return self._turn("axis", name, lambda: fix_axis_sign(self.rel @ a)) if name in self.moving else a
+        if name not in self.moving:
+            return a
+        return self._summary("axis", name, lambda: fix_axis_sign(self.rel @ a), self._turned)
 
     def part_extent(self, name: str, dimension: str):
         if name in self.moving:
             kept = self._summary("extreme points", name, lambda: extreme_points(self.resolve_cloud(name)))
-            return self._turn(dimension, name, lambda: rotated_extent(kept, self.rel, dimension))
+            return self._summary(dimension, name, lambda: rotated_extent(kept, self.rel, dimension), self._turned)
         return super().part_extent(name, dimension)
 
 

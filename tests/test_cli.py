@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import io
 import json
@@ -5,10 +6,14 @@ import os
 import socket
 import subprocess
 import sys
+import tempfile
 import urllib.request
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from maniplang import fixtures, pipeline, solver
 from maniplang.cli import main
@@ -555,3 +560,100 @@ class TestColdStart:
             assert set(package.__all__) <= set(dir(package))
         assert maniplang.evaluate is maniplang.costs.evaluate
         assert maniplang.parse is maniplang.language.parse
+
+
+# -- main on drawn argv and drawn input files ------------------------------------------
+
+# What a drawn input file holds, per kind: text the command reads, text that
+# is not JSON (or not a program), JSON of the wrong shape (or a program of the
+# wrong sort); a directory or a missing path holds nothing.
+_DRAWN_FILES = {
+    "program": {
+        "valid": [b"gripper_open_cost()\n", b"move_cost(get_centroid('cube'), get_centroid('target'))\n",
+                  b"fly_to('moon')\n"],
+        "malformed": [b"move_cost(", b"(" * 60, b"\xff\xfe"],
+        "mistyped": [b"get_centroid('cube')", b"gripper_open()", b"[1, 2]"],
+    },
+    "scene": {
+        "valid": [fixtures.shipped_scene_path(kind).read_bytes() for kind in ("cube_target", "pen_holder")],
+        "malformed": [b'{"parts": {', b"", b"\xff\xfe"],
+        "mistyped": [
+            b"[1, 2]", b'{"parts": 5, "gripper": {}}',
+            b'{"parts": {"cube": {"points": [[0, 0, "z"]]}}, "gripper": {"position": [0, 0, 0], "open_fraction": 1}}',
+            b'{"parts": {}, "gripper": {"position": [NaN, 0, 0], "open_fraction": 1}}',
+        ],
+    },
+    "db": {
+        "valid": [fixtures.shipped_part_database_path().read_bytes(), b'{"entries": [{"key_phrases": ["cup"]}]}'],
+        "malformed": [b'{"entries": [', b"\xff\xfe"],
+        "mistyped": [b'{"entries": []}', b'{"entries": [{"key_phrases": "cup"}]}', b'"db"'],
+    },
+    "profiles": {
+        "valid": [(fixtures.shipped_profiles_dir() / name).read_bytes() for name in ("seam.json", "rekep.json")],
+        "malformed": [b'{"name": "p", "words": [', b"\xff\xfe"],
+        "mistyped": [b'{"name": "p", "words": {"a": 1}}', b'{"name": 5, "words": []}', b"[]"],
+    },
+    "tasks": {
+        "valid": [fixtures.shipped_tasks_path().read_bytes()],
+        "malformed": [b'{"tasks": ['],
+        "mistyped": [b'{"tasks": 5}', b'{"tasks": [{"task_id": 40, "title": "x"}]}', b"{}"],
+    },
+}
+# Cost programs that hold, name a part the scene lacks, or overflow; a void
+# program, and text that does not parse.
+_DRAWN_EXPRS = [
+    "move_cost(get_centroid('cube'), get_centroid('target'))",
+    "upright_cost('pen', 'pen holder')",
+    "move_cost(get_centroid('pen'), get_centroid('pen holder'), offset=[0, 0, 1e308] * 10)",
+    "gripper_open()",
+    "move_cost(get_centroid('cube')",
+]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["parse", "eval", "solve", "retrieve", "metrics"]),
+       shape=st.sampled_from(["whole", "whole", "whole", "short", "help"]), data=st.data())
+def test_main_on_drawn_argv_and_files_exits_0_2_or_3(tmp_path, command, shape, data):
+    # Only argparse's own usage exit raises: 2 for a bad command line, 0 for -h.
+    root = Path(tempfile.mkdtemp(dir=tmp_path))
+
+    def drawn_file(role: str) -> str:
+        kind = data.draw(st.sampled_from(["valid"] * 4 + ["malformed", "mistyped", "directory", "missing"]), role)
+        path = root / role
+        if kind == "directory":
+            path.mkdir()
+        elif kind != "missing":
+            path.write_bytes(data.draw(st.sampled_from(_DRAWN_FILES[role][kind])))
+        return str(path)
+
+    def output(name: str) -> str:
+        path = root / name
+        if data.draw(st.integers(0, 3)) == 0:
+            path.mkdir()  # no file can be written there
+        return str(path)
+
+    if command == "parse":
+        argv = [command, drawn_file("program")]
+    elif command in ("eval", "solve"):
+        argv = [command, "--scene", drawn_file("scene"), "--expr", data.draw(st.sampled_from(_DRAWN_EXPRS))]
+        if command == "solve":
+            argv += ["--restarts", str(data.draw(st.sampled_from([1, 2, 1, 2, 0, -1]))),
+                     "--max-iterations", str(data.draw(st.integers(-1, 50)))]
+            argv += data.draw(st.sampled_from([[]] * 3 + [["--alpha", "nan"], ["--tolerance", "0"], ["--beta", "x"]]))
+    elif command == "retrieve":
+        argv = [command, "--db", drawn_file("db"), "--desc", data.draw(st.text(max_size=12))]
+    else:
+        argv = [command, "--profiles", drawn_file("profiles"), "--tasks", drawn_file("tasks"),
+                "--csv", output("m.csv"), "--svg", output("m.svg")]
+    if shape == "short":  # the first argument or option left out
+        argv = argv[:1] + argv[2 if command == "parse" else 3 :]
+    elif shape == "help":
+        argv = [command, "-h"]
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == (0 if shape == "help" else 2), (argv, err.getvalue())
+    else:
+        assert code in (0, 2, 3), (argv, err.getvalue())

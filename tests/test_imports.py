@@ -1,5 +1,5 @@
-"""maniplang's modules import each other without cycles, and read every name
-they import.
+"""maniplang's modules import each other without cycles, read every name
+they import, and read somewhere every private name they define.
 
 Only imports that run when a module loads count: those in its body, not in a
 function or under `if TYPE_CHECKING:`. A cycle among them makes the result
@@ -7,6 +7,7 @@ depend on which module is imported first."""
 
 import ast
 import graphlib
+from collections import Counter
 from pathlib import Path
 
 import maniplang
@@ -85,3 +86,42 @@ def _unread_imports(path: Path) -> set:
 def test_every_load_time_import_is_read():
     unread = {(_module_name(path), name) for path in sorted(_ROOT.rglob("*.py")) for name in _unread_imports(path)}
     assert unread == _UNREAD_IMPORTS
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, node) for each private function, method and class at any depth,
+    and each private module constant."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and _private(node.name):
+            yield node.name, node
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+            continue
+        for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and _private(name.id):
+                    yield name.id, node
+
+
+def _reads(node: ast.AST) -> Counter:
+    """How often each name is read in `node`, as a bare name or an attribute."""
+    return Counter(
+        read.id if isinstance(read, ast.Name) else read.attr
+        for read in ast.walk(node)
+        if isinstance(read, (ast.Name, ast.Attribute)) and isinstance(read.ctx, ast.Load)
+    )
+
+
+def test_every_private_definition_is_read():
+    # A private name is read somewhere in the package outside its own
+    # definition: a leftover helper or constant nothing reads fails here.
+    trees = {_module_name(path): ast.parse(path.read_text(encoding="utf-8")) for path in sorted(_ROOT.rglob("*.py"))}
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    definitions = [(module, name, node) for module, tree in trees.items() for name, node in _private_definitions(tree)]
+    assert len(definitions) > 100
+    unread = [(module, name) for module, name, node in definitions if reads[name] == _reads(node)[name]]
+    assert unread == []

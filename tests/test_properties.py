@@ -9,10 +9,13 @@ analysis and its closed-form optimum, the residual a move word shares with
 the closed form, the coordinate poll against its first
 request's angle grid, the solver's never-worse guarantee, the centroid against
 numpy's mean, extents over the kept extreme points against the whole cloud's,
-and scene, part-database and profile documents drawn as JSON (only the
-reader's own error, naming the field at fault)."""
+scene, part-database and profile documents drawn as JSON (only the
+reader's own error, naming the field at fault), and the whole loop on a drawn
+candidate program (a strict-JSON trace, byte-identical when run again, or a
+translation failure)."""
 
 import functools
+import json
 import math
 import warnings
 
@@ -34,6 +37,7 @@ from maniplang.language import (
 )
 from maniplang.language.ast import SORTS
 from maniplang.metrics import ProfileSchemaError, profile_from_json
+from maniplang.pipeline import MockClient, PipelineConfig, TranslationFailedError, run_task
 from maniplang.retrieval import RetrievalError, database_from_json
 from maniplang.scene import Scene, SceneError, SceneSnapshot, load_scene, scene_from_json
 from maniplang.solver import (
@@ -978,3 +982,49 @@ def test_database_from_json_raises_only_retrieval_error_naming_its_field(doc):
 @example({"name": "p", "words": {"a": 1}})
 def test_profile_from_json_raises_only_profile_schema_error_naming_its_field(doc):
     _fails_naming_its_field(functools.partial(profile_from_json, source="p"), doc, ProfileSchemaError, ("p",))
+
+
+# -- the whole loop on drawn candidates ---------------------------------------------
+
+# Drawn programs name carrot_knife's parts, so on the other scenes some name
+# parts the scene lacks.
+_TASK_SCENES = {kind: load_scene(fixtures.shipped_scene_path(kind)) for kind in fixtures.SCENE_KINDS}
+
+
+@st.composite
+def _candidate_stages(draw):
+    """A drawn program's source, valid or with one token deleted, duplicated
+    or replaced, as in the one-token mutations above."""
+    source = to_source(draw(_programs)[1])
+    if draw(st.booleans()):
+        return source
+    texts = [t.text for t in tokenize(source)[:-1]]
+    i = draw(st.integers(0, len(texts) - 1))
+    edit = draw(st.one_of(st.just([]), st.just([texts[i]] * 2), _TOKEN_TEXTS.map(lambda token: [token])))
+    return " ".join(texts[:i] + edit + texts[i + 1 :])
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"trace is not strict JSON: it holds {name}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    reply=st.lists(_candidate_stages(), min_size=1, max_size=2).map("\n---\n".join),
+    kind=st.sampled_from(sorted(_TASK_SCENES)), iterations=st.integers(1, 60), restarts=st.integers(1, 2),
+)
+def test_run_task_on_a_drawn_candidate_gives_a_strict_json_trace_or_fails_translation(
+    reply, kind, iterations, restarts
+):
+    cfg = PipelineConfig(solve=SolveConfig(max_iterations=iterations, restarts=restarts))
+
+    def trace_text():
+        try:
+            trace = run_task("drawn", _TASK_SCENES[kind], MockClient({"drawn": reply}), cfg)
+        except TranslationFailedError as exc:
+            return exc.trace.dumps()
+        return trace.dumps()
+
+    text = trace_text()
+    json.loads(text, parse_constant=_refuse_constant)
+    assert trace_text() == text

@@ -2,11 +2,14 @@ import dataclasses
 import json
 import random
 
+import numpy as np
 import pytest
 
 from maniplang import fixtures
 from maniplang.costs import MissingPartError
+from maniplang.geometry import Point3, PointCloud
 from maniplang.retrieval import (
+    MATCH_RATIO,
     EmptyDatabaseError,
     PartDatabase,
     PartEntry,
@@ -19,6 +22,7 @@ from maniplang.retrieval import (
     oracle_segment,
     retrieve,
 )
+from maniplang.scene import Scene, load_scene
 
 from util import lev_complete_search, lev_enumerate, lev_table_oracle
 
@@ -200,6 +204,42 @@ class TestRetrieve:
             assert (match.distance, match.entry_index, match.matched_phrase) == want, query
 
 
+def _typo(rng, phrase: str) -> str:
+    """`phrase` with one or two characters inserted, deleted or replaced."""
+    chars = list(phrase)
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randrange(len(chars) + 1)
+        edit = rng.choice("isd")
+        if edit == "i":
+            chars.insert(i, rng.choice("ab eo"))
+        elif i < len(chars):
+            chars[i : i + 1] = [] if edit == "d" else [rng.choice("ab eo")]
+    return "".join(chars)
+
+
+def _first_key_scan(db: PartDatabase, desc: str) -> str | None:
+    """The first key phrase of the entry holding the key phrase nearest `desc`
+    (ties to the lower entry, then the smaller phrase), by a full-table scan;
+    None where it lands too far."""
+    query = normalize_phrase(desc)
+    distance, index, phrase = min(
+        (lev_table_oracle(query, normalize_phrase(phrase)), index, phrase)
+        for index, entry in enumerate(db.entries)
+        for phrase in entry.key_phrases
+    )
+    return None if distance > MATCH_RATIO * len(normalize_phrase(phrase)) else db.entries[index].key_phrases[0]
+
+
+def _scene_part_scan(scene: Scene, key: str | None) -> str | None:
+    """The scene part named nearest the key phrase (ties to the smaller name),
+    by a full-table scan; None where there is no key, no part or it lands too far."""
+    if key is None or not scene.parts:
+        return None
+    key = normalize_phrase(key)
+    distance, name = min((lev_table_oracle(key, normalize_phrase(name)), name) for name in scene.parts)
+    return None if distance > MATCH_RATIO * len(key) else name
+
+
 class TestOracleSegment:
     def test_exact_part_name(self):
         scene = fixtures.make_scene("teapot_lid")
@@ -240,6 +280,51 @@ class TestOracleSegment:
         resolver = make_part_resolver(scene, fixtures.build_part_database())
         assert resolver("lid") == scene.parts["lid"]
         assert resolver("teapot oppening") == scene.parts["teapot opening"]
+
+    def test_equals_a_brute_force_two_hop_scan(self):
+        # Shipped scenes and drawn part-name sets, in drawn order: exact ties,
+        # names that fold to the same phrase, and the empty scene. A hop that
+        # lands too far must raise, and the part found must be that very cloud.
+        rng = random.Random(12)
+        shipped = [load_scene(fixtures.shipped_scene_path(kind)) for kind in fixtures.SCENE_KINDS]
+        shipped_names = sorted({name for scene in shipped for name in scene.parts})
+        pool = shipped_names + [name.upper() for name in shipped_names] + [f"{name} " for name in shipped_names]
+        pool += ["ab", "AB", " ab", "a  b", "ba", "aa", "bb", "a", "b", "abc", "a b", "bab"]
+        tiny_phrases = ["ab", "ba", "aa", "Ab", "abc", "b", "a b", "bab"]
+
+        def drawn_scene() -> Scene:
+            names = rng.sample(pool, rng.randint(0, 5))
+            parts = {name: PointCloud(np.full((1, 3), float(k))) for k, name in enumerate(names)}
+            return Scene(parts=parts, grasped=frozenset(), gripper_position=Point3(0.0, 0.0, 0.0),
+                         gripper_open_fraction=1.0)
+
+        def queries(db: PartDatabase, typos: int) -> list:
+            phrases = [phrase for entry in db.entries for phrase in entry.key_phrases]
+            drawn = ["".join(rng.choice("abAB eo") for _ in range(rng.randrange(6))) for _ in range(3)]
+            return phrases + [_typo(rng, rng.choice(phrases)) for _ in range(typos)] + drawn
+
+        # (database, queries, scenes): the shipped database on every shipped
+        # scene and on drawn ones, then small drawn databases full of ties.
+        cases = [(fixtures.build_part_database(), 40, shipped + [drawn_scene() for _ in range(15)])]
+        for _ in range(40):
+            db = PartDatabase(tuple(
+                PartEntry(tuple(rng.choice(tiny_phrases) for _ in range(rng.randint(1, 3))))
+                for _ in range(rng.randint(1, 4))
+            ))
+            cases.append((db, 6, [drawn_scene() for _ in range(3)]))
+        outcomes = {True: 0, False: 0}
+        for db, typos, scenes in cases:
+            for query in queries(db, typos):
+                key = _first_key_scan(db, query)
+                for scene in scenes:
+                    want = _scene_part_scan(scene, key)
+                    outcomes[want is None] += 1
+                    if want is None:
+                        with pytest.raises(MissingPartError):
+                            oracle_segment(scene, query, db)
+                    else:
+                        assert oracle_segment(scene, query, db) is scene.parts[want], (query, list(scene.parts))
+        assert min(outcomes.values()) > 100, outcomes
 
 
 class TestDatabaseIO:
