@@ -6,15 +6,22 @@ relation holds: distances in meters, alignment terms in [0, 1] via |cosine|
 A sum evaluates to the exact sum of its terms; mixed units are added
 unweighted, matching how programs are written.
 
-A word is a function of the context and its argument values. A call's
-arguments are evaluated in parameter order before the word runs; a part-name
-argument arrives as its string, and a part name where a point is expected as
-that point. Words read a part only through the context's centroid,
-principal-axis and extent summaries, so the solver's posed context can stand
-in for moved clouds.
+An expression is compiled against a context into a plan (`compile_plan`)
+by one walk in post-order: a call's arguments in parameter order, then the
+nodes its word is made of (a move word's goal and residual, an alignment
+word's unit vectors). A part-name argument arrives as its string, and a part
+name where a point is expected as that point. Words read a part only through
+the context's centroid, principal-axis and extent summaries, so the solver's
+posed context can stand in for moved clouds.
 Values broadcast over leading axes: where a context places a stack of K poses,
 points are (K, 3), scalars and costs (K,), and each row is what a plain
 context holding that one pose would give.
+
+A node that reads no name the context poses is computed by the walk: on a
+plain context every node; on the solver's, which poses the gripper and the
+parts riding with it, static centroids and axes, literal triples, a goal plus
+its offset, a static axis's unit vector. A run computes the posed rest in the
+walk's order, and a folded node that raised raises there, as the walk would.
 
 A context keeps each summary it computes, so its part resolver must be a
 function of the name. Evaluation may run concurrently: at worst a summary is
@@ -23,13 +30,15 @@ computed twice, to the same value.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import EvalError, MissingPartError
+from .errors import EvalError, ManiplangError, MissingPartError
 from .geometry import (
     DegenerateAxisError,
     PointCloud,
@@ -56,24 +65,27 @@ class EvalContext:
     The default resolver is exact map lookup; the retrieval module can
     substitute a phrase-matching one. A summary (a part's cloud, centroid,
     axis or an extent) is kept once computed; one that raises is not kept.
+    `posed` names what a subclass places per pose; a plain context poses nothing.
     """
 
     scene: Scene
     part_resolver: Callable[[str], PointCloud | None] | None = None
     _summaries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    posed = frozenset()
 
     def _summary(self, kind: str, name: str, compute, kept: dict | None = None):
         """`compute()`, kept under (kind, name) in `kept` (by default the context's
         summaries) once it returns; None means no such part."""
         kept = self._summaries if kept is None else kept
-        if (kind, name) not in kept:
+        value = kept.get((kind, name))
+        if value is None:
             value = compute()
             if value is None:
                 raise MissingPartError(name)
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)  # every later read shares it
             kept[kind, name] = value
-        return kept[kind, name]
+        return value
 
     def resolve_cloud(self, name: str) -> PointCloud:
         if name == GRIPPER_NAME:
@@ -94,15 +106,13 @@ class EvalContext:
         return self._summary("centroid", name, lambda: centroid(self.resolve_cloud(name)).as_array())
 
 
-def evaluate(expr: TypedExpr, ctx: EvalContext) -> float | np.ndarray:
-    """Evaluate a cost-sorted expression to a non-negative float, or to one
-    per pose, shape (K,), when the context places a stack of poses and the
-    value depends on them. A value that is not finite (arithmetic that
-    overflows, say) raises EvalError."""
-    if expr.sort != "cost":
-        raise EvalError(f"can only evaluate cost expressions, got sort {expr.sort!r}")
+def evaluate(expr: TypedExpr | Callable, ctx: EvalContext) -> float | np.ndarray:
+    """Evaluate a cost-sorted expression, or its plan against ctx, to a
+    non-negative float, or to one per pose, shape (K,), when the context places
+    a stack of poses and the value depends on them. A value that is not finite
+    (arithmetic that overflows, say) raises EvalError."""
     with np.errstate(all="ignore"):
-        value = _eval(expr, ctx)
+        value = (_Plan(ctx, expr) if isinstance(expr, TypedExpr) else expr)()
     if not (isinstance(value, np.ndarray) and value.ndim):
         value = float(value)
         if not math.isfinite(value):
@@ -114,49 +124,56 @@ def evaluate(expr: TypedExpr, ctx: EvalContext) -> float | np.ndarray:
     return value
 
 
-def _eval(node: TypedExpr, ctx: EvalContext):
-    expr = node.expr
-    if isinstance(expr, Literal):
-        if node.sort == "point" and isinstance(expr.value, str):
-            return ctx.resolve_point(expr.value)
-        return expr.value
-    if isinstance(expr, Triple):
-        items = _values(node, ctx)
-        if any(isinstance(item, np.ndarray) for item in items):
-            return np.stack(np.broadcast_arrays(*items), axis=-1, dtype=float)
-        return np.array(items, dtype=float)
-    if isinstance(expr, Neg):
-        return -_eval(node.children[0], ctx)
-    if isinstance(expr, BinOp):
-        left = _eval(node.children[0], ctx)
-        right = _eval(node.children[1], ctx)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if node.sort == "vec":
-            # vec * scalar: a scalar per pose scales that pose's vector.
-            right = np.expand_dims(right, -1)
-        return left * right
-    if isinstance(expr, Call):
-        word = _WORDS.get(node.word)
-        if word is None:
-            raise EvalError(f"word {node.word!r} is not evaluable (void actions run in the pipeline)")
-        return word(ctx, *_values(node, ctx))
-    raise EvalError(f"cannot evaluate node {expr!r}")
+def compile_plan(expr: TypedExpr, ctx: EvalContext, words: dict | None = None) -> Callable:
+    """The plan of a cost expression against ctx: called with no arguments, as
+    `evaluate` does each time ctx is posed afresh, it gives the value at the
+    poses placed then, or raises. `words` maps the root call's word to its nodes."""
+    with np.errstate(all="ignore"):
+        try:
+            return _Plan(ctx, expr, words or _WORDS)
+        except ManiplangError as exc:  # raised before any posed node: every run raises it
+            return _raiser(exc)
 
 
-def _values(node: TypedExpr, ctx: EvalContext) -> list:
-    """The values of a node's children: a call's arguments, in parameter order."""
-    return [_eval(child, ctx) for child in node.children]
+def move_residual(node: TypedExpr, ctx: EvalContext) -> Callable:
+    """The plan of the vector whose length a move word costs: where its
+    subject is, less where it should be (the goal plus any offset)."""
+    return compile_plan(node, ctx, _RESIDUALS)
 
 
-def _centroid_last(ctx, part: str, word: str):
+# Reads of the context: a step where the part is posed, else computed now.
+def _point(plan, part):
+    if plan.steps or part in plan.posed:
+        return plan.node(plan.ctx.resolve_point, part in plan.posed)(part)
+    return plan.ctx.resolve_point(part)
+
+
+def _axis(plan, part):
+    if plan.steps or part in plan.posed:
+        return plan.node(plan.ctx.part_axis, part in plan.posed)(part)
+    return plan.ctx.part_axis(part)
+
+
+def _triple(*items):
+    if np.ndarray in map(type, items):
+        return np.stack(np.broadcast_arrays(*items), axis=-1, dtype=float)
+    return np.array(items, dtype=float)
+
+
+def _scale(vec, scalar):
+    """vec * scalar: a scalar per pose scales that pose's vector."""
+    return vec * np.expand_dims(scalar, -1)
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _centroid_last(scene: Scene, part: str, word: str):
     """Position of `part` (a part's centroid, or the gripper) in the latest
     history snapshot; shared by every word that reads history."""
-    if not ctx.scene.history:
+    if not scene.history:
         raise EmptyHistoryError(f"{word}({part!r}) needs at least one recorded snapshot")
-    snap = ctx.scene.history[-1]
+    snap = scene.history[-1]
     if part == GRIPPER_NAME:
         return snap.gripper_position.as_array()
     if part not in snap.part_centroids:
@@ -174,72 +191,139 @@ def _unit(vec: np.ndarray) -> np.ndarray:
     return vec / length[..., None]
 
 
-def move_residual(node: TypedExpr, ctx: EvalContext):
-    """The vector whose length a move word costs: where its subject is, less
-    where it should be (the goal plus any offset)."""
-    return _RESIDUALS[node.word](ctx, *_values(node, ctx))
+def _move_residual(plan, source, target, offset=None):
+    return plan.node(operator.sub)(source, target if offset is None else plan.node(operator.add)(target, offset))
 
 
-def _move_residual(ctx, source, target, offset=None):
-    return source - (target if offset is None else target + offset)
-
-
-def _offset_residual(ctx, part, offset):
-    goal = _centroid_last(ctx, part, "move_cost_with_offset")
-    return ctx.resolve_point(part) - (goal + offset)
+def _offset_residual(plan, part, offset):
+    goal = plan.node(_centroid_last)(plan.ctx.scene, part, "move_cost_with_offset")
+    return plan.node(operator.sub)(_point(plan, part), plan.node(operator.add)(goal, offset))
 
 
 # Move word -> its residual; the word costs the residual's length.
 _RESIDUALS = {"move_cost": _move_residual, "move_cost_with_offset": _offset_residual}
 
 
-def _parallel_cost(ctx, first, second):
-    return 1.0 - _perpendicular_cost(ctx, first, second)
+def _perpendicular_cost(plan, first, second):
+    unit = plan.node(_unit)
+    return plan.node(_abs_cosine)(unit(first), unit(second))
 
 
-def _perpendicular_cost(ctx, first, second):
-    return np.minimum(np.abs(dot(_unit(first), _unit(second))), 1.0)
+def _abs_cosine(first, second):
+    return np.minimum(np.abs(dot(first, second)), 1.0)
 
 
-def _rotate_cost(ctx, axis, angle, reference):
+def _rotate_cost(axis, angle, reference):
     return np.abs(angle_between(axis, reference) - angle) / math.pi
 
 
-def _orbit_cost(ctx, center_part, radius, moving_part):
-    center, axis = ctx.resolve_point(center_part), ctx.part_axis(center_part)
-    rel = ctx.resolve_point(moving_part) - center
+def _orbit_cost(center, axis, radius, moving):
+    rel = moving - center
     radial = rel - dot(rel, axis)[..., None] * axis
     return np.abs(norm(radial) - radius)
 
 
-def _upright_cost(ctx, up_part, down_part):
-    up = ctx.resolve_point(up_part)
-    down = ctx.resolve_point(down_part)
+def _upright_cost(up, down):
     # Signed on purpose: "up above down" is not symmetric under axis flips.
     return np.minimum(np.maximum(1.0 - unit_direction(down, up)[..., 2], 0.0), 2.0)
 
 
-# Every evaluable word, a function of the context and its argument values:
-# the getters, then the cost words.
+# Every evaluable word: a function of the plan and its argument values (or
+# slots) that builds the word's nodes in the walk's order. Getters, then costs.
 _WORDS = {
-    "get_centroid": lambda ctx, part: ctx.resolve_point(part),
-    "centroid_last": lambda ctx, part: _centroid_last(ctx, part, "centroid_last"),
-    "get_axis": lambda ctx, part: ctx.part_axis(part),
-    "get_gripper_pos": lambda ctx: ctx.resolve_point(GRIPPER_NAME),
-    "get_height": lambda ctx, part: ctx.part_extent(part, "height"),
-    "get_width": lambda ctx, part: ctx.part_extent(part, "width"),
-    "get_length": lambda ctx, part: ctx.part_extent(part, "length"),
-    "direction_of": lambda ctx, start, end: unit_direction(ctx.resolve_point(start), ctx.resolve_point(end)),
-    "move_cost": lambda ctx, source, target, offset=None: norm(_move_residual(ctx, source, target, offset)),
-    "move_cost_with_offset": lambda ctx, part, offset: norm(_offset_residual(ctx, part, offset)),
-    "parallel_cost": _parallel_cost,
+    "get_centroid": _point,
+    "centroid_last": lambda plan, part: plan.node(_centroid_last)(plan.ctx.scene, part, "centroid_last"),
+    "get_axis": _axis,
+    "get_gripper_pos": lambda plan: _point(plan, GRIPPER_NAME),
+    "get_height": lambda plan, part: plan.node(plan.ctx.part_extent, part in plan.posed)(part, "height"),
+    "get_width": lambda plan, part: plan.node(plan.ctx.part_extent, part in plan.posed)(part, "width"),
+    "get_length": lambda plan, part: plan.node(plan.ctx.part_extent, part in plan.posed)(part, "length"),
+    "direction_of": lambda plan, start, end: plan.node(unit_direction)(_point(plan, start), _point(plan, end)),
+    "move_cost": lambda plan, source, target, offset=None: plan.node(norm)(
+        _move_residual(plan, source, target, offset)
+    ),
+    "move_cost_with_offset": lambda plan, part, offset: plan.node(norm)(_offset_residual(plan, part, offset)),
+    "parallel_cost": lambda plan, first, second: plan.node(operator.sub)(1.0, _perpendicular_cost(plan, first, second)),
     "perpendicular_cost": _perpendicular_cost,
-    "rotate_cost": _rotate_cost,
-    "orbit_cost": _orbit_cost,
-    "upright_cost": _upright_cost,
-    "gripper_open_cost": lambda ctx: 1.0 - ctx.scene.gripper_open_fraction,
-    "gripper_close_first_cost": lambda ctx: ctx.scene.gripper_open_fraction,
+    "rotate_cost": lambda plan, axis, angle, reference: plan.node(_rotate_cost)(axis, angle, reference),
+    "orbit_cost": lambda plan, center_part, radius, moving_part: plan.node(_orbit_cost)(
+        _point(plan, center_part), _axis(plan, center_part), radius, _point(plan, moving_part)
+    ),
+    "upright_cost": lambda plan, up_part, down_part: plan.node(_upright_cost)(
+        _point(plan, up_part), _point(plan, down_part)
+    ),
+    "gripper_open_cost": lambda plan: 1.0 - plan.ctx.scene.gripper_open_fraction,
+    "gripper_close_first_cost": lambda plan: plan.ctx.scene.gripper_open_fraction,
 }
+
+
+def _raiser(exc: ManiplangError):
+    def fail(*_):
+        raise exc.with_traceback(None)  # each run starts a fresh traceback
+
+    return fail
+
+
+class _Slot(int):
+    """A posed value in a plan: the index of the step that computes it."""
+
+
+class _Plan:
+    """An expression compiled against a context (see the module docstring):
+    its folded value, or the steps (fn, parts) a run computes in the walk's
+    post-order, where a part that an earlier step gives is that step's slot."""
+
+    __slots__ = ("ctx", "posed", "steps", "result")
+
+    def __init__(self, ctx: EvalContext, expr: TypedExpr, words: dict = _WORDS):
+        if expr.sort != "cost":
+            raise EvalError(f"can only evaluate cost expressions, got sort {expr.sort!r}")
+        self.ctx, self.posed, self.steps = ctx, ctx.posed, []
+        self.result = self.walk(expr, words)
+
+    def __call__(self):
+        if type(self.result) is not _Slot:
+            return self.result
+        values = []
+        for fn, parts in self.steps:
+            values.append(fn(*[values[p] if type(p) is _Slot else p for p in parts]))
+        return values[self.result]
+
+    def walk(self, node: TypedExpr, words: dict = _WORDS):
+        """The node's value or slot: a call's arguments, in parameter order,
+        then the nodes its word (from `words`) is made of."""
+        expr = node.expr
+        if isinstance(expr, Literal):
+            return _point(self, expr.value) if node.sort == "point" and isinstance(expr.value, str) else expr.value
+        if isinstance(expr, Call):
+            if node.word not in words:
+                raise EvalError(f"word {node.word!r} is not evaluable (void actions run in the pipeline)")
+            return words[node.word](self, *[self.walk(child) for child in node.children])
+        if isinstance(expr, Triple):
+            return self.node(_triple)(*[self.walk(child) for child in node.children])
+        if isinstance(expr, Neg):
+            return self.node(operator.neg)(self.walk(node.children[0]))
+        op = _scale if expr.op == "*" and node.sort == "vec" else _BINARY[expr.op]
+        return self.node(op)(self.walk(node.children[0]), self.walk(node.children[1]))
+
+    def node(self, fn, posed: bool = False):
+        """fn as a node: called with its parts, it gives fn of their values, or
+        a step's slot if it is posed or a part is; on a plain context, fn itself."""
+        return functools.partial(self._node, fn, posed) if self.posed else fn
+
+    def _node(self, fn, posed: bool, *parts):
+        if posed or (self.steps and _Slot in map(type, parts)):
+            return self._step(fn, parts)
+        try:
+            return fn(*parts)
+        except ManiplangError as exc:
+            if not self.steps:  # no step runs before it: it raises on every run
+                raise
+            return self._step(_raiser(exc), ())
+
+    def _step(self, fn, parts: tuple) -> _Slot:
+        self.steps.append((fn, parts))
+        return _Slot(len(self.steps) - 1)
 
 
 # Cost word -> the arguments whose parts it asks to move (None: all of them).

@@ -8,10 +8,12 @@ with the gripper; everything else stays put.
 
 The objective moves no cloud: cost words read a part only through its
 centroid, principal axis and extent, which a posed context maps in closed
-form. Static summaries are computed once per solve, on first read; a moving
-centroid maps as c -> R(c - t0) + t, a moving axis as a -> R a (sign-fixed
-again), not by a PCA rerun that tied eigenvalues could turn; a moving extent
-projects the part's extreme points (the same floats) on the one row of R it needs.
+form. A moving centroid maps as c -> R(c - t0) + t, a moving axis as
+a -> R a (sign-fixed again), not by a PCA rerun that tied eigenvalues could
+turn; a moving extent projects the part's extreme points (the same floats) on
+the one row of R it needs. Each solve compiles the objective's cost, and the
+closed-form translation's residual, once (`costs.compile_plan`): what reads
+no moving part or the gripper is computed then, and each round runs the rest.
 
 Where no term of the cost sum reads t (`costs.translation_term`), t0 is best;
 where one move term |d*t + b(R)| alone reads it and alpha <= |d|, the t* that
@@ -48,8 +50,8 @@ grid (`_ANGLE_GRID`), the translation probes from x, and the fallback's
 probes from x, whose directions are drawn ahead and kept until a fallback
 poll uses them, so a restart's draws are those of a one-after-another run.
 A poll reads its probes from those rows, keyed by their bytes, and asks for
-all those still ahead where the rows run out. An acceleration ray asks for one
-point, then twice as many per request, as far as the budget allows. Values
+all those still ahead where the rows run out. An acceleration ray asks for four
+points, then twice as many per request, as far as the budget allows. Values
 are consumed in order up to the first improvement (or a ray's first point
 that does not improve); the rest were speculative and are neither counted
 nor allowed to fail the solve. Every restart therefore takes exactly the
@@ -66,7 +68,7 @@ from itertools import product
 import numpy as np
 
 from . import files
-from .costs import EvalContext, EvalError, evaluate, motion_subjects, move_residual, translation_term
+from .costs import EvalContext, EvalError, compile_plan, evaluate, motion_subjects, move_residual, translation_term
 from .errors import EXIT_SOLVER, ManiplangError
 from .geometry import (  # noqa: F401 (perfbench/tracing.py patches euler_from_rotation and PointCloud here)
     Point3,
@@ -191,6 +193,7 @@ class _PosedContext(EvalContext):
     def __init__(self, scene: Scene):
         super().__init__(replace(scene, history=scene.history + (scene.snapshot(),)))
         self.moving, _ = partition_moving_static(scene)
+        self.posed = self.moving | {GRIPPER_NAME}
         self.t0 = scene.gripper_position.as_array()
         self.rel = None
 
@@ -235,22 +238,18 @@ def objective_terms(
     return _pose_terms(expr, _PosedContext(scene), pose, cfg)
 
 
-def _pose_terms(
-    expr: TypedExpr, ctx: _PosedContext, pose: PoseSE3, cfg: SolveConfig
-) -> tuple[float, float, float, float]:
+def _pose_terms(expr, ctx: _PosedContext, pose: PoseSE3, cfg: SolveConfig) -> tuple[float, float, float, float]:
     """`_terms` at one pose, as a stack of one."""
     t = pose.translation.as_array()
     terms = _terms(expr, ctx, pose.rotation[None], t[None], (t - ctx.t0)[None], cfg)
     return tuple(float(np.ravel(v)[0]) for v in terms)
 
 
-def _terms(
-    expr: TypedExpr, ctx: _PosedContext, rel: np.ndarray, t: np.ndarray, dt: np.ndarray, cfg: SolveConfig
-):
+def _terms(expr, ctx: _PosedContext, rel: np.ndarray, t: np.ndarray, dt: np.ndarray, cfg: SolveConfig):
     """The one objective, at K poses at once (rotations `rel`, gripper
     positions `t`, translation deltas `dt`): objective, cost term and the two
-    regularizers, one value per pose. The search minimizes exactly what
-    objective_terms reports."""
+    regularizers, one value per pose. `expr` is the cost expression or its
+    plan against ctx. The search minimizes exactly what objective_terms reports."""
     ctx.place(rel, t)
     cost = evaluate(expr, ctx)
     reg_t = norm(dt)
@@ -268,14 +267,15 @@ def _search_space(expr: TypedExpr, ctx: _PosedContext, cfg: SolveConfig):
     if form is None or (form[0] is not None and cfg.alpha > abs(form[1])):
         return 6, lambda xs: (rotation_xyz(xs[:, 0], xs[:, 1], xs[:, 2]), xs[:, 3:])
     term, d = form
+    residual = None if term is None else move_residual(term, ctx)
 
     def poses(xs: np.ndarray):
         rel = rotation_xyz(xs[:, 0], xs[:, 1], xs[:, 2])
-        if term is None:
+        if residual is None:
             return rel, np.zeros((len(xs), 3))
         ctx.place(rel, ctx.t0[None].repeat(len(rel), 0))
         with np.errstate(all="ignore"):
-            dt = -move_residual(term, ctx) / d
+            dt = -residual() / d
             finite = np.isfinite(np.sum(dt * dt))  # so |dt| is finite too
         if not finite:
             raise EvalError("closed-form gripper translation is not finite")
@@ -284,7 +284,7 @@ def _search_space(expr: TypedExpr, ctx: _PosedContext, cfg: SolveConfig):
     return 3, poses
 
 
-def _objective_rows(expr: TypedExpr, ctx: _PosedContext, xs: np.ndarray, cfg: SolveConfig, poses) -> list:
+def _objective_rows(expr, ctx: _PosedContext, xs: np.ndarray, cfg: SolveConfig, poses) -> list:
     """The objective at each search point, a row of xs, read through the pose
     map `poses` (`_search_space`). A row whose evaluation fails holds its typed
     error instead, so only a search that consumes it raises."""
@@ -311,6 +311,7 @@ def solve(expr: TypedExpr, scene: Scene, cfg: SolveConfig | None = None) -> Solv
         raise NoMovingPartsError(f"expression constrains {sorted(subjects)} but {moves}")
 
     n, poses = _search_space(expr, ctx, cfg)
+    plan = compile_plan(expr, ctx)
     seed = cfg.seed & 0xFFFFFFFFFFFFFFFF  # SeedSequence wants unsigned 64-bit
     rng = np.random.default_rng(seed)
     starts = [np.zeros(n)] + [
@@ -325,12 +326,12 @@ def solve(expr: TypedExpr, scene: Scene, cfg: SolveConfig | None = None) -> Solv
             index: _pattern_search(starts[index], cfg, np.random.default_rng((seed, index)), restarts, index)
             for index in group
         }
-        _lockstep(searches, lambda xs: _objective_rows(expr, ctx, xs, cfg, poses))
+        _lockstep(searches, lambda xs: _objective_rows(plan, ctx, xs, cfg, poses))
 
     restart_index, best = min(enumerate(restarts), key=lambda item: item[1].fx)  # ties: the lowest index
     rel, dt = poses(best.x[None])
     pose = PoseSE3(rel[0], Point3.from_array(ctx.t0 + dt[0]))
-    obj, cost, reg_t, reg_r = _pose_terms(expr, ctx, pose, cfg)
+    obj, cost, reg_t, reg_r = _pose_terms(plan, ctx, pose, cfg)
     return SolveResult(
         pose=pose,
         objective=obj,
@@ -441,11 +442,11 @@ def _poll(x, fx, steps, evals, budget, scored):
 
 def _accelerate(x, x1, fx1, evals, budget):
     """Steps (x, x1) -> (x1, x1 + (x1 - x)) while that improves. Each request
-    computes the ray's next points with that recurrence, one at first and then
+    computes the ray's next points with that recurrence, four at first and then
     twice as many as before, as far as the budget allows; only values consumed
     up to the first that does not improve count. Returns (point, value,
     evaluations)."""
-    ahead = 1
+    ahead = 4
     while evals < budget:
         a, b, ray = x.tolist(), x1.tolist(), []  # the same floats as numpy's, at less cost per point
         while len(ray) < min(ahead, budget - evals) and any(q - p for p, q in zip(a, b)):

@@ -17,10 +17,19 @@ from maniplang.costs import (
 )
 from maniplang.geometry import DegenerateAxisError, DegenerateDirectionError, Point3, PointCloud
 from maniplang.language import BinOp, Call, Neg, Triple, default_vocabulary, parse, type_check, validate_program
-from maniplang.scene import Scene, SceneSnapshot
-from maniplang import costs, fixtures
+from maniplang.scene import Scene, SceneSnapshot, load_scene
+from maniplang import costs, fixtures, pipeline, solver
 
 from util import CARROT_KNIFE_PROGRAM, random_rotation, single_part_scene
+
+
+# The shipped mock tasks and the scenes they run on.
+MOCK_SCENES = {
+    "move the cube above the target": "cube_target",
+    "lift the cube and release it": "cube_target",
+    "put the pen into the penholder": "pen_holder",
+    "cut the carrot with the knife": "carrot_knife",
+}
 
 
 def typed(source: str):
@@ -331,7 +340,7 @@ class TestEvalStructure:
     @pytest.mark.parametrize("shape", [float, np.float64, np.array, lambda v: np.array([1.0, v, math.nan])])
     def test_non_finite_message_names_the_first_bad_value(self, monkeypatch, value, shape):
         # A scalar is tested by math.isfinite, a stack by np.isfinite: the messages are the same.
-        monkeypatch.setattr(costs, "_eval", lambda expr, ctx: shape(value))
+        monkeypatch.setattr(costs._Plan, "__call__", lambda plan: shape(value))
         with pytest.raises(EvalError) as err:
             ev("move_cost([0, 0, 0], [0, 0, 1])", single_part_scene("a", [(0, 0, 0)]))
         assert str(err.value) == f"cost is not finite: {value}"
@@ -355,6 +364,26 @@ class TestEvalStructure:
                 optional = param.default is not inspect.Parameter.empty
                 assert optional == (not vocab_param.required), (word.name, param.name)
                 assert not optional or (param.default is None and i == len(params) - 1), (word.name, param.name)
+
+    @pytest.mark.parametrize("instruction, kind", sorted(MOCK_SCENES.items()))
+    def test_a_plain_context_folds_each_mock_program_to_one_constant(self, instruction, kind, monkeypatch):
+        # A plain context poses nothing, so compiling is evaluating: no step,
+        # and no node lifted into a closure. On the solver's posed context the
+        # same program keeps steps for what the gripper moves.
+        lifted = []  # (fn, the node made of it)
+        node = costs._Plan.node
+        monkeypatch.setattr(
+            costs._Plan, "node", lambda plan, fn, *posed: lifted.append((fn, node(plan, fn, *posed))) or lifted[-1][1]
+        )
+        scene = load_scene(fixtures.shipped_scene_path(kind))
+        scene = solver.transform_scene(scene, solver.initial_pose(scene))  # a history, for cube lift
+        program = pipeline.split_stages(fixtures.load_mock_translations()[instruction])[0]
+        expr = typed(program)
+        plan = costs.compile_plan(expr, EvalContext(scene))
+        assert plan.steps == [] and isinstance(plan.result, float)
+        assert lifted and all(made is fn for fn, made in lifted)
+        assert plan.result == evaluate(expr, EvalContext(scene))
+        assert costs.compile_plan(expr, solver._PosedContext(scene)).steps
 
     def test_void_action_is_not_evaluable(self):
         scene = single_part_scene("x", [(0, 0, 0)])

@@ -6,7 +6,8 @@ replaced (accepted, or rejected with a reason), rigid invariance of the cost
 words, an alignment identity, the solver's objective against plain
 evaluation of the moved scene (also for drawn programs), the translation
 analysis and its closed-form optimum, the residual a move word shares with
-the closed form, the coordinate poll against its first
+the closed form, compiled plans against the plain tree walk (on plain and
+posed contexts), the coordinate poll against its first
 request's angle grid, the solver's never-worse guarantee, the centroid against
 numpy's mean, extents over the kept extreme points against the whole cloud's,
 scene, part-database and profile documents drawn as JSON (only the
@@ -14,6 +15,7 @@ reader's own error, naming the field at fault), and the whole loop on a drawn
 candidate program (a strict-JSON trace, byte-identical when run again, or a
 translation failure)."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -25,7 +27,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from maniplang import fixtures, solver
-from maniplang.costs import EvalContext, EvalError, evaluate, move_residual, translation_term
+from maniplang.costs import EvalContext, EvalError, compile_plan, evaluate, move_residual, translation_term
 from maniplang.errors import ManiplangError
 from maniplang.geometry import (
     GeometryError, Point3, PointCloud, PoseSE3, centroid, euler_from_rotation, extreme_points, norm,
@@ -49,7 +51,7 @@ from maniplang.solver import (
     transform_scene,
 )
 
-from util import random_rotation
+from util import evaluate_oracle, random_rotation
 
 # -- parse(to_source(e)) == e ---------------------------------------------------
 
@@ -673,8 +675,8 @@ _MOVE_WORDS = [w for w in default_vocabulary().words if w.name in ("move_cost", 
     drawn=st.lists(_poses, min_size=1, max_size=4),
 )
 def test_a_move_word_costs_the_length_of_the_residual_the_closed_form_reads(expr, seed, drawn):
-    # The solver's closed-form translation reads move_residual; the cost word
-    # must be its length bit for bit, at every pose of the stack.
+    # The solver's closed-form translation runs move_residual's plan; the cost
+    # word must be its length bit for bit, at every pose of the stack.
     scene = _named_scene(seed)
     term = validate_program(to_source(expr)).typed
     ctx = solver._PosedContext(scene)
@@ -684,12 +686,51 @@ def test_a_move_word_costs_the_length_of_the_residual_the_closed_form_reads(expr
     )
     cost = _outcome(lambda: evaluate(term, ctx))
     with np.errstate(all="ignore"):
-        length = _outcome(lambda: norm(move_residual(term, ctx)))
+        length = _outcome(lambda: norm(move_residual(term, ctx)()))
     if isinstance(cost, type):
         assert length is cost
         return
     rows = len(drawn)
     assert np.broadcast_to(length, rows).tolist() == np.broadcast_to(cost, rows).tolist()
+
+
+def _result(fn):
+    """A value's type and its floats, or an error's class and message."""
+    try:
+        value = fn()
+    except ManiplangError as exc:
+        return type(exc), str(exc)
+    return type(value), np.asarray(value).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    expr=_typed("cost"),
+    seed=_seeds,
+    history=st.booleans(),
+    stacks=st.lists(st.lists(_poses, min_size=1, max_size=4), min_size=2, max_size=2),
+)
+def test_a_plan_gives_the_tree_walks_values_and_errors(expr, seed, history, stacks):
+    # The walk in util.py computes every node on every call: a plan must give
+    # its floats bit for bit, or its error. On the posed context the plan is
+    # compiled once, at the first stack of poses, and run at both, as the
+    # solver runs it round after round.
+    scene = _named_scene(seed)
+    if not history:
+        scene = dataclasses.replace(scene, history=())
+    typed = validate_program(to_source(expr)).typed
+    ctx = EvalContext(scene)
+    assert _result(lambda: evaluate(typed, ctx)) == _result(lambda: evaluate_oracle(typed, ctx))
+    posed = solver._PosedContext(scene)
+    plan = None
+    for drawn in stacks:
+        posed.place(
+            np.stack([rotation_xyz(*angles) for angles, _ in drawn]),
+            np.stack([posed.t0 + np.array(shift) for _, shift in drawn]),
+        )
+        if plan is None:
+            plan = compile_plan(typed, posed)
+        assert _result(lambda: evaluate(plan, posed)) == _result(lambda: evaluate_oracle(typed, posed))
 
 
 # -- the coordinate poll reads only its cycle's first request ----------------------

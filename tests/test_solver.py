@@ -399,12 +399,21 @@ MOCK_SEARCHES = {
     "put the pen into the penholder": ("pen_holder", (2903, 584, 0)),
     "cut the carrot with the knife": ("carrot_knife", (6038, 1289, 0)),
 }
-# Lockstep rounds (`_objective_rows` calls) of each mock task's solve stage.
+# Lockstep rounds (`_objective_rows` calls) of each mock task's solve stage,
+# and the rows they score: an acceleration ray's first request asks four
+# points ahead, so a ray that improves more than once saves rounds, and the
+# points it asks past its first failure are scored but not consumed.
 MOCK_ROUNDS = {
     "move the cube above the target": 24,
     "lift the cube and release it": 24,
-    "put the pen into the penholder": 149,
-    "cut the carrot with the knife": 242,
+    "put the pen into the penholder": 136,
+    "cut the carrot with the knife": 208,
+}
+MOCK_ROWS = {
+    "move the cube above the target": 1922,
+    "lift the cube and release it": 1876,
+    "put the pen into the penholder": 9176,
+    "cut the carrot with the knife": 16796,
 }
 
 
@@ -512,14 +521,20 @@ class TestLockstepSearch:
     @pytest.mark.parametrize("instruction", sorted(MOCK_SEARCHES))
     def test_mock_solves_take_the_recorded_search(self, instruction, monkeypatch):
         kind, recorded = MOCK_SEARCHES[instruction]
-        rounds = []
+        rounds = []  # the rows each round scores
         objective_rows = solver._objective_rows
-        monkeypatch.setattr(solver, "_objective_rows", lambda *args: rounds.append(1) or objective_rows(*args))
+
+        def counted(expr, ctx, xs, *rest):
+            rounds.append(len(xs))
+            return objective_rows(expr, ctx, xs, *rest)
+
+        monkeypatch.setattr(solver, "_objective_rows", counted)
         client = pipeline.MockClient(fixtures.load_mock_translations())
         trace = pipeline.run_task(instruction, load_scene(fixtures.shipped_scene_path(kind)), client)
         (result,) = [stage.solve for stage in trace.stages if stage.solve is not None]
         assert (result.total_evaluations, result.iterations, result.restart_index) == recorded
         assert len(rounds) == MOCK_ROUNDS[instruction]
+        assert sum(rounds) == MOCK_ROWS[instruction]
 
     def test_restarts_run_in_fixed_groups(self, monkeypatch):
         groups = []
@@ -570,7 +585,7 @@ class TestLockstepSearch:
         monkeypatch.setattr(solver, "evaluate", lambda expr, ctx: calls.append(expr) or evaluate(expr, ctx))
         scene = degenerate_probe_scene((0.0, 0.0, -0.1))
         solve(typed(DIRECTION_PROGRAM), scene, SolveConfig(restarts=8, max_iterations=300))
-        assert len(calls) == 76
+        assert len(calls) == 74
 
     def test_halving_gives_each_row_its_value_alone(self):
         scene = load_scene(fixtures.shipped_scene_path("cube_target"))

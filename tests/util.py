@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from maniplang.geometry import Point3, PointCloud
-from maniplang.scene import Scene
+from maniplang.costs import EmptyHistoryError, EvalError
+from maniplang.errors import MissingPartError
+from maniplang.geometry import DegenerateAxisError, Point3, PointCloud, angle_between, dot, norm, unit_direction
+from maniplang.language.ast import BinOp, Call, Literal, Neg, Triple
+from maniplang.scene import GRIPPER_NAME, Scene
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -124,3 +128,124 @@ CARROT_KNIFE_PROGRAM = (
 )
 
 PEN_PROGRAM = 'parallel_cost(get_axis("pen"), get_axis("pen holder"))'
+
+
+# -- the plain tree walk that costs' plans replaced -------------------------------
+
+
+def evaluate_oracle(expr, ctx):
+    """costs.evaluate as one recursive walk per call: every node computed on
+    every call, in post-order; reads go through the context's summaries."""
+    if expr.sort != "cost":
+        raise EvalError(f"can only evaluate cost expressions, got sort {expr.sort!r}")
+    with np.errstate(all="ignore"):
+        value = _eval(expr, ctx)
+    if not (isinstance(value, np.ndarray) and value.ndim):
+        value = float(value)
+        if not math.isfinite(value):
+            raise EvalError(f"cost is not finite: {value}")
+        return value
+    finite = np.isfinite(value)
+    if not finite.all():
+        raise EvalError(f"cost is not finite: {value[~finite][0]}")
+    return value
+
+
+def _eval(node, ctx):
+    expr = node.expr
+    if isinstance(expr, Literal):
+        if node.sort == "point" and isinstance(expr.value, str):
+            return ctx.resolve_point(expr.value)
+        return expr.value
+    if isinstance(expr, Triple):
+        items = _values(node, ctx)
+        if any(isinstance(item, np.ndarray) for item in items):
+            return np.stack(np.broadcast_arrays(*items), axis=-1, dtype=float)
+        return np.array(items, dtype=float)
+    if isinstance(expr, Neg):
+        return -_eval(node.children[0], ctx)
+    if isinstance(expr, BinOp):
+        left = _eval(node.children[0], ctx)
+        right = _eval(node.children[1], ctx)
+        if expr.op == "+":
+            return left + right
+        if expr.op == "-":
+            return left - right
+        if node.sort == "vec":
+            right = np.expand_dims(right, -1)
+        return left * right
+    if isinstance(expr, Call):
+        word = _ORACLE_WORDS.get(node.word)
+        if word is None:
+            raise EvalError(f"word {node.word!r} is not evaluable (void actions run in the pipeline)")
+        return word(ctx, *_values(node, ctx))
+    raise EvalError(f"cannot evaluate node {expr!r}")
+
+
+def _values(node, ctx) -> list:
+    return [_eval(child, ctx) for child in node.children]
+
+
+def _centroid_last(ctx, part, word):
+    if not ctx.scene.history:
+        raise EmptyHistoryError(f"{word}({part!r}) needs at least one recorded snapshot")
+    snap = ctx.scene.history[-1]
+    if part == GRIPPER_NAME:
+        return snap.gripper_position.as_array()
+    if part not in snap.part_centroids:
+        raise MissingPartError(part)
+    return snap.part_centroids[part].as_array()
+
+
+def _unit(vec):
+    length = norm(vec)
+    if (length <= 1e-12).any():
+        raise DegenerateAxisError("zero-length vector in alignment cost")
+    return vec / length[..., None]
+
+
+def _move_residual(ctx, source, target, offset=None):
+    return source - (target if offset is None else target + offset)
+
+
+def _offset_residual(ctx, part, offset):
+    goal = _centroid_last(ctx, part, "move_cost_with_offset")
+    return ctx.resolve_point(part) - (goal + offset)
+
+
+def _perpendicular_cost(ctx, first, second):
+    return np.minimum(np.abs(dot(_unit(first), _unit(second))), 1.0)
+
+
+def _orbit_cost(ctx, center_part, radius, moving_part):
+    center, axis = ctx.resolve_point(center_part), ctx.part_axis(center_part)
+    rel = ctx.resolve_point(moving_part) - center
+    radial = rel - dot(rel, axis)[..., None] * axis
+    return np.abs(norm(radial) - radius)
+
+
+def _upright_cost(ctx, up_part, down_part):
+    up = ctx.resolve_point(up_part)
+    down = ctx.resolve_point(down_part)
+    return np.minimum(np.maximum(1.0 - unit_direction(down, up)[..., 2], 0.0), 2.0)
+
+
+_ORACLE_WORDS = {
+    "get_centroid": lambda ctx, part: ctx.resolve_point(part),
+    "centroid_last": lambda ctx, part: _centroid_last(ctx, part, "centroid_last"),
+    "get_axis": lambda ctx, part: ctx.part_axis(part),
+    "get_gripper_pos": lambda ctx: ctx.resolve_point(GRIPPER_NAME),
+    "get_height": lambda ctx, part: ctx.part_extent(part, "height"),
+    "get_width": lambda ctx, part: ctx.part_extent(part, "width"),
+    "get_length": lambda ctx, part: ctx.part_extent(part, "length"),
+    "direction_of": lambda ctx, start, end: unit_direction(ctx.resolve_point(start), ctx.resolve_point(end)),
+    "move_cost": lambda ctx, source, target, offset=None: norm(_move_residual(ctx, source, target, offset)),
+    "move_cost_with_offset": lambda ctx, part, offset: norm(_offset_residual(ctx, part, offset)),
+    "parallel_cost": lambda ctx, first, second: 1.0 - _perpendicular_cost(ctx, first, second),
+    "perpendicular_cost": _perpendicular_cost,
+    "rotate_cost": lambda ctx, axis, angle, reference: np.abs(angle_between(axis, reference) - angle) / math.pi,
+    "orbit_cost": _orbit_cost,
+    "upright_cost": _upright_cost,
+    "gripper_open_cost": lambda ctx: 1.0 - ctx.scene.gripper_open_fraction,
+    "gripper_close_first_cost": lambda ctx: ctx.scene.gripper_open_fraction,
+}
