@@ -20,8 +20,9 @@ context holding that one pose would give.
 A node that reads no name the context poses is computed by the walk: on a
 plain context every node; on the solver's, which poses the gripper and the
 parts riding with it, static centroids and axes, literal triples, a goal plus
-its offset, a static axis's unit vector. A run computes the posed rest in the
-walk's order, and a folded node that raised raises there, as the walk would.
+its offset, a static axis's unit vector. A run computes the rest in the
+walk's order. A node that raises while folding stays a step, so each run
+raises it in its place, as the walk would.
 
 A context keeps each summary it computes, so its part resolver must be a
 function of the name. Evaluation may run concurrently: at worst a summary is
@@ -33,7 +34,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -58,7 +58,6 @@ class EmptyHistoryError(EvalError):
     pass
 
 
-@dataclass(frozen=True)
 class EvalContext:
     """Scene plus an optional part-name resolver hook.
 
@@ -68,10 +67,10 @@ class EvalContext:
     `posed` names what a subclass places per pose; a plain context poses nothing.
     """
 
-    scene: Scene
-    part_resolver: Callable[[str], PointCloud | None] | None = None
-    _summaries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     posed = frozenset()
+
+    def __init__(self, scene: Scene, part_resolver: Callable[[str], PointCloud | None] | None = None):
+        self.scene, self.part_resolver, self._summaries = scene, part_resolver, {}
 
     def _summary(self, kind: str, name: str, compute, kept: dict | None = None):
         """`compute()`, kept under (kind, name) in `kept` (by default the context's
@@ -127,12 +126,10 @@ def evaluate(expr: TypedExpr | Callable, ctx: EvalContext) -> float | np.ndarray
 def compile_plan(expr: TypedExpr, ctx: EvalContext, words: dict | None = None) -> Callable:
     """The plan of a cost expression against ctx: called with no arguments, as
     `evaluate` does each time ctx is posed afresh, it gives the value at the
-    poses placed then, or raises. `words` maps the root call's word to its nodes."""
+    poses placed then, or raises. `words` maps the root call's word to its nodes.
+    Compiling against a posed context never raises for a typed cost program."""
     with np.errstate(all="ignore"):
-        try:
-            return _Plan(ctx, expr, words or _WORDS)
-        except ManiplangError as exc:  # raised before any posed node: every run raises it
-            return _raiser(exc)
+        return _Plan(ctx, expr, words or _WORDS)
 
 
 def move_residual(node: TypedExpr, ctx: EvalContext) -> Callable:
@@ -143,15 +140,11 @@ def move_residual(node: TypedExpr, ctx: EvalContext) -> Callable:
 
 # Reads of the context: a step where the part is posed, else computed now.
 def _point(plan, part):
-    if plan.steps or part in plan.posed:
-        return plan.node(plan.ctx.resolve_point, part in plan.posed)(part)
-    return plan.ctx.resolve_point(part)
+    return plan.node(plan.ctx.resolve_point, part in plan.posed)(part)
 
 
 def _axis(plan, part):
-    if plan.steps or part in plan.posed:
-        return plan.node(plan.ctx.part_axis, part in plan.posed)(part)
-    return plan.ctx.part_axis(part)
+    return plan.node(plan.ctx.part_axis, part in plan.posed)(part)
 
 
 def _triple(*items):
@@ -257,13 +250,6 @@ _WORDS = {
 }
 
 
-def _raiser(exc: ManiplangError):
-    def fail(*_):
-        raise exc.with_traceback(None)  # each run starts a fresh traceback
-
-    return fail
-
-
 class _Slot(int):
     """A posed value in a plan: the index of the step that computes it."""
 
@@ -308,20 +294,16 @@ class _Plan:
 
     def node(self, fn, posed: bool = False):
         """fn as a node: called with its parts, it gives fn of their values, or
-        a step's slot if it is posed or a part is; on a plain context, fn itself."""
+        a step's slot if it is posed, a part is, or fn raises; on a plain
+        context, fn itself."""
         return functools.partial(self._node, fn, posed) if self.posed else fn
 
     def _node(self, fn, posed: bool, *parts):
-        if posed or (self.steps and _Slot in map(type, parts)):
-            return self._step(fn, parts)
-        try:
-            return fn(*parts)
-        except ManiplangError as exc:
-            if not self.steps:  # no step runs before it: it raises on every run
-                raise
-            return self._step(_raiser(exc), ())
-
-    def _step(self, fn, parts: tuple) -> _Slot:
+        if not (posed or _Slot in map(type, parts)):
+            try:
+                return fn(*parts)
+            except ManiplangError:  # kept as a step: each run raises it in its place
+                pass
         self.steps.append((fn, parts))
         return _Slot(len(self.steps) - 1)
 
@@ -368,8 +350,8 @@ def motion_subjects(expr: TypedExpr) -> frozenset[str]:
     return frozenset(subjects)
 
 
-def translation_term(expr: TypedExpr, moving: frozenset[str]) -> tuple[TypedExpr | None, int] | None:
-    """How the cost reads the gripper translation t when `moving` ride with it.
+def translation_term(expr: TypedExpr, posed: frozenset[str]) -> tuple[TypedExpr | None, int] | None:
+    """How the cost reads the gripper translation t when the names in `posed` ride with it.
 
     Every point is k*t + f(R) for an integer k: 1 for the gripper and a moving
     centroid, 0 for a static one, history and a triple, summed through + and -.
@@ -381,7 +363,7 @@ def translation_term(expr: TypedExpr, moving: frozenset[str]) -> tuple[TypedExpr
     """
 
     def named(name) -> int:
-        return int(name == GRIPPER_NAME or name in moving)
+        return int(name in posed)
 
     def shift(node: TypedExpr) -> int | None:
         """k of a point, or d of a move word's residual; 0 for what reads no

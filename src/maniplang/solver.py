@@ -263,7 +263,7 @@ def _search_space(expr: TypedExpr, ctx: _PosedContext, cfg: SolveConfig):
     angles then the delta (n = 6), or the angles alone at the module
     docstring's closed-form delta t* - t0 = -r/d, r the move term's residual at
     t0 (n = 3)."""
-    form = translation_term(expr, ctx.moving)
+    form = translation_term(expr, ctx.posed)
     if form is None or (form[0] is not None and cfg.alpha > abs(form[1])):
         return 6, lambda xs: (rotation_xyz(xs[:, 0], xs[:, 1], xs[:, 2]), xs[:, 3:])
     term, d = form
@@ -278,7 +278,7 @@ def _search_space(expr: TypedExpr, ctx: _PosedContext, cfg: SolveConfig):
             dt = -residual() / d
             finite = np.isfinite(np.sum(dt * dt))  # so |dt| is finite too
         if not finite:
-            raise EvalError("closed-form gripper translation is not finite")
+            raise EvalError("length |t - t0| of the closed-form gripper translation is not finite")
         return rel, dt
 
     return 3, poses
@@ -306,7 +306,7 @@ def solve(expr: TypedExpr, scene: Scene, cfg: SolveConfig | None = None) -> Solv
         raise EvalError(f"solve needs a cost-sorted expression, got {expr.sort!r}")
     ctx = _PosedContext(scene)
     subjects = motion_subjects(expr)
-    if subjects and subjects.isdisjoint(ctx.moving | {GRIPPER_NAME}):
+    if subjects and subjects.isdisjoint(ctx.posed):
         moves = f"only {sorted(ctx.moving)} can move" if ctx.moving else "nothing grasped moves"
         raise NoMovingPartsError(f"expression constrains {sorted(subjects)} but {moves}")
 

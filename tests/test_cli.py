@@ -115,10 +115,11 @@ class TestEvalCommand:
             ("eval", "rotate_cost([0, 0, 0], 1, [0, 0, 1])"),
             ("eval", OVERFLOW),
             ("solve", OVERFLOW),
+            ("solve", "move_cost(get_centroid('cube'), [1e200, 0, 0])"),  # t is finite, |t - t0|^2 is not
             ("eval", "parallel_cost(get_axis('huge'), get_axis('cube'))"),
         ],
         ids=["degenerate_axis", "coincident_direction", "zero_rotate_axis", "overflow", "solve_overflow",
-             "covariance_overflow"],
+             "solve_translation_overflow", "covariance_overflow"],
     )
     def test_degenerate_geometry_and_overflow_are_runtime_failures(self, tmp_path, capsys, command, expr):
         cube = fixtures.make_scene("cube_target")
@@ -598,7 +599,15 @@ _DRAWN_FILES = {
         "malformed": [b'{"tasks": ['],
         "mistyped": [b'{"tasks": 5}', b'{"tasks": [{"task_id": 40, "title": "x"}]}', b"{}"],
     },
+    "translations": {
+        "valid": [(fixtures.DATA_ROOT / "mock_translations.json").read_bytes(),
+                  b'{"move the cube above the target": "move_cost(get_centroid(\'cube\'), get_centroid(\'target\'))"}'],
+        "malformed": [b"{", b"\xff\xfe"],
+        "mistyped": [b"[1, 2]", b'{"x": 5}', b'"map"'],
+    },
 }
+# A shipped instruction, the one whose program does not parse, or one no map holds.
+_DRAWN_INSTRUCTIONS = [*fixtures.load_mock_translations(), fixtures.GARBAGE_INSTRUCTION, "juggle the cube"]
 # Cost programs that hold, name a part the scene lacks, or overflow; a void
 # program, and text that does not parse.
 _DRAWN_EXPRS = [
@@ -611,7 +620,7 @@ _DRAWN_EXPRS = [
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(command=st.sampled_from(["parse", "eval", "solve", "retrieve", "metrics"]),
+@given(command=st.sampled_from(["parse", "eval", "solve", "retrieve", "metrics", "run"]),
        shape=st.sampled_from(["whole", "whole", "whole", "short", "help"]), data=st.data())
 def test_main_on_drawn_argv_and_files_exits_0_2_or_3(tmp_path, command, shape, data):
     # Only argparse's own usage exit raises: 2 for a bad command line, 0 for -h.
@@ -642,6 +651,15 @@ def test_main_on_drawn_argv_and_files_exits_0_2_or_3(tmp_path, command, shape, d
             argv += data.draw(st.sampled_from([[]] * 3 + [["--alpha", "nan"], ["--tolerance", "0"], ["--beta", "x"]]))
     elif command == "retrieve":
         argv = [command, "--db", drawn_file("db"), "--desc", data.draw(st.text(max_size=12))]
+    elif command == "run":  # the mock client only: there is no endpoint to reach
+        # eval and solve draw bad scene files for the loader run shares with them.
+        scene = fixtures.shipped_scene_path(data.draw(st.sampled_from(["cube_target", "pen_holder"])))
+        argv = [command, "--scene", str(scene),
+                "--instruction", data.draw(st.sampled_from(_DRAWN_INSTRUCTIONS)),
+                "--fixtures", drawn_file("translations"), "--out", output("trace.json"),
+                "--restarts", str(data.draw(st.sampled_from([1, 2]))),
+                "--max-iterations", str(data.draw(st.integers(1, 40)))]
+        argv += data.draw(st.sampled_from([[], ["--threshold", "0"], ["--threshold", "-1"], ["--threshold", "nan"]]))
     else:
         argv = [command, "--profiles", drawn_file("profiles"), "--tasks", drawn_file("tasks"),
                 "--csv", output("m.csv"), "--svg", output("m.svg")]

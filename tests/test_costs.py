@@ -560,6 +560,6 @@ class TestTranslationTerm:
         source, expected = self.NEGATED[case]
         negated = parse(source)
         assert unnegated(negated) != negated
-        forms = [translation_term(type_check(e), frozenset({"cube"})) for e in (negated, unnegated(negated))]
+        forms = [translation_term(type_check(e), frozenset({"cube", "gripper"})) for e in (negated, unnegated(negated))]
         found = [form if form is None else (form[0] and form[0].word, form[1]) for form in forms]
         assert found == [expected, expected]

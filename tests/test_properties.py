@@ -614,7 +614,7 @@ def test_translation_analysis_is_sound(expr, seed, angles, shifts):
     scene = _named_scene(seed)
     typed = validate_program(to_source(expr)).typed
     ctx = solver._PosedContext(scene)
-    form = translation_term(typed, ctx.moving)
+    form = translation_term(typed, ctx.posed)
     if form is None:
         return
     cfg = SolveConfig(alpha=0.0)

@@ -603,6 +603,8 @@ class TestLockstepSearch:
         assert [type(row) for row in rows] == [type(row) for row in alone] == [float] * 2 + [EvalError] + [float] * 3
         assert [row for row in rows if isinstance(row, float)] == [row for row in alone if isinstance(row, float)]
 
+    TRANSLATION_OVERFLOW = "length |t - t0| of the closed-form gripper translation is not finite"
+
     @pytest.mark.parametrize("target", ["[0, 0, 1e308] + [0, 0, 1e308]", "[0, 0, 1e200]"])
     def test_overflowing_residual_holds_a_typed_error_in_each_row(self, target):
         # The first residual overflows; the second is finite, but the square
@@ -618,8 +620,10 @@ class TestLockstepSearch:
             warnings.simplefilter("error", RuntimeWarning)
             rows = solver._objective_rows(expr, ctx, xs, cfg, poses)
             assert all(isinstance(row, EvalError) for row in rows)
-            with pytest.raises(EvalError):
+            assert {str(row) for row in rows} == {self.TRANSLATION_OVERFLOW}
+            with pytest.raises(EvalError) as err:
                 solve(expr, scene, SolveConfig(restarts=2, max_iterations=50))
+            assert str(err.value) == self.TRANSLATION_OVERFLOW
 
     def test_unconsumed_ray_point_does_not_end_the_solve(self, monkeypatch):
         # The second term of RAY_PROGRAM is exactly 1 wherever 'c' is, so every
