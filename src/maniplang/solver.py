@@ -49,9 +49,9 @@ probe its polls can need before they move: x's 26 neighbours on its angle
 grid (`_ANGLE_GRID`), the translation probes from x, and the fallback's
 probes from x, whose directions are drawn ahead and kept until a fallback
 poll uses them, so a restart's draws are those of a one-after-another run.
-A poll reads its probes from those rows, keyed by their bytes, and asks for
-all those still ahead where the rows run out. An acceleration ray asks for four
-points, then twice as many per request, as far as the budget allows. Values
+The probe order is fixed, so a poll reads each value by its index (`_poll`)
+and asks for the probes still ahead once it moves off those rows. An
+acceleration ray asks for four points, then twice as many per request. Values
 are consumed in order up to the first improvement (or a ray's first point
 that does not improve); the rest were speculative and are neither counted
 nor allowed to fail the solve. Every restart therefore takes exactly the
@@ -64,6 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from itertools import product
+from numbers import Integral
 
 import numpy as np
 
@@ -109,6 +110,11 @@ class SolveConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("max_iterations", "restarts", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise SolverError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy integer would wrap or overflow in the search
         if not np.isfinite([self.alpha, self.beta, self.tolerance]).all():
             raise SolverError("alpha, beta and tolerance must be finite")
         if self.alpha < 0 or self.beta < 0:
@@ -383,26 +389,14 @@ _SIGNS = np.array([[1.0], [-1.0]])
 # moves), six wide, in the order a greedy poll along the three angles meets
 # them: each angle's +/- probe from each point the angles before it can leave
 # the poll at (+ improved, - improved, neither). The steps lie on different
-# axes, so x + scale * row is the point the poll builds one step at a time, to
-# the bit.
+# axes and no search point holds -0.0, so x + scale * row is the point the
+# poll builds one step at a time, to the bit.
 _ANGLE_GRID = np.array(
     [p + (s,) + (0,) * (5 - len(p)) for d in range(3) for p in product((1, -1, 0), repeat=d) for s in (1, -1)],
     dtype=float,
 )
 # Restarts searched in lockstep; fixed, so memory stays flat as restarts grow.
 _LOCKSTEP = 8
-
-
-def _consume(value) -> float:
-    """A scored row's value; a failed row raises its error."""
-    if isinstance(value, ManiplangError):
-        raise value
-    return value
-
-
-def _keys(rows: np.ndarray) -> list:
-    """Each row's bytes: points built alike are keyed alike."""
-    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
 
 
 def _signed(directions) -> np.ndarray:
@@ -412,31 +406,34 @@ def _signed(directions) -> np.ndarray:
     return (directions[:, None] * _SIGNS).reshape(-1, directions.shape[1])
 
 
-def _poll(x, fx, steps, evals, budget, scored):
+def _poll(x, fx, steps, evals, budget, values, first, grid=False):
     """Greedy probes along `steps` ((+, -) row pairs), moving to a probe
     that improves and going on with the next direction from there. Values
     are consumed in order up to the first improvement, and only the consumed
-    ones count. A probe is read from `scored` (`_keys` -> value) where it was
-    scored ahead; at the first that was not, one request asks for every probe
-    still ahead from the current point (as many as the budget allows).
-    Returns (point, value, evaluations, improved)."""
-    improved = False
-    probe = 0
+    ones count. Probe p's value is row first + p of `values`, the cycle's
+    first request, until the poll moves; with `grid`, angle d's is row
+    3**d - 1 + 2 * path + sign wherever the poll is (`_ANGLE_GRID`; path: the
+    earlier angles' outcomes in base 3, + 0, - 1, neither 2). Elsewhere one
+    request asks for every probe still ahead (as many as the budget allows),
+    read by position until the next move. Returns (point, value, evaluations,
+    improved)."""
+    improved, probe, path, rows, origin = False, 0, 0, values, -first
     while probe < len(steps) and evals < budget:
-        trials = x + steps[probe : probe + budget - evals]
-        keys = _keys(trials)
-        for k, key in enumerate(keys):
-            if key not in scored:
-                scored.update(zip(keys[k:], (yield trials[k:])))
-            ft = _consume(scored[key])
-            evals += 1
-            if ft < fx:
-                hit = probe + k
-                x, fx, improved = trials[k], ft, True
-                probe = hit + 2 - hit % 2  # the next direction's + probe
-                break
+        d, sign = divmod(probe, 2)
+        if grid and d < 3:
+            ft = values[3**d - 1 + 2 * path + sign]
         else:
-            probe += len(trials)
+            if rows is None:
+                rows, origin = (yield x + steps[probe : probe + budget - evals]), probe
+            ft = rows[probe - origin]
+        if ft.__class__ is not float:
+            raise ft
+        evals += 1
+        if ft < fx:
+            x, fx, improved, rows = x + steps[probe], ft, True, None
+            path, probe = 3 * path + sign, probe + 2 - sign  # the next direction's + probe
+        else:
+            path, probe = (3 * path + 2 if sign else path), probe + 1
     return x, fx, evals, improved
 
 
@@ -456,8 +453,9 @@ def _accelerate(x, x1, fx1, evals, budget):
             break
         ray = np.array(ray)
         values = yield ray
-        for trial, value in zip(ray, values):
-            ft = _consume(value)
+        for trial, ft in zip(ray, values):
+            if ft.__class__ is not float:
+                raise ft
             evals += 1
             if not ft < fx1:
                 return x1, fx1, evals
@@ -506,7 +504,8 @@ def _pattern_search(x0: np.ndarray, cfg: SolveConfig, rng, restarts: list, index
     sent their values."""
     budget = cfg.max_iterations
     x = np.array(x0, dtype=float)
-    fx = _consume((yield x[None])[0])
+    if (fx := (yield x[None])[0]).__class__ is not float:
+        raise fx
     evals = 1
     shrink = 1.0
     n = len(x)
@@ -525,12 +524,13 @@ def _pattern_search(x0: np.ndarray, cfg: SolveConfig, rng, restarts: list, index
             fallback = _signed(directions)
             offsets = np.concatenate([_ANGLE_GRID[:, :n], coordinate[6:], fallback])
         # The cycle's first request: x's 26 neighbours on its angle grid, the
-        # translation probes from x, and the fallback's probes from x.
-        probes = x + scale * offsets
-        scored = dict(zip(_keys(probes), (yield probes)))
-        x1, fx1, evals, improved = yield from _poll(x, fx, scale * coordinate, evals, budget, scored)
+        # translation probes from x (coordinate step p is row 20 + p), and the
+        # fallback's probes from x, the last rows.
+        values = yield x + scale * offsets
+        x1, fx1, evals, improved = yield from _poll(x, fx, scale * coordinate, evals, budget, values, 20, True)
         if not improved and evals < budget:
-            x1, fx1, evals, improved = yield from _poll(x1, fx1, scale * fallback, evals, budget, scored)
+            first = len(values) - len(fallback)
+            x1, fx1, evals, improved = yield from _poll(x1, fx1, scale * fallback, evals, budget, values, first)
             fallback = None
         if improved:
             x1, fx1, evals = yield from _accelerate(x, x1, fx1, evals, budget)

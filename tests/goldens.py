@@ -3,9 +3,10 @@ tests/test_goldens.py.
 
 Each golden is the text one deterministic run prints: the `TaskTrace.dumps()`
 of each of the five shipped mock tasks on its shipped scene, and the stdout of
-`maniplang solve` on the cube-move program on `cube_target`. Rewrite them only
-with this script, never by hand, and list every golden that moved (old and
-new values) in CHANGES.md:
+`maniplang solve` on the cube-move program on `cube_target` and on a 6-D
+program, the lid upright on the teapot opening, on `teapot_lid`. Rewrite
+them only with this script, never by hand, and list every golden that moved
+(old and new values) in CHANGES.md:
 
     PYTHONPATH=src python tests/goldens.py
 """
@@ -43,11 +44,23 @@ def mock_trace(stem: str) -> str:
     return trace.dumps()
 
 
-def cube_solve_stdout() -> str:
-    program = fixtures.load_mock_translations()["move the cube above the target"]
+TEAPOT_LID_PROGRAM = (
+    "upright_cost('lid', 'teapot')"
+    " + move_cost(get_centroid('lid'), get_centroid('teapot opening'), offset=[0, 0, get_height('lid')])"
+)
+
+# golden file stem -> (shipped scene, program solved with the default config)
+SOLVES = {
+    "cube_move": ("cube_target", fixtures.load_mock_translations()["move the cube above the target"]),
+    "teapot_lid": ("teapot_lid", TEAPOT_LID_PROGRAM),
+}
+
+
+def solve_stdout(stem: str) -> str:
+    kind, program = SOLVES[stem]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main(["solve", "--scene", str(fixtures.shipped_scene_path("cube_target")), "--expr", program])
+        code = cli.main(["solve", "--scene", str(fixtures.shipped_scene_path(kind)), "--expr", program])
     if code != 0:
         raise RuntimeError(f"maniplang solve exited {code}")
     return out.getvalue()
@@ -56,7 +69,7 @@ def cube_solve_stdout() -> str:
 # golden file name -> producer of its text
 GOLDENS = {
     **{f"{stem}.trace.json": functools.partial(mock_trace, stem) for stem in MOCK_TASKS},
-    "cube_move.solve.json": cube_solve_stdout,
+    **{f"{stem}.solve.json": functools.partial(solve_stdout, stem) for stem in SOLVES},
 }
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -603,7 +604,7 @@ _DRAWN_FILES = {
         "valid": [(fixtures.DATA_ROOT / "mock_translations.json").read_bytes(),
                   b'{"move the cube above the target": "move_cost(get_centroid(\'cube\'), get_centroid(\'target\'))"}'],
         "malformed": [b"{", b"\xff\xfe"],
-        "mistyped": [b"[1, 2]", b'{"x": 5}', b'"map"'],
+        "mistyped": [b"[1, 2]", b'{"x": 5}', b'"map"', b"null", b"5"],
     },
 }
 # A shipped instruction, the one whose program does not parse, or one no map holds.
@@ -619,27 +620,47 @@ _DRAWN_EXPRS = [
 ]
 
 
+def _drawn_file(data, root: Path, role: str, kinds=("valid",) * 4 + ("malformed", "mistyped", "directory", "missing")):
+    """A path under root holding a drawn file for `role`, of a drawn kind."""
+    kind = data.draw(st.sampled_from(kinds), role)
+    path = root / role
+    if kind == "directory":
+        path.mkdir()
+    elif kind != "missing":
+        path.write_bytes(data.draw(st.sampled_from(_DRAWN_FILES[role][kind])))
+    return str(path)
+
+
+def _drawn_output(data, root: Path, name: str) -> str:
+    """A path under root to write to; one in four is a directory, where no file can be written."""
+    path = root / name
+    if data.draw(st.integers(0, 3)) == 0:
+        path.mkdir()
+    return str(path)
+
+
+def _run_argv(data, root: Path, translations: str) -> list:
+    """`run` with the mock client (there is no endpoint to reach) on a shipped
+    scene, a drawn instruction, the translation map at `translations`, a drawn
+    trace path and a small drawn config."""
+    scene = fixtures.shipped_scene_path(data.draw(st.sampled_from(["cube_target", "pen_holder"])))
+    argv = ["run", "--scene", str(scene),
+            "--instruction", data.draw(st.sampled_from(_DRAWN_INSTRUCTIONS)),
+            "--fixtures", translations, "--out", _drawn_output(data, root, "trace.json"),
+            "--restarts", str(data.draw(st.sampled_from([1, 2]))),
+            "--max-iterations", str(data.draw(st.integers(1, 40)))]
+    thresholds = [[]] * 3 + [["--threshold", "0"], ["--threshold", "-1"], ["--threshold", "nan"]]
+    return argv + data.draw(st.sampled_from(thresholds))
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command=st.sampled_from(["parse", "eval", "solve", "retrieve", "metrics", "run"]),
        shape=st.sampled_from(["whole", "whole", "whole", "short", "help"]), data=st.data())
 def test_main_on_drawn_argv_and_files_exits_0_2_or_3(tmp_path, command, shape, data):
     # Only argparse's own usage exit raises: 2 for a bad command line, 0 for -h.
     root = Path(tempfile.mkdtemp(dir=tmp_path))
-
-    def drawn_file(role: str) -> str:
-        kind = data.draw(st.sampled_from(["valid"] * 4 + ["malformed", "mistyped", "directory", "missing"]), role)
-        path = root / role
-        if kind == "directory":
-            path.mkdir()
-        elif kind != "missing":
-            path.write_bytes(data.draw(st.sampled_from(_DRAWN_FILES[role][kind])))
-        return str(path)
-
-    def output(name: str) -> str:
-        path = root / name
-        if data.draw(st.integers(0, 3)) == 0:
-            path.mkdir()  # no file can be written there
-        return str(path)
+    drawn_file = functools.partial(_drawn_file, data, root)
+    output = functools.partial(_drawn_output, data, root)
 
     if command == "parse":
         argv = [command, drawn_file("program")]
@@ -651,15 +672,8 @@ def test_main_on_drawn_argv_and_files_exits_0_2_or_3(tmp_path, command, shape, d
             argv += data.draw(st.sampled_from([[]] * 3 + [["--alpha", "nan"], ["--tolerance", "0"], ["--beta", "x"]]))
     elif command == "retrieve":
         argv = [command, "--db", drawn_file("db"), "--desc", data.draw(st.text(max_size=12))]
-    elif command == "run":  # the mock client only: there is no endpoint to reach
-        # eval and solve draw bad scene files for the loader run shares with them.
-        scene = fixtures.shipped_scene_path(data.draw(st.sampled_from(["cube_target", "pen_holder"])))
-        argv = [command, "--scene", str(scene),
-                "--instruction", data.draw(st.sampled_from(_DRAWN_INSTRUCTIONS)),
-                "--fixtures", drawn_file("translations"), "--out", output("trace.json"),
-                "--restarts", str(data.draw(st.sampled_from([1, 2]))),
-                "--max-iterations", str(data.draw(st.integers(1, 40)))]
-        argv += data.draw(st.sampled_from([[], ["--threshold", "0"], ["--threshold", "-1"], ["--threshold", "nan"]]))
+    elif command == "run":  # eval and solve draw bad scene files for the loader run shares with them
+        argv = _run_argv(data, root, drawn_file("translations"))
     else:
         argv = [command, "--profiles", drawn_file("profiles"), "--tasks", drawn_file("tasks"),
                 "--csv", output("m.csv"), "--svg", output("m.svg")]
@@ -675,3 +689,30 @@ def test_main_on_drawn_argv_and_files_exits_0_2_or_3(tmp_path, command, shape, d
         assert exc.code == (0 if shape == "help" else 2), (argv, err.getvalue())
     else:
         assert code in (0, 2, 3), (argv, err.getvalue())
+
+
+# A mistyped translation map in two of eight examples: `run` is the one
+# command that reads the map, so only this property checks its loader.
+_RUN_MAPS = ("valid",) * 3 + ("mistyped",) * 2 + ("malformed", "directory", "missing")
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_run_on_drawn_argv_writes_its_trace_or_names_its_error(tmp_path, data):
+    # Exit 0 with a successful trace, exit 3 with a failed one, or exit 2 or 3
+    # with one `error:` line (after the trace, for a translation that fails);
+    # never a traceback.
+    root = Path(tempfile.mkdtemp(dir=tmp_path))
+    argv = _run_argv(data, root, _drawn_file(data, root, "translations", _RUN_MAPS))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    trace_path = Path(argv[argv.index("--out") + 1])
+    trace = json.loads(trace_path.read_text(encoding="utf-8")) if trace_path.is_file() else None
+    assert out.getvalue() == ""
+    if err.getvalue():
+        assert code in (2, 3) and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+    else:
+        assert code in (0, 3), argv
+        assert trace["instruction"] == argv[argv.index("--instruction") + 1]
+        assert trace["success"] == (code == 0)

@@ -8,7 +8,8 @@ evaluation of the moved scene (also for drawn programs), the translation
 analysis and its closed-form optimum, the residual a move word shares with
 the closed form, compiled plans against the plain tree walk (on plain and
 posed contexts), the coordinate poll against its first
-request's angle grid, the solver's never-worse guarantee, the centroid against
+request's angle grid, the poll's index reads against the bytes-keyed
+lookup they replaced, the solver's never-worse guarantee, the centroid against
 numpy's mean, extents over the kept extreme points against the whole cloud's,
 scene, part-database and profile documents drawn as JSON (only the
 reader's own error, naming the field at fault), and the whole loop on a drawn
@@ -51,7 +52,7 @@ from maniplang.solver import (
     transform_scene,
 )
 
-from util import evaluate_oracle, random_rotation
+from util import evaluate_oracle, poll_oracle, random_rotation
 
 # -- parse(to_source(e)) == e ---------------------------------------------------
 
@@ -757,8 +758,8 @@ def test_coordinate_poll_of_the_angle_search_reads_only_the_angle_grid(x, halvin
     def value(row):  # -1 per axis on the pattern's side, +1 per axis off it
         return sum(-1.0 if q == p != 0 else float(q != 0) for q, p in zip(row, pattern))
 
-    scored = dict(zip(solver._keys(x + scale * grid), map(value, grid)))
-    poll = solver._poll(x, 0.0, scale * solver._signed(np.eye(3)), 0, budget, scored)
+    values = list(map(value, grid))
+    poll = solver._poll(x, 0.0, scale * solver._signed(np.eye(3)), 0, budget, values, len(grid) - 6, True)
     with pytest.raises(StopIteration) as stop:
         next(poll)
     point, fx, evals, improved = stop.value.value
@@ -766,6 +767,76 @@ def test_coordinate_poll_of_the_angle_search_reads_only_the_angle_grid(x, halvin
     if budget >= 6:
         assert point.tobytes() == (x + scale * np.array(pattern, dtype=float)).tobytes()
         assert (fx, improved) == (-float(np.count_nonzero(pattern)), any(pattern))
+
+
+# -- the poll's index reads against the bytes-keyed lookup -------------------------
+
+_polled = st.sampled_from([0.0, 1.0, 2.0, 3.0, None])  # None: the row fails
+
+
+def _stepped(poll, sent):
+    """One step of a poll generator: what it asks for, returns or raises."""
+    try:
+        return "asks", poll.send(sent)
+    except StopIteration as stop:
+        return "returns", stop.value
+    except ManiplangError as exc:
+        return "raises", exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    n=st.sampled_from([3, 6]),
+    coordinate=st.booleans(),
+    x=st.tuples(*[_angles] * 3, *[_shifts] * 3),
+    halvings=st.integers(min_value=0, max_value=22),
+    evals=st.integers(min_value=0, max_value=60),
+    budget=st.integers(min_value=1, max_value=60),
+    fx=_polled.filter(lambda v: v is not None),
+    draws=_seeds,
+)
+def test_a_poll_reads_by_index_what_the_bytes_keyed_poll_reads(
+    data, n, coordinate, x, halvings, evals, budget, fx, draws
+):
+    # The cycle's first request is laid out as `_pattern_search` lays it out:
+    # the angle grid, the translation probes, the fallback probes. Both polls
+    # are sent the same drawn values, failed rows included, and must ask for
+    # the same bytes and end alike. (Search points hold no -0.0; x + 0.0
+    # folds a drawn one away.)
+    x = np.array(x[:n]) + 0.0
+    scale = solver._INIT_STEPS[:n] * 0.5**halvings
+    signed = solver._signed(np.eye(n))
+    directions = np.random.default_rng(draws).normal(size=(solver._RANDOM_POLLS, n))
+    fallback = solver._signed(directions / np.linalg.norm(directions, axis=1, keepdims=True))
+    probes = x + scale * np.concatenate([solver._ANGLE_GRID[:, :n], signed[6:], fallback])
+
+    def drawn(rows):
+        picks = data.draw(st.lists(_polled, min_size=len(rows), max_size=len(rows)))
+        return [EvalError(f"row {k} fails") if v is None else v for k, v in enumerate(picks)]
+
+    values = drawn(probes)
+    if coordinate:
+        steps, first, grid = scale * signed, len(solver._ANGLE_GRID) - 6, True
+    else:
+        steps, first, grid = scale * fallback, len(probes) - len(fallback), False
+    polls = (
+        solver._poll(x, fx, steps, evals, budget, values, first, grid),
+        poll_oracle(x, fx, steps, evals, budget, probes, values),
+    )
+    sent = None
+    while True:
+        (kind, got), (oracle_kind, expected) = (_stepped(poll, sent) for poll in polls)
+        assert kind == oracle_kind
+        if kind != "asks":
+            break
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        sent = drawn(got)
+    if kind == "raises":
+        assert got is expected
+    else:
+        (point, value, *rest), (oracle_point, oracle_value, *oracle_rest) = got, expected
+        assert (point.tobytes(), value, rest) == (oracle_point.tobytes(), oracle_value, oracle_rest)
 
 
 # -- solve never returns worse than the initial pose -------------------------------

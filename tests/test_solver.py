@@ -32,6 +32,7 @@ from maniplang.solver import (
     transform_scene,
 )
 
+from goldens import TEAPOT_LID_PROGRAM
 from util import CARROT_KNIFE_PROGRAM, random_rotation, single_part_scene
 
 
@@ -81,6 +82,19 @@ class TestSolveConfig:
     def test_rejects_out_of_range(self, fields, message):
         with pytest.raises(SolverError, match=message):
             SolveConfig(**fields)
+
+    @pytest.mark.parametrize("field", ["max_iterations", "restarts", "seed"])
+    @pytest.mark.parametrize("value", [2.0, 300.5, True, "3", None])
+    def test_rejects_integer_fields_that_are_not_integers(self, field, value):
+        with pytest.raises(SolverError, match=f"^{field} must be an integer, got {value!r}$"):
+            SolveConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["max_iterations", "restarts", "seed"])
+    @pytest.mark.parametrize("value", [np.int64(3), np.uint8(3)])
+    def test_keeps_a_numpy_integer_as_a_python_int(self, field, value):
+        cfg = SolveConfig(**{field: value})
+        assert type(getattr(cfg, field)) is int
+        assert cfg == SolveConfig(**{field: 3})
 
 
 class TestPartition:
@@ -415,6 +429,22 @@ MOCK_ROWS = {
     "put the pen into the penholder": 9176,
     "cut the carrot with the knife": 16796,
 }
+# The same counts (searches, rounds, rows) for the 6-D solve of the
+# teapot_lid golden, at the default config: restart 1 wins it.
+TEAPOT_SEARCH = ((6255, 1817, 1), 259, 18694)
+
+
+def counted_rounds(monkeypatch) -> list:
+    """The rows each `_objective_rows` call scores from now on."""
+    rounds = []
+    objective_rows = solver._objective_rows
+
+    def counted(expr, ctx, xs, *rest):
+        rounds.append(len(xs))
+        return objective_rows(expr, ctx, xs, *rest)
+
+    monkeypatch.setattr(solver, "_objective_rows", counted)
+    return rounds
 
 
 def degenerate_probe_scene(c_at):
@@ -521,20 +551,23 @@ class TestLockstepSearch:
     @pytest.mark.parametrize("instruction", sorted(MOCK_SEARCHES))
     def test_mock_solves_take_the_recorded_search(self, instruction, monkeypatch):
         kind, recorded = MOCK_SEARCHES[instruction]
-        rounds = []  # the rows each round scores
-        objective_rows = solver._objective_rows
-
-        def counted(expr, ctx, xs, *rest):
-            rounds.append(len(xs))
-            return objective_rows(expr, ctx, xs, *rest)
-
-        monkeypatch.setattr(solver, "_objective_rows", counted)
+        rounds = counted_rounds(monkeypatch)
         client = pipeline.MockClient(fixtures.load_mock_translations())
         trace = pipeline.run_task(instruction, load_scene(fixtures.shipped_scene_path(kind)), client)
         (result,) = [stage.solve for stage in trace.stages if stage.solve is not None]
         assert (result.total_evaluations, result.iterations, result.restart_index) == recorded
         assert len(rounds) == MOCK_ROUNDS[instruction]
         assert sum(rounds) == MOCK_ROWS[instruction]
+
+    def test_teapot_lid_solve_takes_the_recorded_search(self, monkeypatch):
+        rounds = counted_rounds(monkeypatch)
+        scene = load_scene(fixtures.shipped_scene_path("teapot_lid"))
+        expr = typed(TEAPOT_LID_PROGRAM)
+        assert solver._search_space(expr, solver._PosedContext(scene), SolveConfig())[0] == 6
+        result = solve(expr, scene)
+        assert ((result.total_evaluations, result.iterations, result.restart_index), len(rounds), sum(rounds)) == (
+            TEAPOT_SEARCH
+        )
 
     def test_restarts_run_in_fixed_groups(self, monkeypatch):
         groups = []

@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 
 from maniplang.costs import EmptyHistoryError, EvalError
-from maniplang.errors import MissingPartError
+from maniplang.errors import ManiplangError, MissingPartError
 from maniplang.geometry import DegenerateAxisError, Point3, PointCloud, angle_between, dot, norm, unit_direction
 from maniplang.language.ast import BinOp, Call, Literal, Neg, Triple
 from maniplang.scene import GRIPPER_NAME, Scene
@@ -249,3 +249,46 @@ _ORACLE_WORDS = {
     "gripper_open_cost": lambda ctx: 1.0 - ctx.scene.gripper_open_fraction,
     "gripper_close_first_cost": lambda ctx: ctx.scene.gripper_open_fraction,
 }
+
+
+# -- the bytes-keyed poll that the solver's index reads replaced -------------------
+
+
+def _keys(rows: np.ndarray) -> list:
+    """Each row's bytes: points built alike are keyed alike."""
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
+
+
+def _consume(value) -> float:
+    """A scored row's value; a failed row raises its error."""
+    if isinstance(value, ManiplangError):
+        raise value
+    return value
+
+
+def poll_oracle(x, fx, steps, evals, budget, probes, values):
+    """solver._poll as a lookup by bytes: a probe is read from the rows
+    `probes` of the cycle's first request, which scored `values`, where its
+    bytes are among them; at the first that is not, one request asks for every
+    probe still ahead from the current point (as many as the budget allows),
+    and its rows join the lookup. Returns (point, value, evaluations,
+    improved)."""
+    scored = dict(zip(_keys(probes), values))
+    improved = False
+    probe = 0
+    while probe < len(steps) and evals < budget:
+        trials = x + steps[probe : probe + budget - evals]
+        keys = _keys(trials)
+        for k, key in enumerate(keys):
+            if key not in scored:
+                scored.update(zip(keys[k:], (yield trials[k:])))
+            ft = _consume(scored[key])
+            evals += 1
+            if ft < fx:
+                hit = probe + k
+                x, fx, improved = trials[k], ft, True
+                probe = hit + 2 - hit % 2  # the next direction's + probe
+                break
+        else:
+            probe += len(trials)
+    return x, fx, evals, improved
