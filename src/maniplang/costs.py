@@ -148,14 +148,16 @@ def _axis(plan, part):
 
 
 def _triple(*items):
-    if np.ndarray in map(type, items):
-        return np.stack(np.broadcast_arrays(*items), axis=-1, dtype=float)
-    return np.array(items, dtype=float)
+    if np.ndarray not in map(type, items):
+        return np.array(items, dtype=float)
+    out = np.empty(np.broadcast(*items).shape + (3,))
+    out[..., 0], out[..., 1], out[..., 2] = items
+    return out
 
 
 def _scale(vec, scalar):
     """vec * scalar: a scalar per pose scales that pose's vector."""
-    return vec * np.expand_dims(scalar, -1)
+    return vec * np.asarray(scalar)[..., None]
 
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}

@@ -3,6 +3,8 @@
 The parser emits a single BinOp node for every infix `+`/`-`/`*`; the type
 checker later tells cost sums, point arithmetic, and vec scaling apart by the
 sorts it assigns. A TypedExpr wraps each node with its derived sort.
+Each node is a frozen dataclass with a written-out `__init__` that stores into
+the instance dict, at under half the cost of the dataclass's own.
 """
 
 from __future__ import annotations
@@ -18,21 +20,27 @@ class Expr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Literal(Expr):
     """A quoted string or a number."""
 
     value: str | float
 
+    def __init__(self, value):
+        self.__dict__["value"] = value
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Triple(Expr):
     """Bracketed list; must hold exactly three scalar expressions to type."""
 
     items: tuple[Expr, ...]
 
+    def __init__(self, items):
+        self.__dict__["items"] = items
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Call(Expr):
     """Vocabulary word application with positional and named arguments."""
 
@@ -40,8 +48,12 @@ class Call(Expr):
     args: tuple[Expr, ...] = ()
     kwargs: tuple[tuple[str, Expr], ...] = ()
 
+    def __init__(self, word, args=(), kwargs=()):
+        d = self.__dict__
+        d["word"], d["args"], d["kwargs"] = word, args, kwargs
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class BinOp(Expr):
     """Infix `+`, `-`, or `*`; the sort decides which grammar rule applies."""
 
@@ -49,13 +61,20 @@ class BinOp(Expr):
     left: Expr
     right: Expr
 
+    def __init__(self, op, left, right):
+        d = self.__dict__
+        d["op"], d["left"], d["right"] = op, left, right
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Neg(Expr):
     operand: Expr
 
+    def __init__(self, operand):
+        self.__dict__["operand"] = operand
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class TypedExpr:
     """A sort-annotated expression tree.
 
@@ -70,6 +89,10 @@ class TypedExpr:
     children: tuple["TypedExpr", ...] = ()
     word: str | None = None
     params: tuple[str, ...] = ()
+
+    def __init__(self, expr, sort, children=(), word=None, params=()):
+        d = self.__dict__
+        d["expr"], d["sort"], d["children"], d["word"], d["params"] = expr, sort, children, word, params
 
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2}

@@ -68,7 +68,7 @@ def tokenize(source: str) -> list[Token]:
         if kind == "NUMBER" and not math.isfinite(float(text)):
             raise ParseError("number literal is not finite", offset, ("finite number",))
         if kind:
-            tokens.append(Token(kind, text, offset))
+            tokens.append(tuple.__new__(Token, (kind, text, offset)))  # half the cost of Token(...)
         offset += len(text)
     tokens.append(Token("EOF", "", len(source)))
     return tokens

@@ -23,7 +23,7 @@ from . import files, fixtures
 from .errors import ManiplangError
 from .language.typecheck import validate_program
 from .scene import Scene
-from .solver import SolveConfig, SolveResult, partition_moving_static, solve, transform_scene
+from .solver import SolveConfig, SolveResult, config_number, partition_moving_static, solve, transform_scene
 
 REMOTE_URL_ENV = "MANIPLANG_REMOTE_URL"
 REMOTE_TIMEOUT_S = 30.0
@@ -134,6 +134,8 @@ class PipelineConfig:
     success_threshold: float = 1e-2
 
     def __post_init__(self):
+        threshold = config_number(self.success_threshold, "success_threshold", PipelineError)
+        object.__setattr__(self, "success_threshold", threshold)
         if not 0.0 <= self.success_threshold < float("inf"):  # NaN fails too
             raise PipelineError(f"success threshold must be finite and >= 0, got {self.success_threshold}")
 

@@ -143,10 +143,11 @@ def retrieve(db: PartDatabase, desc: str) -> RetrievalMatch:
     return RetrievalMatch(db.entries[index], index, phrase, distance)
 
 
-def oracle_segment(scene: Scene, part_desc: str, db: PartDatabase) -> PointCloud:
+def oracle_segment(scene: Scene, part_desc: str, db: PartDatabase, names: PartDatabase | None = None) -> PointCloud:
     """Desk-scale segmenter: retrieval picks an entry, then a `retrieve` of its
-    first key phrase over the scene's part names, sorted, picks the labeled
-    part; ties go to the smaller name. Deterministic given identical inputs.
+    first key phrase over `names`, the table of the scene's part names (built
+    here unless given), picks the labeled part; ties go to the smaller name.
+    Deterministic given identical inputs.
 
     Raises MissingPartError when either hop lands farther than
     MATCH_RATIO of the respective phrase's length.
@@ -155,19 +156,25 @@ def oracle_segment(scene: Scene, part_desc: str, db: PartDatabase) -> PointCloud
     if match.distance > MATCH_RATIO * len(normalize_phrase(match.matched_phrase)) or not scene.parts:
         raise MissingPartError(part_desc)
     phrase = match.entry.key_phrases[0]
-    part = retrieve(PartDatabase(tuple(PartEntry((name,)) for name in sorted(scene.parts))), phrase)
+    part = retrieve(names or _scene_names(scene), phrase)
     if part.distance > MATCH_RATIO * len(normalize_phrase(phrase)):
         raise MissingPartError(part_desc)
     return scene.parts[part.matched_phrase]
 
 
+def _scene_names(scene: Scene) -> PartDatabase:
+    """The segmenter's table: one single-phrase entry per part name, sorted."""
+    return PartDatabase(tuple(PartEntry((name,)) for name in sorted(scene.parts)))
+
+
 def make_part_resolver(scene: Scene, db: PartDatabase) -> Callable[[str], PointCloud]:
-    """EvalContext hook: resolve part descriptions through the database."""
+    """EvalContext hook: resolve part descriptions through the database and one name table."""
+    names = _scene_names(scene)
 
     def resolver(name: str) -> PointCloud:
         if name in scene.parts:
             return scene.parts[name]
-        return oracle_segment(scene, name, db)
+        return oracle_segment(scene, name, db, names)
 
     return resolver
 

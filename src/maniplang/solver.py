@@ -64,7 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from itertools import product
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -100,6 +100,17 @@ class NoMovingPartsError(SolverError):
     pass
 
 
+def config_number(value, name: str, error: type[ManiplangError], whole: bool = False):
+    """A config field's value as a Python float, or int if `whole`; a bool, a
+    value of another type and an int past a float's range raise `error`."""
+    if isinstance(value, bool) or not isinstance(value, Integral if whole else Real):
+        raise error(f"{name} must be {'an integer' if whole else 'a real number'}, got {value!r}")
+    try:
+        return int(value) if whole else float(value)  # a numpy integer would wrap or overflow in the search
+    except OverflowError:
+        raise error(f"{name} must be finite") from None
+
+
 @dataclass(frozen=True)
 class SolveConfig:
     alpha: float = 0.1
@@ -110,11 +121,8 @@ class SolveConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_iterations", "restarts", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise SolverError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # a numpy integer would wrap or overflow in the search
+        for f in fields(self):  # annotations are strings: "int" or "float"
+            object.__setattr__(self, f.name, config_number(getattr(self, f.name), f.name, SolverError, f.type == "int"))
         if not np.isfinite([self.alpha, self.beta, self.tolerance]).all():
             raise SolverError("alpha, beta and tolerance must be finite")
         if self.alpha < 0 or self.beta < 0:

@@ -1,8 +1,11 @@
 import dataclasses
 import io
 import json
+import math
+import re
 import urllib.request
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,6 +127,23 @@ class TestStageSplitting:
     def test_matches_the_reference_loop(self, lines, newline):
         candidate = newline.join(lines)
         assert split_stages(candidate) == self.reference_split(candidate)
+
+
+class TestPipelineConfig:
+    @pytest.mark.parametrize("value", ["x", None, True, 1j])
+    def test_rejects_a_threshold_that_is_not_a_real_number(self, value):
+        message = f"^success_threshold must be a real number, got {re.escape(repr(value))}$"
+        with pytest.raises(PipelineError, match=message):
+            PipelineConfig(success_threshold=value)
+
+    @pytest.mark.parametrize("value", [-1e-3, math.nan, math.inf, 10**400])
+    def test_rejects_a_threshold_that_is_negative_or_not_finite(self, value):
+        with pytest.raises(PipelineError):
+            PipelineConfig(success_threshold=value)
+
+    def test_keeps_a_numpy_float_as_a_python_float(self):
+        cfg = PipelineConfig(success_threshold=np.float32(0.25))
+        assert type(cfg.success_threshold) is float and cfg == PipelineConfig(success_threshold=0.25)
 
 
 class TestRunTask:

@@ -12,9 +12,10 @@ request's angle grid, the poll's index reads against the bytes-keyed
 lookup they replaced, the solver's never-worse guarantee, the centroid against
 numpy's mean, extents over the kept extreme points against the whole cloud's,
 scene, part-database and profile documents drawn as JSON (only the
-reader's own error, naming the field at fault), and the whole loop on a drawn
+reader's own error, naming the field at fault), the whole loop on a drawn
 candidate program (a strict-JSON trace, byte-identical when run again, or a
-translation failure)."""
+translation failure), AST and typed nodes as frozen dataclasses and tokens as
+named tuples, and the cross product and a posed triple against numpy's own."""
 
 import dataclasses
 import functools
@@ -26,19 +27,20 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from maniplang import fixtures, solver
+from maniplang import costs, fixtures, solver
 from maniplang.costs import EvalContext, EvalError, compile_plan, evaluate, move_residual, translation_term
 from maniplang.errors import ManiplangError
 from maniplang.geometry import (
-    GeometryError, Point3, PointCloud, PoseSE3, centroid, euler_from_rotation, extreme_points, norm,
-    rotated_extent, rotation_xyz,
+    GeometryError, Point3, PointCloud, PoseSE3, angle_between, centroid, cross, dot, euler_from_rotation,
+    extreme_points, norm, rotated_extent, rotation_xyz,
 )
 from maniplang.language import (
-    Accepted, BinOp, Call, Literal, Neg, ParseError, Rejected, Triple, TypeCheckError, default_grammar,
-    default_vocabulary, parse, to_source, tokenize, type_check, typecheck, validate_program,
+    Accepted, BinOp, Call, Literal, Neg, ParseError, Rejected, Token, Triple, TypeCheckError, TypedExpr,
+    default_grammar, default_vocabulary, parse, to_source, tokenize, type_check, typecheck, validate_program,
 )
-from maniplang.language.ast import SORTS
+from maniplang.language.ast import SORTS, Expr
 from maniplang.metrics import ProfileSchemaError, profile_from_json
 from maniplang.pipeline import MockClient, PipelineConfig, TranslationFailedError, run_task
 from maniplang.retrieval import RetrievalError, database_from_json
@@ -158,6 +160,69 @@ def test_drawn_program_is_accepted_and_round_trips(program):
     assert isinstance(verdict, Accepted), (source, verdict.reason)
     assert verdict.typed.sort == sort
     assert parse(source) == expr
+
+
+# -- nodes are frozen dataclasses, tokens named tuples -----------------------------
+
+_NODE_FIELDS = {
+    Literal: ("value",),
+    Triple: ("items",),
+    Call: ("word", "args", "kwargs"),
+    BinOp: ("op", "left", "right"),
+    Neg: ("operand",),
+    TypedExpr: ("expr", "sort", "children", "word", "params"),
+}
+
+
+def _ast_and_typed_nodes(value):
+    """Every AST and typed node in `value`, itself included, in pre-order."""
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _ast_and_typed_nodes(item)
+    elif isinstance(value, (Expr, TypedExpr)):
+        yield value
+        for field in dataclasses.fields(value):
+            yield from _ast_and_typed_nodes(getattr(value, field.name))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree=st.recursive(_leaves, _compound, max_leaves=16), program=_programs)
+def test_nodes_keep_their_frozen_dataclass_semantics(tree, program):
+    # A node's written-out __init__ must give what the dataclass's own gave:
+    # the same fields and defaults, ==, hash and repr, and no assignment.
+    typed = validate_program(to_source(program[1])).typed
+    for node in [*_ast_and_typed_nodes(tree), *_ast_and_typed_nodes(typed)]:
+        cls = type(node)
+        fields = dataclasses.fields(cls)
+        assert tuple(f.name for f in fields) == _NODE_FIELDS[cls]
+        defaults = [f.default for f in fields if f.default is not dataclasses.MISSING]
+        assert list(cls.__init__.__defaults__ or ()) == defaults
+        values = {f.name: getattr(node, f.name) for f in fields}
+        assert vars(node) == values
+        for twin in (cls(*values.values()), cls(**values), dataclasses.replace(node)):
+            assert twin == node and hash(twin) == hash(node) and twin is not node
+        assert repr(node) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in values.items())})"
+        for name in values:
+            assert dataclasses.replace(node, **{name: object()}) != node
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, values[name])
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(node, name)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_programs)
+def test_tokenize_gives_token_instances(program):
+    source = to_source(program[1])
+    tokens = tokenize(source)
+    assert [type(token) for token in tokens] == [Token] * len(tokens)
+    for token in tokens:
+        kind, text, offset = token
+        assert token == Token(kind, text, offset) == (kind, text, offset)
+        assert (token.kind, token.text, token.offset) == (kind, text, offset)
+        assert repr(token) == f"Token(kind={kind!r}, text={text!r}, offset={offset!r})"
+        assert source[offset : offset + len(text)] == text
+    assert tokens[-1] == ("EOF", "", len(source))
 
 
 @settings(max_examples=100, deadline=None)
@@ -409,6 +474,54 @@ def test_centroid_is_the_mean_bit_for_bit_where_finite(points):
         assert got.tobytes() == mean.tobytes()
     else:
         assert (coords.min(axis=0) <= got).all() and (got <= coords.max(axis=0)).all()
+
+
+# -- the cross product and a posed triple are numpy's own, bit for bit -------------
+
+# Zeros of both signs and magnitudes whose products neither overflow nor underflow.
+_cross_components = st.one_of(
+    st.sampled_from((0.0, -0.0)),
+    st.floats(min_value=1e-150, max_value=1e150),
+    st.floats(min_value=-1e150, max_value=-1e-150),
+)
+
+
+@st.composite
+def _vector_arrays(draw):
+    """Two arrays of 3-vectors: single vectors, equal stacks, or a stack and one vector."""
+    k = draw(st.integers(1, 5))
+    shapes = draw(st.sampled_from([
+        ((3,), (3,)), ((k, 3), (k, 3)), ((k, 3), (3,)), ((3,), (k, 3)), ((2, k, 3), (k, 3)),
+    ]))
+    return tuple(draw(arrays(float, shape, elements=_cross_components)) for shape in shapes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_vector_arrays())
+def test_cross_is_numpys_cross_bit_for_bit(pair):
+    a, b = pair
+    got, want = cross(a, b), np.cross(a, b)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    with np.errstate(over="ignore"):  # the norm of a cross product near 1e300 overflows
+        if (norm(a) > 1e-12).all() and (norm(b) > 1e-12).all():
+            assert angle_between(a, b).tobytes() == np.arctan2(norm(want), dot(a, b)).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), poses=st.integers(1, 4))
+def test_a_posed_triple_is_numpys_stack(data, poses):
+    # The fill replaced np.stack(np.broadcast_arrays(...)); an item is a float,
+    # or one value per pose, or one value for every pose.
+    item = st.one_of(st.floats(), arrays(float, st.sampled_from([(1,), (poses,)])))
+    items = data.draw(st.lists(item, min_size=3, max_size=3))
+    got = costs._triple(*items)
+    if np.ndarray in map(type, items):
+        want = np.stack(np.broadcast_arrays(*items), axis=-1, dtype=float)
+    else:
+        want = np.array(items, dtype=float)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 # -- extents over the kept extreme points are the full cloud's, bit for bit --------

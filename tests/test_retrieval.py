@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from maniplang import fixtures
+from maniplang import fixtures, retrieval
 from maniplang.costs import MissingPartError
 from maniplang.geometry import Point3, PointCloud
 from maniplang.retrieval import (
@@ -280,6 +280,37 @@ class TestOracleSegment:
         resolver = make_part_resolver(scene, fixtures.build_part_database())
         assert resolver("lid") == scene.parts["lid"]
         assert resolver("teapot oppening") == scene.parts["teapot opening"]
+
+    def test_a_resolver_builds_its_scene_name_table_once(self, monkeypatch):
+        scene = fixtures.make_scene("teapot_lid")
+        resolver = make_part_resolver(scene, fixtures.build_part_database())
+        built = []
+        monkeypatch.setattr(retrieval, "PartDatabase", lambda entries: built.append(entries) or PartDatabase(entries))
+        assert resolver("teapot oppening") is scene.parts["teapot opening"]
+        assert resolver("teapot spuot") is scene.parts["teapot spout"]
+        assert built == []
+
+    def test_a_resolver_segments_as_oracle_segment_does(self):
+        # Every shipped scene, every key phrase of the shipped database and a
+        # typo of each: the resolver's one name table finds what a table built
+        # per call finds, or misses alike.
+        rng = random.Random(5)
+        db = fixtures.build_part_database()
+        queries = [phrase for entry in db.entries for phrase in entry.key_phrases]
+        queries += [_typo(rng, phrase) for phrase in queries]
+        for kind in fixtures.SCENE_KINDS:
+            scene = load_scene(fixtures.shipped_scene_path(kind))
+            resolver = make_part_resolver(scene, db)
+            for query in queries:
+                if query in scene.parts:
+                    continue
+                try:
+                    want = oracle_segment(scene, query, db)
+                except MissingPartError:
+                    with pytest.raises(MissingPartError):
+                        resolver(query)
+                else:
+                    assert resolver(query) is want, (kind, query)
 
     def test_equals_a_brute_force_two_hop_scan(self):
         # Shipped scenes and drawn part-name sets, in drawn order: exact ties,

@@ -1,6 +1,8 @@
+import fractions
 import json
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -95,6 +97,24 @@ class TestSolveConfig:
         cfg = SolveConfig(**{field: value})
         assert type(getattr(cfg, field)) is int
         assert cfg == SolveConfig(**{field: 3})
+
+    @pytest.mark.parametrize("field", ["alpha", "beta", "tolerance"])
+    @pytest.mark.parametrize("value", ["0.1", None, True, 1j])
+    def test_rejects_float_fields_that_are_not_real_numbers(self, field, value):
+        with pytest.raises(SolverError, match=f"^{field} must be a real number, got {re.escape(repr(value))}$"):
+            SolveConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["alpha", "beta", "tolerance"])
+    @pytest.mark.parametrize("value", [np.float64(0.25), np.float32(0.25), 1, fractions.Fraction(1, 4)])
+    def test_keeps_a_real_number_as_a_python_float(self, field, value):
+        cfg = SolveConfig(**{field: value})
+        assert type(getattr(cfg, field)) is float
+        assert cfg == SolveConfig(**{field: float(value)})
+
+    @pytest.mark.parametrize("field", ["alpha", "beta", "tolerance"])
+    def test_rejects_an_int_past_a_floats_range(self, field):
+        with pytest.raises(SolverError, match=f"^{field} must be finite$"):
+            SolveConfig(**{field: 10**400})
 
 
 class TestPartition:
