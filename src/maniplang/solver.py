@@ -46,18 +46,21 @@ run in lockstep groups of `_LOCKSTEP`; each round scores every live
 restart's request in one call; a round with a failing row is scored again in
 halves, down to the rows that fail. A cycle's first request asks for every
 probe its polls can need before they move: x's 26 neighbours on its angle
-grid (`_ANGLE_GRID`), the translation probes from x, and the fallback's
-probes from x, whose directions are drawn ahead and kept until a fallback
+grid (`_ANGLE_GRID`), the translation probes and the fallback's, read by
+index (`_poll`); a poll that moves off those rows asks for the probes still
+ahead. A ray asks for four points, then twice as many per request. Requests
+also score three kinds of cycle ahead: the start carries the first cycle, a
+cycle after two stalls the next stalled ones, and a ray after one that failed
+at once the cycle that follows if it fails at once too. A cycle reads those
+values only if its point, shrink and fallback draw are the ones predicted.
+Fallback directions are drawn ahead in draw order and kept until a fallback
 poll uses them, so a restart's draws are those of a one-after-another run.
-The probe order is fixed, so a poll reads each value by its index (`_poll`)
-and asks for the probes still ahead once it moves off those rows. An
-acceleration ray asks for four points, then twice as many per request. Values
-are consumed in order up to the first improvement (or a ray's first point
-that does not improve); the rest were speculative and are neither counted
-nor allowed to fail the solve. Every restart therefore takes exactly the
-steps, and reports the evaluation count, of a one-probe-at-a-time run.
-Identical inputs (expression, scene, config including seed) produce
-identical results; nothing depends on wall clock.
+Values are consumed in order up to the first improvement (or a ray's first
+point that does not improve); the rest were speculative and are neither
+counted nor allowed to fail the solve. A row's value does not depend on its
+batch, so every restart takes exactly the steps, and reports the evaluation
+count, of a one-probe-at-a-time run. Identical inputs (expression, scene,
+config including seed) produce identical results; nothing depends on wall clock.
 """
 
 from __future__ import annotations
@@ -405,6 +408,7 @@ _ANGLE_GRID = np.array(
 )
 # Restarts searched in lockstep; fixed, so memory stays flat as restarts grow.
 _LOCKSTEP = 8
+_LADDER_AFTER, _LADDER_CAP = 2, 8  # stalls in a row before a cycle scores the next stalled ones too; most it scores
 
 
 def _signed(directions) -> np.ndarray:
@@ -445,12 +449,12 @@ def _poll(x, fx, steps, evals, budget, values, first, grid=False):
     return x, fx, evals, improved
 
 
-def _accelerate(x, x1, fx1, evals, budget):
+def _accelerate(x, x1, fx1, evals, budget, ask, carried):
     """Steps (x, x1) -> (x1, x1 + (x1 - x)) while that improves. Each request
     computes the ray's next points with that recurrence, four at first and then
     twice as many as before, as far as the budget allows; only values consumed
-    up to the first that does not improve count. Returns (point, value,
-    evaluations)."""
+    up to the first that does not improve count. With cycles `carried`, the
+    first request goes through `ask(rows, carried)`. Returns (point, value, evaluations)."""
     ahead = 4
     while evals < budget:
         a, b, ray = x.tolist(), x1.tolist(), []  # the same floats as numpy's, at less cost per point
@@ -460,7 +464,7 @@ def _accelerate(x, x1, fx1, evals, budget):
         if not ray:
             break
         ray = np.array(ray)
-        values = yield ray
+        values, carried = (yield from ask(ray, carried)) if carried else (yield ray), ()
         for trial, ft in zip(ray, values):
             if ft.__class__ is not float:
                 raise ft
@@ -507,44 +511,70 @@ def _pattern_search(x0: np.ndarray, cfg: SolveConfig, rng, restarts: list, index
     at the start of a cycle whose point lies in a lower-index restart's poll
     box (`_in_lower_box`). It fills its record, `restarts[index]`.
 
+    Requests also score predicted cycles (the first; up to `_LADDER_CAP` stalled
+    ones after `_LADDER_AFTER` stalls; the one after a ray): a cycle reads them
+    only if its point, shrink and fallback draw are those predicted.
+
     Its dimension n is x0's: the leading n of the six coordinates. A
     generator: it yields each batch of points it needs scored, (m, n), and is
     sent their values."""
     budget = cfg.max_iterations
     x = np.array(x0, dtype=float)
-    if (fx := (yield x[None])[0]).__class__ is not float:
-        raise fx
-    evals = 1
-    shrink = 1.0
     n = len(x)
     init_steps, coordinate = _INIT_STEPS[:n], _signed(np.eye(n))
+    top = float(init_steps.max())
     record, lower = restarts[index], restarts[:index]
-    fallback = None
+    # A cycle's first request at unit scale: 26 angle-grid rows, translation probes (p at row 20 + p), fallback probes.
+    grid = np.concatenate([_ANGLE_GRID[:, :n], coordinate[6:]])
+    size = len(grid) + 2 * _RANDOM_POLLS
+    drawn, ahead = [], []  # fallback draws (the current cycle's until a fallback poll uses it); cycles scored ahead
+
+    def draw(k):
+        while len(drawn) <= k:
+            directions = rng.normal(size=(_RANDOM_POLLS, n))
+            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+            drawn.append(np.concatenate([grid, _signed(directions)]))
+        return drawn[k]
+
+    def ask(own, carried):  # own rows, then the carried cycles' first requests; queues (x, shrink, offsets, values)
+        values = yield np.concatenate([own, *(x + (init_steps * s) * o for x, s, o in carried)]) if carried else own
+        ahead[:] = [(*key, values[m : m + size]) for key, m in zip(carried, range(len(own), len(values), size))]
+        return values
+
+    values = yield from ask(x[None], [(x, 1.0, draw(0))] if budget > 1 else [])
+    if (fx := values[0]).__class__ is not float:
+        raise fx
+    evals, shrink, stalls, missed = 1, 1.0, 0, False
     while evals < budget:
         record.cycles.append(x)
         scale = init_steps * shrink
         if (yield from _in_lower_box(x, scale, len(record.cycles) - 1, lower)):
             break
         cycle_start = fx
-        if fallback is None:  # drawn ahead, and kept until a fallback poll uses them
-            directions = rng.normal(size=(_RANDOM_POLLS, n))
-            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-            fallback = _signed(directions)
-            offsets = np.concatenate([_ANGLE_GRID[:, :n], coordinate[6:], fallback])
-        # The cycle's first request: x's 26 neighbours on its angle grid, the
-        # translation probes from x (coordinate step p is row 20 + p), and the
-        # fallback's probes from x, the last rows.
-        values = yield x + scale * offsets
+        offsets = drawn[0] if drawn else draw(0)
+        if ahead and ahead[0][0] is x and ahead[0][1] == shrink and ahead[0][2] is offsets:
+            values = ahead.pop(0)[3]
+        elif stalls < _LADDER_AFTER:
+            values, ahead[:] = (yield x + scale * offsets), ()
+        else:  # a stall ladder: the next stalled cycles too, none past the step floor
+            ladder = range(1, min(2 ** (stalls - _LADDER_AFTER), _LADDER_CAP) + 1)
+            carried = [(x, shrink * 0.5**k, draw(k)) for k in ladder if shrink * 0.5 ** (k - 1) * top > _STEP_FLOOR]
+            values = yield from ask(x + scale * offsets, carried)
         x1, fx1, evals, improved = yield from _poll(x, fx, scale * coordinate, evals, budget, values, 20, True)
         if not improved and evals < budget:
-            first = len(values) - len(fallback)
-            x1, fx1, evals, improved = yield from _poll(x1, fx1, scale * fallback, evals, budget, values, first)
-            fallback = None
+            fallback = scale * offsets[len(grid) :]
+            x1, fx1, evals, improved = yield from _poll(x1, fx1, fallback, evals, budget, values, len(grid))
+            del drawn[0]
+        stalls = 0 if improved else stalls + 1
         if improved:
-            x1, fx1, evals = yield from _accelerate(x, x1, fx1, evals, budget)
+            ray, small = x1, cycle_start - fx1 < cfg.tolerance  # the tolerance test, should the ray fail at once
+            follow = missed and (not small or shrink * top > _STEP_FLOOR)  # and the cycle after it exists
+            carried = [(x1, shrink * 0.5 if small else shrink, draw(0))] if follow else []
+            x1, fx1, evals = yield from _accelerate(x, x1, fx1, evals, budget, ask, carried)
+            missed = x1 is ray
         x, fx = x1, fx1
         if cycle_start - fx < cfg.tolerance:
-            if shrink * float(init_steps.max()) <= _STEP_FLOOR:
+            if shrink * top <= _STEP_FLOOR:
                 record.converged = True
                 break
             shrink *= 0.5

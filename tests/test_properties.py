@@ -42,7 +42,7 @@ from maniplang.language import (
 )
 from maniplang.language.ast import SORTS, Expr
 from maniplang.metrics import ProfileSchemaError, profile_from_json
-from maniplang.pipeline import MockClient, PipelineConfig, TranslationFailedError, run_task
+from maniplang.pipeline import MockClient, PipelineConfig, TranslationFailedError, run_task, split_stages
 from maniplang.retrieval import RetrievalError, database_from_json
 from maniplang.scene import Scene, SceneError, SceneSnapshot, load_scene, scene_from_json
 from maniplang.solver import (
@@ -54,6 +54,7 @@ from maniplang.solver import (
     transform_scene,
 )
 
+from goldens import MOCK_TASKS, TEAPOT_LID_PROGRAM
 from util import evaluate_oracle, poll_oracle, random_rotation
 
 # -- parse(to_source(e)) == e ---------------------------------------------------
@@ -1102,6 +1103,28 @@ def test_programs_without_a_closed_form_keep_the_6d_search(case):
     scene = load_scene(fixtures.shipped_scene_path(kind)) if kind else _random_scene(7)
     cfg = SolveConfig(alpha=alpha, restarts=3, max_iterations=150, seed=3)
     assert _takes_the_sequential_search(type_check(parse(program)), scene, cfg) == dimension
+
+
+# The four solving mock programs on their shipped scenes and the 6-D
+# teapot_lid program, at the default config. These searches stall again and
+# again, so their requests carry every kind of cycle scored ahead: the first
+# cycle with the start, stalled cycles after two stalls in a row, and the
+# cycle after a ray that may fail at its first point.
+DEFAULT_SOLVES = {
+    **{
+        stem: (kind, split_stages(fixtures.load_mock_translations()[instruction])[0])
+        for stem, (kind, instruction) in MOCK_TASKS.items()
+        if instruction != fixtures.GARBAGE_INSTRUCTION
+    },
+    "teapot_lid": ("teapot_lid", TEAPOT_LID_PROGRAM),
+}
+
+
+@pytest.mark.parametrize("stem", sorted(DEFAULT_SOLVES))
+def test_default_solves_take_the_sequential_search(stem):
+    kind, program = DEFAULT_SOLVES[stem]
+    scene = load_scene(fixtures.shipped_scene_path(kind))
+    _takes_the_sequential_search(type_check(parse(program)), scene, SolveConfig())
 
 
 # -- scene_from_json raises only SceneError ------------------------------------------

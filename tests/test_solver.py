@@ -436,22 +436,24 @@ MOCK_SEARCHES = {
 # Lockstep rounds (`_objective_rows` calls) of each mock task's solve stage,
 # and the rows they score: an acceleration ray's first request asks four
 # points ahead, so a ray that improves more than once saves rounds, and the
-# points it asks past its first failure are scored but not consumed.
+# points it asks past its first failure are scored but not consumed. Requests
+# also carry the first requests of cycles a restart can predict (the start's,
+# a stall ladder's, a ray's), which saves rounds and scores more rows.
 MOCK_ROUNDS = {
-    "move the cube above the target": 24,
-    "lift the cube and release it": 24,
-    "put the pen into the penholder": 136,
-    "cut the carrot with the knife": 208,
+    "move the cube above the target": 6,
+    "lift the cube and release it": 7,
+    "put the pen into the penholder": 104,
+    "cut the carrot with the knife": 186,
 }
 MOCK_ROWS = {
-    "move the cube above the target": 1922,
-    "lift the cube and release it": 1876,
-    "put the pen into the penholder": 9176,
-    "cut the carrot with the knife": 16796,
+    "move the cube above the target": 2022,
+    "lift the cube and release it": 1976,
+    "put the pen into the penholder": 10226,
+    "cut the carrot with the knife": 18496,
 }
 # The same counts (searches, rounds, rows) for the 6-D solve of the
 # teapot_lid golden, at the default config: restart 1 wins it.
-TEAPOT_SEARCH = ((6255, 1817, 1), 259, 18694)
+TEAPOT_SEARCH = ((6255, 1817, 1), 204, 19814)
 
 
 def counted_rounds(monkeypatch) -> list:
@@ -492,29 +494,45 @@ RAY_PROGRAM = (
 )
 
 
-def ray_requests(monkeypatch, expr, cfg):
-    """The points of the first acceleration ray of a solve on the
-    degenerate_probe_scene with 'c' far away, each with the request it came
-    in, and how many of them the search consumed."""
+def recorded_rays(monkeypatch, expr, cfg):
+    """Each acceleration ray of a solve on the degenerate_probe_scene with 'c'
+    far away: its requests of ray points, how many of them the search
+    consumed, and the rows its first request carries for the cycle after it
+    (through `_accelerate`'s `ask`; none unless the ray before it failed at
+    its first point)."""
     rays = []
     accelerate = solver._accelerate
 
-    def recorded(x, x1, fx1, evals, budget):
-        requests = []
-        search = accelerate(x, x1, fx1, evals, budget)
+    def recorded(x, x1, fx1, evals, budget, ask, carried):
+        requests, own = [], []
+
+        def asked(rows, carried):
+            own.append(len(rows))
+            return ask(rows, carried)
+
+        search = accelerate(x, x1, fx1, evals, budget, asked, carried)
         try:
             request = next(search)
             while True:
                 requests.append(request)
                 request = search.send((yield request))
         except StopIteration as done:
-            rays.append((requests, done.value[2] - evals))
+            rows = requests[0][own[0] :] if own else np.empty((0, len(x)))
+            requests[:1] = [request[: len(request) - len(rows)] for request in requests[:1]]
+            rays.append((requests, done.value[2] - evals, rows))
             return done.value
 
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_accelerate", recorded)
         solve(expr, degenerate_probe_scene((5.0, 5.0, 5.0)), cfg)
-    requests, consumed = rays[0]
+    return rays
+
+
+def ray_requests(monkeypatch, expr, cfg):
+    """The points of the first acceleration ray of a solve on the
+    degenerate_probe_scene with 'c' far away, each with the request it came
+    in, and how many of them the search consumed."""
+    requests, consumed, _ = recorded_rays(monkeypatch, expr, cfg)[0]
     return [(point, request) for request in requests for point in request], consumed
 
 
@@ -638,7 +656,7 @@ class TestLockstepSearch:
         monkeypatch.setattr(solver, "evaluate", lambda expr, ctx: calls.append(expr) or evaluate(expr, ctx))
         scene = degenerate_probe_scene((0.0, 0.0, -0.1))
         solve(typed(DIRECTION_PROGRAM), scene, SolveConfig(restarts=8, max_iterations=300))
-        assert len(calls) == 74
+        assert len(calls) == 66
 
     def test_halving_gives_each_row_its_value_alone(self):
         scene = load_scene(fixtures.shipped_scene_path("cube_target"))
@@ -694,6 +712,23 @@ class TestLockstepSearch:
         assert left_over.dumps() == reference.dumps()
         with pytest.raises(DegenerateDirectionError):
             solve(expr, degenerate_probe_scene(centroid_of_a_at(requests[consumed - 1][0])), cfg)
+
+    def test_unconsumed_predicted_row_does_not_end_the_solve(self, monkeypatch):
+        # After a ray that failed at its first point, the next ray's first
+        # request also scores the first request of the cycle that follows,
+        # should it fail there too; here it does. That cycle reads its row 0
+        # (+rx) first, but neither rx probe improves, so it never reads row 2
+        # (+ry after +rx improved).
+        expr = typed(RAY_PROGRAM)
+        cfg = SolveConfig(restarts=1, max_iterations=300)
+        reference = solve(expr, degenerate_probe_scene((5.0, 5.0, 5.0)), cfg)
+        carried = next(rows for _, _, rows in recorded_rays(monkeypatch, expr, cfg) if len(rows))
+        failures = watch_direction_failures(monkeypatch)
+        left_over = solve(expr, degenerate_probe_scene(centroid_of_a_at(carried[2])), cfg)
+        assert failures, "the predicted row was never scored"
+        assert left_over.dumps() == reference.dumps()
+        with pytest.raises(DegenerateDirectionError):
+            solve(expr, degenerate_probe_scene(centroid_of_a_at(carried[0])), cfg)
 
     def test_consumed_degenerate_probe_raises(self):
         # Here the first probe itself (+rx) puts 'a' on 'c'.
