@@ -53,13 +53,15 @@ also score three kinds of cycle ahead: the start carries the first cycle, a
 cycle after two stalls the next stalled ones, and a ray after one that failed
 at once the cycle that follows if it fails at once too. A cycle reads those
 values only if its point, shrink and fallback draw are the ones predicted.
-Fallback directions are drawn ahead in draw order and kept until a fallback
-poll uses them, so a restart's draws are those of a one-after-another run.
-Values are consumed in order up to the first improvement (or a ray's first
-point that does not improve); the rest were speculative and are neither
-counted nor allowed to fail the solve. A row's value does not depend on its
-batch, so every restart takes exactly the steps, and reports the evaluation
-count, of a one-probe-at-a-time run. Identical inputs (expression, scene,
+Fallback directions are drawn ahead, eight sets per generator call (the floats
+of eight calls), and kept until a fallback poll uses them, so a restart's draws
+are those of a one-after-another run. A request's values are read in one scan
+up to the first improvement (or a ray's first point that does not improve);
+the rest were speculative and are neither counted nor allowed to fail the
+solve. A posed read turns K poses in one matrix-vector product, the floats of
+K products (`_turn`). A row's value does not depend on its batch, so every
+restart takes exactly the steps, and reports the evaluation count, of a
+one-probe-at-a-time run. Identical inputs (expression, scene,
 config including seed) produce identical results; nothing depends on wall clock.
 """
 
@@ -68,6 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from itertools import product
 from numbers import Integral, Real
+from operator import add, le, sub
 
 import numpy as np
 
@@ -202,6 +205,11 @@ def transform_scene(scene: Scene, pose: PoseSE3, moving: frozenset[str] | None =
     )
 
 
+def _turn(rel: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """`rel @ v` for a C-ordered stack (K, 3, 3) in one BLAS call, not K: the same dot product per float."""
+    return (rel.reshape(-1, 3) @ v).reshape(rel.shape[:-1])
+
+
 class _PosedContext(EvalContext):
     """What `transform_scene` would give for each pose of the stack `place`
     sets, read through part summaries. A summary that fails (missing part,
@@ -216,8 +224,8 @@ class _PosedContext(EvalContext):
 
     def place(self, rel: np.ndarray, t: np.ndarray) -> None:
         """Poses to read: rotations (K, 3, 3) and gripper positions (K, 3). What
-        depends on the rotations alone `_summary` keeps in `_turned` until `rel`
-        changes, so the closed-form translation and the objective turn each part once."""
+        depends on the rotations alone is kept in `_turned` until `rel` changes,
+        so the closed-form translation and the objective turn each part once."""
         if rel is not self.rel:
             self._turned = {}
         self.rel, self.t = rel, t
@@ -225,16 +233,19 @@ class _PosedContext(EvalContext):
     def resolve_point(self, name: str) -> np.ndarray:
         if name == GRIPPER_NAME:
             return self.t
-        c = super().resolve_point(name)
         if name not in self.moving:
-            return c
-        return self._summary("centroid", name, lambda: self.rel @ (c - self.t0), self._turned) + self.t
+            return super().resolve_point(name)
+        if (turned := self._turned.get(("centroid", name))) is None:  # a moving part: turned once per stack
+            turned = self._turned["centroid", name] = _turn(self.rel, super().resolve_point(name) - self.t0)
+        return turned + self.t
 
     def part_axis(self, name: str) -> np.ndarray:
-        a = super().part_axis(name)
         if name not in self.moving:
-            return a
-        return self._summary("axis", name, lambda: fix_axis_sign(self.rel @ a), self._turned)
+            return super().part_axis(name)
+        if (turned := self._turned.get(("axis", name))) is None:
+            turned = self._turned["axis", name] = fix_axis_sign(_turn(self.rel, super().part_axis(name)))
+            turned.setflags(write=False)  # every later read shares it
+        return turned
 
     def part_extent(self, name: str, dimension: str):
         if name in self.moving:
@@ -346,7 +357,7 @@ def solve(expr: TypedExpr, scene: Scene, cfg: SolveConfig | None = None) -> Solv
         _lockstep(searches, lambda xs: _objective_rows(plan, ctx, xs, cfg, poses))
 
     restart_index, best = min(enumerate(restarts), key=lambda item: item[1].fx)  # ties: the lowest index
-    rel, dt = poses(best.x[None])
+    rel, dt = poses(np.array([best.x]))
     pose = PoseSE3(rel[0], Point3.from_array(ctx.t0 + dt[0]))
     obj, cost, reg_t, reg_r = _pose_terms(plan, ctx, pose, cfg)
     return SolveResult(
@@ -412,18 +423,18 @@ _LADDER_AFTER, _LADDER_CAP = 2, 8  # stalls in a row before a cycle scores the n
 
 
 def _signed(directions) -> np.ndarray:
-    """Each direction and its negative, (2 * directions, n): the poll's
+    """Each direction and its negative, (..., 2 * directions, n): the poll's
     probe steps at unit scale. Scaled, a row is the same float as scaling the
     direction first."""
-    return (directions[:, None] * _SIGNS).reshape(-1, directions.shape[1])
+    return (directions[..., None, :] * _SIGNS).reshape(*directions.shape[:-2], -1, directions.shape[-1])
 
 
 def _poll(x, fx, steps, evals, budget, values, first, grid=False):
     """Greedy probes along `steps` ((+, -) row pairs), moving to a probe
     that improves and going on with the next direction from there. Values
-    are consumed in order up to the first improvement, and only the consumed
-    ones count. Probe p's value is row first + p of `values`, the cycle's
-    first request, until the poll moves; with `grid`, angle d's is row
+    are read in one scan up to the first improvement, and only those read
+    count. Probe p's value is row first + p of `values`, the cycle's first
+    request, until the poll moves; with `grid`, angle d's is row
     3**d - 1 + 2 * path + sign wherever the poll is (`_ANGLE_GRID`; path: the
     earlier angles' outcomes in base 3, + 0, - 1, neither 2). Elsewhere one
     request asks for every probe still ahead (as many as the budget allows),
@@ -431,21 +442,21 @@ def _poll(x, fx, steps, evals, budget, values, first, grid=False):
     improved)."""
     improved, probe, path, rows, origin = False, 0, 0, values, -first
     while probe < len(steps) and evals < budget:
-        d, sign = divmod(probe, 2)
-        if grid and d < 3:
-            ft = values[3**d - 1 + 2 * path + sign]
+        if grid and probe < 6:  # angle d = probe // 2: its + and - probes, wherever the poll is
+            read, k, end = values, 3 ** (probe // 2) - 1 + 2 * path, probe + 2
         else:
             if rows is None:
                 rows, origin = (yield x + steps[probe : probe + budget - evals]), probe
-            ft = rows[probe - origin]
-        if ft.__class__ is not float:
-            raise ft
-        evals += 1
-        if ft < fx:
-            x, fx, improved, rows = x + steps[probe], ft, True, None
-            path, probe = 3 * path + sign, probe + 2 - sign  # the next direction's + probe
+            read, k, end = rows, probe - origin, len(steps)
+        for hit, ft in enumerate(read[k : k + min(end - probe, budget - evals)], probe):
+            if ft.__class__ is not float:
+                raise ft
+            if ft < fx:
+                x, fx, improved, rows, evals = x + steps[hit], ft, True, None, evals + hit - probe + 1
+                path, probe = 3 * path + hit % 2, hit + 2 - hit % 2  # the next direction's + probe
+                break
         else:
-            path, probe = (3 * path + 2 if sign else path), probe + 1
+            path, probe, evals = 3 * path + 2, end, min(evals + end - probe, budget)
     return x, fx, evals, improved
 
 
@@ -455,50 +466,49 @@ def _accelerate(x, x1, fx1, evals, budget, ask, carried):
     twice as many as before, as far as the budget allows; only values consumed
     up to the first that does not improve count. With cycles `carried`, the
     first request goes through `ask(rows, carried)`. Returns (point, value, evaluations)."""
-    ahead = 4
+    ahead, a, b = 4, x.tolist(), x1.tolist()  # the same floats as numpy's, at less cost per point
     while evals < budget:
-        a, b, ray = x.tolist(), x1.tolist(), []  # the same floats as numpy's, at less cost per point
-        while len(ray) < min(ahead, budget - evals) and any(q - p for p, q in zip(a, b)):
-            a, b = b, [q + (q - p) for p, q in zip(a, b)]
+        ray, m = [], min(ahead, budget - evals)
+        while len(ray) < m and any(step := [*map(sub, b, a)]):  # a zero step ends the ray
+            a, b = b, [*map(add, b, step)]
             ray.append(b)
         if not ray:
             break
         ray = np.array(ray)
         values, carried = (yield from ask(ray, carried)) if carried else (yield ray), ()
-        for trial, ft in zip(ray, values):
+        for k, ft in enumerate(values[: len(ray)]):
             if ft.__class__ is not float:
                 raise ft
-            evals += 1
             if not ft < fx1:
-                return x1, fx1, evals
-            x, x1, fx1 = x1, trial, ft
-        ahead *= 2
+                return x1, fx1, evals + k + 1
+            x1, fx1 = ray[k], ft
+        evals, ahead = evals + len(ray), ahead * 2
     return x1, fx1, evals
 
 
 class _Restart:
     """One restart: its point at the start of each of its search cycles and,
     once its search has returned, its final point x, value fx, evaluations and
-    whether it converged."""
+    whether it converged. Its points are lists, the same floats as the search's."""
 
     def __init__(self):
         self.cycles, self.x, self.fx, self.evals, self.converged = [], None, None, 0, False
 
-    def at(self, cycle: int) -> np.ndarray | None:
+    def at(self, cycle: int) -> list | None:
         """The point at the start of `cycle`, or the final point if the search
         ended before it; None while neither is known."""
         return self.cycles[cycle] if cycle < len(self.cycles) else self.x
 
 
 def _in_lower_box(x, scale, cycle, lower):
-    """Whether x lies in the poll box, |x - y| <= scale in every coordinate,
+    """Whether x (a list) lies in the poll box, |x - y| <= scale in every coordinate,
     of a lower-index restart's point y at the start of its own `cycle` (see
     `_Restart.at`). While a point it needs is not known yet, it asks for no rows."""
-    x, scale = x.tolist(), scale.tolist()  # the same floats as numpy's, at less cost per test
+    scale = scale.tolist()  # the same floats as numpy's, at less cost per test
     for restart in lower:
         while (y := restart.at(cycle)) is None:
             yield np.empty((0, len(x)))
-        if all(abs(a - b) <= s for a, b, s in zip(x, y.tolist(), scale)):
+        if all(map(le, map(abs, map(sub, x, y)), scale)):  # |a - b| <= s, coordinate by coordinate
             return True
     return False
 
@@ -529,11 +539,11 @@ def _pattern_search(x0: np.ndarray, cfg: SolveConfig, rng, restarts: list, index
     size = len(grid) + 2 * _RANDOM_POLLS
     drawn, ahead = [], []  # fallback draws (the current cycle's until a fallback poll uses it); cycles scored ahead
 
-    def draw(k):
+    def draw(k):  # eight sets at a time: one rng.normal call gives the floats of eight, in the same order
         while len(drawn) <= k:
-            directions = rng.normal(size=(_RANDOM_POLLS, n))
-            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-            drawn.append(np.concatenate([grid, _signed(directions)]))
+            directions = rng.normal(size=(8, _RANDOM_POLLS, n))
+            directions /= np.linalg.norm(directions, axis=-1, keepdims=True)
+            drawn.extend(np.concatenate([np.broadcast_to(grid, (8, *grid.shape)), _signed(directions)], 1))
         return drawn[k]
 
     def ask(own, carried):  # own rows, then the carried cycles' first requests; queues (x, shrink, offsets, values)
@@ -546,9 +556,9 @@ def _pattern_search(x0: np.ndarray, cfg: SolveConfig, rng, restarts: list, index
         raise fx
     evals, shrink, stalls, missed = 1, 1.0, 0, False
     while evals < budget:
-        record.cycles.append(x)
+        record.cycles.append(x.tolist())
         scale = init_steps * shrink
-        if (yield from _in_lower_box(x, scale, len(record.cycles) - 1, lower)):
+        if (yield from _in_lower_box(record.cycles[-1], scale, len(record.cycles) - 1, lower)):
             break
         cycle_start = fx
         offsets = drawn[0] if drawn else draw(0)
@@ -578,4 +588,4 @@ def _pattern_search(x0: np.ndarray, cfg: SolveConfig, rng, restarts: list, index
                 record.converged = True
                 break
             shrink *= 0.5
-    record.x, record.fx, record.evals = x, fx, evals
+    record.x, record.fx, record.evals = x.tolist(), fx, evals

@@ -525,6 +525,28 @@ def test_a_posed_triple_is_numpys_stack(data, poses):
     assert got.tobytes() == want.tobytes()
 
 
+# Angles anywhere, or within a hair of zero: rotations near the identity.
+_turn_angles = st.one_of(_angles, st.floats(min_value=-1e-9, max_value=1e-9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    angles=st.lists(st.tuples(_turn_angles, _turn_angles, _turn_angles), min_size=1, max_size=64),
+    v=arrays(float, 3, elements=_cross_components),
+    strided=st.booleans(),
+)
+def test_a_posed_read_turns_a_stack_in_one_product_with_matmuls_floats(angles, v, strided):
+    # `_turn` must give the floats of `rel @ v`, one BLAS call per rotation;
+    # a stack whose rotations are every other one of a longer stack is not
+    # contiguous.
+    rel = rotation_xyz(*np.array(angles).T)
+    if strided:
+        rel = np.stack([rel, -rel], axis=1).reshape(-1, 3, 3)[::2]
+    got, want = solver._turn(rel, v), rel @ v
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
 # -- extents over the kept extreme points are the full cloud's, bit for bit --------
 
 

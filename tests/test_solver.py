@@ -35,7 +35,7 @@ from maniplang.solver import (
 )
 
 from goldens import TEAPOT_LID_PROGRAM
-from util import CARROT_KNIFE_PROGRAM, random_rotation, single_part_scene
+from util import CARROT_KNIFE_PROGRAM, random_rotation, replay_solve, single_part_scene
 
 
 def typed(source):
@@ -607,6 +607,52 @@ class TestLockstepSearch:
             TEAPOT_SEARCH
         )
 
+    @pytest.mark.parametrize("instruction", sorted(MOCK_SEARCHES))
+    def test_a_replayed_solve_is_the_live_solve(self, instruction, monkeypatch):
+        # The solve stage's rounds served back from a recording take the live
+        # steps: the same result and every recorded round read, none more.
+        kind, _ = MOCK_SEARCHES[instruction]
+        solves = []
+        monkeypatch.setattr(pipeline, "solve", lambda *args: solves.append(args) or solver.solve(*args))
+        client = pipeline.MockClient(fixtures.load_mock_translations())
+        pipeline.run_task(instruction, load_scene(fixtures.shipped_scene_path(kind)), client)
+        (args,) = solves
+        live, rounds, replay = replay_solve(*args)
+        result, served = replay()
+        assert (result.dumps(), served) == (live.dumps(), rounds)
+        assert rounds == MOCK_ROUNDS[instruction]
+
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_fallback_sets_are_those_drawn_one_set_at_a_time(self, n, index, monkeypatch):
+        # A flat objective stalls every cycle, so each cycle's fallback poll
+        # reads the next set, past several blocks of draws, until the steps
+        # bottom out. Each set must be the one a call for one set would give
+        # next from the restart's generator.
+        polls = []
+        poll = solver._poll
+
+        def recorded(x, fx, steps, *rest):
+            polls.append(steps)
+            return poll(x, fx, steps, *rest)
+
+        monkeypatch.setattr(solver, "_poll", recorded)
+        restarts = [solver._Restart() for _ in range(index + 1)]
+        for lower in restarts[:index]:
+            lower.x = [100.0] * n  # ended far away: never a duplicate
+        search = solver._pattern_search(np.zeros(n), SolveConfig(), np.random.default_rng((7, index)), restarts, index)
+        rows = next(search)
+        with pytest.raises(StopIteration):
+            while True:
+                rows = search.send([0.0] * len(rows))
+        assert restarts[index].converged and len(polls) > 2 * 16
+        rng = np.random.default_rng((7, index))
+        for coordinate, fallback in zip(polls[::2], polls[1::2]):
+            scale = coordinate[::2].diagonal()  # the + probe of coordinate i is scale[i] along i
+            directions = rng.normal(size=(solver._RANDOM_POLLS, n))
+            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+            assert fallback.tobytes() == (scale * solver._signed(directions)).tobytes()
+
     def test_restarts_run_in_fixed_groups(self, monkeypatch):
         groups = []
         lockstep = solver._lockstep
@@ -712,6 +758,18 @@ class TestLockstepSearch:
         assert left_over.dumps() == reference.dumps()
         with pytest.raises(DegenerateDirectionError):
             solve(expr, degenerate_probe_scene(centroid_of_a_at(requests[consumed - 1][0])), cfg)
+
+    def test_a_ray_ends_at_its_first_zero_step(self):
+        # From 1 - 2**-53 to 1.0 the next point, 1 + 2**-53, rounds back to
+        # 1.0 (a tie, to even), so the step after it is zero: the request
+        # holds that one point, not four copies of it.
+        x, x1 = np.array([1.0 - 2.0**-53, 0.0, 0.0]), np.array([1.0, 0.0, 0.0])
+        ray = solver._accelerate(x, x1, 1.0, 0, 100, None, ())
+        assert next(ray).tolist() == [[1.0, 0.0, 0.0]]
+        with pytest.raises(StopIteration) as stop:
+            ray.send([1.0])
+        point, value, evals = stop.value.value
+        assert (point is x1, value, evals) == (True, 1.0, 1)
 
     def test_unconsumed_predicted_row_does_not_end_the_solve(self, monkeypatch):
         # After a ray that failed at its first point, the next ray's first

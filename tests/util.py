@@ -7,6 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from maniplang import solver
 from maniplang.costs import EmptyHistoryError, EvalError
 from maniplang.errors import ManiplangError, MissingPartError
 from maniplang.geometry import DegenerateAxisError, Point3, PointCloud, angle_between, dot, norm, unit_direction
@@ -292,3 +293,43 @@ def poll_oracle(x, fx, steps, evals, budget, probes, values):
         else:
             probe += len(trials)
     return x, fx, evals, improved
+
+
+# -- a solve's search alone, by replay ---------------------------------------------
+
+
+def replay_solve(expr, scene, cfg=None):
+    """Solve live, recording each round's `solver._objective_rows` result; then
+    `replay()` solves again with those results served back in order, so no
+    round scores the objective and what is left is the search's own work.
+    Returns (live result, rounds recorded, replay); `replay()` returns
+    (result, rounds served). The search is deterministic in the values it is
+    sent, so a replay takes the live solve's steps and gives its result."""
+    scored, recorded, depth = solver._objective_rows, [], 0
+
+    def record(*args):  # the halving of a failed round calls back in: keep the outermost call only
+        nonlocal depth
+        depth += 1
+        try:
+            values = scored(*args)
+        finally:
+            depth -= 1
+        if not depth:
+            recorded.append(values)
+        return values
+
+    def served_solve(serve):
+        solver._objective_rows = serve
+        try:
+            return solver.solve(expr, scene, cfg)
+        finally:
+            solver._objective_rows = scored
+
+    live = served_solve(record)
+
+    def replay():
+        served = iter(recorded)
+        result = served_solve(lambda *args: next(served))
+        return result, len(recorded) - sum(1 for _ in served)
+
+    return live, len(recorded), replay
